@@ -44,7 +44,10 @@ class SimulatorModel:
 
     The proposal defaults to the prior (importance ratios are then all one).
     ``simulate_data`` may raise to signal a failed simulation; table
-    generation retries such draws with fresh sub-seeds.
+    generation retries such draws with fresh sub-seeds.  ``spec`` is the
+    model configuration (for example a frozen spec dataclass); its repr
+    enters the fingerprint, so tables built under different settings of
+    the same model are told apart.
     """
 
     name: str
@@ -57,6 +60,7 @@ class SimulatorModel:
     proposal_sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     proposal_logpdf: Optional[Callable[[np.ndarray], float]] = None
     theta_names: Optional[List[str]] = None
+    spec: object = None
 
     def __post_init__(self):
         if (self.proposal_sample is None) != (self.proposal_logpdf is None):
@@ -81,7 +85,8 @@ class SimulatorModel:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(
-            f"{self.name}|{self.dim_theta}|{self.dim_summary}".encode()).hexdigest()[:16]
+            f"{self.name}|{self.dim_theta}|{self.dim_summary}|{self.spec!r}".encode()
+        ).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

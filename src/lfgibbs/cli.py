@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from lfgibbs.abc import simulate_reference_table
-from lfgibbs.experiments import (ExperimentConfig, _statespace_setup,
-                                 run_experiment, summarize_directory)
+from lfgibbs.experiments import (ExperimentConfig, _hier_spec, _mixture_spec,
+                                 _statespace_setup, run_experiment,
+                                 summarize_directory)
 from lfgibbs.gk import estimate_gk
-from lfgibbs.models.hierarchical import hierarchical_model, HierarchicalSpec
-from lfgibbs.models.mixture import mixture_model, MixtureSpec
+from lfgibbs.models.hierarchical import hierarchical_model
+from lfgibbs.models.mixture import mixture_model
 
 
 def _cmd_simulate(args) -> int:
@@ -40,11 +41,9 @@ def _cmd_simulate(args) -> int:
         print(path)
         return 0
     if config.model == "hierarchical":
-        model = hierarchical_model(HierarchicalSpec(
-            u_groups=int(config.option("u_groups", 10)),
-            l_obs=int(config.option("l_obs", 10))))
+        model = hierarchical_model(_hier_spec(config))
     else:
-        model = mixture_model(MixtureSpec())
+        model = mixture_model(_mixture_spec(config))
     table = simulate_reference_table(model, config.n_table, seed=seed)
     path = out / f"table_seed{seed}.csv"
     table.to_csv(path)

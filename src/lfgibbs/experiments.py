@@ -34,8 +34,7 @@ from lfgibbs.models.hierarchical import (HierarchicalSpec,
                                          hierarchical_model,
                                          hierarchical_pass_specs,
                                          hierarchical_simulate,
-                                         hierarchical_state_names,
-                                         hierarchical_summaries)
+                                         hierarchical_state_names)
 from lfgibbs.models.mixture import (MixtureSpec, mixture_engine_specs,
                                     mixture_exact_specs, mixture_initial_state,
                                     mixture_model, MIXTURE_STATE_NAMES)
@@ -363,8 +362,8 @@ def _make_dataset(config: ExperimentConfig, seed: int):
         spec = _hier_spec(config)
         rng = _data_rng(seed)
         truth_state = hierarchical_model(spec).prior_sample(rng)
-        data, _ = hierarchical_simulate(spec, truth_state, rng)
-        s_obs = hierarchical_summaries(data).as_array()
+        data, summaries = hierarchical_simulate(spec, truth_state, rng)
+        s_obs = summaries.as_array()
         names = hierarchical_state_names(spec)
         truth = dict(zip(names, truth_state))
         return {"data": data, "s_obs": s_obs, "truth": truth}

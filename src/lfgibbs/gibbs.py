@@ -267,7 +267,11 @@ def run_exact_gibbs(specs: Sequence[ConditionalSpec], config: GibbsConfig,
 
 
 class _SpecWorkspace:
-    """Precomputed per-member design matrices and distance scalings."""
+    """Precomputed per-member design matrices and distance scalings.
+
+    Designs are stored column-major, so the per-sweep distance scan reads
+    each coordinate in one contiguous pass.
+    """
 
     def __init__(self, spec: ConditionalSpec, table: ReferenceTable,
                  log_ratio: np.ndarray):
@@ -279,8 +283,10 @@ class _SpecWorkspace:
         self.responses: List[np.ndarray] = []
         for member in spec.members:
             x = _member_design(spec, table, member)
-            self.designs.append(x)
+            # scaled on the design as built: the products inside round
+            # differently on a column-major copy
             self.scalings.append(DistanceScaling.from_samples(x, table.weights))
+            self.designs.append(np.asfortranarray(x))
             self.responses.append(table.theta[:, member].copy())
 
     def query(self, s_obs: np.ndarray, theta: np.ndarray, j: int) -> np.ndarray:
@@ -305,6 +311,26 @@ def _member_design(spec: ConditionalSpec, table: ReferenceTable,
     rows = [spec.feature_map(table.summaries[i], table.theta[i], member)
             for i in range(len(table))]
     return np.asarray(rows, dtype=float)
+
+
+def _localize(design: np.ndarray, scaling: DistanceScaling, ratios: np.ndarray,
+              query: np.ndarray, kernel: KernelSpec, m: int
+              ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Positive-weight rows around the query, their weights and the bandwidth.
+
+    Only rows closer than the kNN bandwidth can have positive kernel
+    weight, so the kernel and the importance ratios are evaluated on those
+    rows alone.  Rows come in table order, with the weights the full-table
+    product ``kernel_weight(dist) * ratios`` gives them.
+    """
+    dist = scaled_distance(design, query, scaling)
+    h = knn_bandwidth(dist, min(m, dist.size))
+    rows = np.flatnonzero(dist < h)
+    w = kernel_weight(dist[rows], kernel.with_bandwidth(h)) * ratios[rows]
+    # a row inside the bandwidth still weighs zero when its importance
+    # ratio is zero
+    pos = w > 0
+    return rows[pos], w[pos], h
 
 
 def _table_log_ratios(model: Optional[SimulatorModel],
@@ -382,13 +408,13 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
             xs, ys, wws, queries = [], [], [], []
             for j, member in enumerate(spec.members):
                 q = ws.query(s_obs, theta, j)
-                dist = scaled_distance(ws.designs[j], q, ws.scalings[j])
-                h = knn_bandwidth(dist, min(m_nn, dist.size))
-                w = kernel_weight(dist, kernel.with_bandwidth(h)) * ws.ratios
-                pos = w > 0
-                xs.append(ws.designs[j][pos])
-                ys.append(ws.responses[j][pos])
-                wws.append(w[pos])
+                rows, w, _ = _localize(ws.designs[j], ws.scalings[j], ws.ratios,
+                                       q, kernel, m_nn)
+                # integer indexing gathers C-ordered rows from the
+                # column-major design
+                xs.append(ws.designs[j][rows])
+                ys.append(ws.responses[j][rows])
+                wws.append(w)
                 queries.append(q)
             x = np.concatenate(xs, axis=0)
             y = np.concatenate(ys)

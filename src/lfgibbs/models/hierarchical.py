@@ -129,14 +129,20 @@ def hierarchical_simulate(spec: HierarchicalSpec, params: np.ndarray,
                           rng: np.random.Generator
                           ) -> Tuple[np.ndarray, HierarchicalSummaries]:
     """Draw the U x L data matrix at the given state and summarize it."""
+    data = _hierarchical_data(spec, params, rng)
+    return data, hierarchical_summaries(data)
+
+
+def _hierarchical_data(spec: HierarchicalSpec, params: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The U x L data matrix at the given state, without its summaries."""
     params = np.asarray(params, dtype=float)
     tau_x = params[2]
     if not params[1] > 0 or not tau_x > 0:
         raise ValueError("precisions must be positive")
     mu_u = params[3:3 + spec.u_groups]
-    data = rng.normal(mu_u[:, None], 1.0 / math.sqrt(tau_x),
+    return rng.normal(mu_u[:, None], 1.0 / math.sqrt(tau_x),
                       size=(spec.u_groups, spec.l_obs))
-    return data, hierarchical_summaries(data)
 
 
 # --- full conditionals (Table rows, in sweep order) ------------------------
@@ -274,9 +280,10 @@ def hierarchical_model(spec: HierarchicalSpec) -> SimulatorModel:
         dim_summary=spec.dim_summary,
         prior_sample=prior_sample,
         prior_logpdf=prior_logpdf,
-        simulate_data=lambda state, rng: hierarchical_simulate(spec, state, rng)[0],
+        simulate_data=lambda state, rng: _hierarchical_data(spec, state, rng),
         summary=lambda data: hierarchical_summaries(data).as_array(),
         theta_names=hierarchical_state_names(spec),
+        spec=spec,
     )
 
 

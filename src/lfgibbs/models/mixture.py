@@ -223,6 +223,7 @@ def mixture_model(spec: MixtureSpec) -> SimulatorModel:
             state[:2], state[2:], spec, rng),
         summary=lambda data: np.asarray(data, dtype=float),
         theta_names=list(MIXTURE_STATE_NAMES),
+        spec=spec,
     )
 
 

@@ -229,7 +229,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             raise FloatingPointError(f"non-finite state at sweep {sweep}")
         if sweep >= config.burn_in:
             lam_count += 1
-            if (sweep - config.burn_in) % config.thinning == 0:
+            # the Gibbs engines' rule, with 1-based sweep number sweep + 1
+            if (sweep + 1 - config.burn_in) % config.thinning == 0:
                 retained.append(np.concatenate((theta.ravel(), tau)))
     timings.sampler_seconds = time.perf_counter() - tic
 

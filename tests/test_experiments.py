@@ -427,6 +427,18 @@ class TestCli:
         meta = json.loads((out_a / "table_seed3.json").read_text())
         assert meta["n_table"] == 100
 
+    def test_simulate_uses_the_mixture_options(self, tmp_path):
+        tables = []
+        for name, options in (("default", {}), ("omega", {"omega": 0.9})):
+            path = tmp_path / f"{name}.json"
+            ExperimentConfig(model="mixture", methods=["exact-gibbs"], seeds=[1],
+                             n_table=50, options=options).save(path)
+            result = run_cli("simulate", "--config", str(path),
+                             "--seed", "3", "--out", str(tmp_path / name))
+            assert result.returncode == 0, result.stderr
+            tables.append((tmp_path / name / "table_seed3.csv").read_bytes())
+        assert tables[0] != tables[1]
+
     def test_simulate_statespace_writes_daily_observations(self, tmp_path):
         path = tmp_path / "ss.json"
         ExperimentConfig(

@@ -277,6 +277,16 @@ class TestModelInterface:
         assert data.shape == (10, 10)
         assert model.summary(data).shape == (24,)
 
+    def test_simulate_data_draws_what_hierarchical_simulate_draws(self):
+        model = hierarchical_model(SPEC)
+        state = model.prior_sample(np.random.default_rng(16))
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        data = model.simulate_data(state, rng_a)
+        full, summaries = hierarchical_simulate(SPEC, state, rng_b)
+        np.testing.assert_array_equal(data, full)
+        np.testing.assert_array_equal(model.summary(data), summaries.as_array())
+        assert rng_a.random() == rng_b.random()
+
     def test_reference_table_generation(self):
         table = simulate_reference_table(hierarchical_model(SPEC), 200, seed=15)
         assert table.theta.shape == (200, 13)

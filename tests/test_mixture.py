@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
+from lfgibbs.abc import ReferenceTable, simulate_reference_table
 from lfgibbs.gibbs import ConditionalSpec, GibbsConfig, run_exact_gibbs
 from lfgibbs.models.mixture import (
     MIXTURE_STATE_NAMES,
@@ -267,6 +268,16 @@ class TestModelInterface:
 
     def test_fingerprint_stable(self):
         assert mixture_model(SPEC).fingerprint() == mixture_model(SPEC).fingerprint()
+
+    def test_fingerprint_tells_configurations_apart(self, tmp_path):
+        a = mixture_model(MixtureSpec(omega=0.3))
+        b = mixture_model(MixtureSpec(omega=0.9, rho=0.1))
+        assert a.fingerprint() != b.fingerprint()
+        path = str(tmp_path / "table.npz")
+        simulate_reference_table(b, 5, seed=1).to_npz(path)
+        ReferenceTable.from_npz(path, expected_fingerprint=b.fingerprint())
+        with pytest.raises(ValueError, match="different model"):
+            ReferenceTable.from_npz(path, expected_fingerprint=a.fingerprint())
 
 
 class TestFeatureDesign:

@@ -824,6 +824,21 @@ class TestSamplerValidation:
             ChainConfig(10, thinning=0)
         assert ChainConfig(10, burn_in=2, thinning=2).n_retained == 4
 
+    def test_thinning_keeps_the_gibbs_engines_sweeps(self):
+        # sweep m (1-based) is kept when m > burn_in and
+        # (m - burn_in) % thinning == 0: sweeps 3, 6 and 9 of ten
+        def chain(config):
+            return run_state_space_gibbs(self.spec, self.cal, TrainingConfig(),
+                                         config, np.random.default_rng(4),
+                                         summaries=self.s, n_obs=self.n,
+                                         lambda_sampler=self.stub, fix_tau=100.0)
+
+        thinned = ChainConfig(10, burn_in=0, thinning=3)
+        every = chain(ChainConfig(10)).states
+        kept = chain(thinned).states
+        assert kept.shape[0] == thinned.n_retained == 3
+        np.testing.assert_array_equal(kept, every[[2, 5, 8]])
+
     def test_non_finite_predictor_aborts_with_location(self):
         bad = lambda phi, s_t, rng: np.full(4, np.inf)
         with np.errstate(invalid="ignore"), \
