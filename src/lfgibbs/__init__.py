@@ -44,7 +44,6 @@ from lfgibbs.abc import (
     AbcOutput,
     ReferenceTable,
     SimulatorModel,
-    WeightedSample,
     abc_importance,
     regression_adjust,
     simulate_reference_table,
@@ -89,7 +88,6 @@ __all__ = [
     "ReferenceTable",
     "ResultsBundle",
     "SimulatorModel",
-    "WeightedSample",
     "abc_importance",
     "coverage",
     "credible_interval",

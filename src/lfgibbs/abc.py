@@ -27,7 +27,6 @@ from lfgibbs.regression import fit_weighted_linear
 
 __all__ = [
     "SimulatorModel",
-    "WeightedSample",
     "ReferenceTable",
     "AbcOutput",
     "simulate_reference_table",
@@ -89,15 +88,6 @@ class SimulatorModel:
         ).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class WeightedSample:
-    """One (parameter, summary, weight) row of a reference table."""
-
-    theta: np.ndarray
-    summary: np.ndarray
-    weight: float
-
-
 @dataclass
 class ReferenceTable:
     """Column-major storage of weighted (parameter, summary) samples."""
@@ -124,9 +114,6 @@ class ReferenceTable:
 
     def __len__(self) -> int:
         return self.theta.shape[0]
-
-    def __getitem__(self, i: int) -> WeightedSample:
-        return WeightedSample(self.theta[i], self.summaries[i], float(self.weights[i]))
 
     def normalized_weights(self) -> np.ndarray:
         total = self.weights.sum()

@@ -14,6 +14,16 @@ against shifted Legendre polynomials.  The Gaussian quantile inside Q has
 composite Gauss-Legendre quadrature on panels refined geometrically toward
 both endpoints; the per-panel order is raised until two successive rules
 agree to 1e-8.
+
+Estimation matches (l1, l2, t3, t4) by scipy's Nelder-Mead on the link
+scale, with a fixed 32-point panel grid inside the objective.  Many
+targets are estimated at once by :func:`estimate_gk_batch`, which runs one
+lock-step Nelder-Mead over all of them: every row repeats scipy's steps
+(simplex, reflect / expand / contract / shrink, sorting, stopping tests)
+and every objective value is computed with the scalar objective's exact
+operations, so each row is bit for bit what :func:`estimate_gk_from_lmoments`
+returns, failures included.  A row that reaches the evaluation cap fails
+there, as scipy's search does whenever its count reaches the cap.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ __all__ = [
     "sample_lmoments",
     "estimate_gk",
     "estimate_gk_from_lmoments",
+    "estimate_gk_batch",
+    "estimation_target",
     "link_parameters",
     "unlink_parameters",
 ]
@@ -45,6 +57,12 @@ _CONV_TOL = 1e-8
 _FIT_PANEL_ORDER = 32  # fixed grid used inside the estimator objective
 _MIN_SAMPLE = 4        # smallest n with defined fourth L-moment
 _MIN_FIT_SAMPLE = 20
+# Nelder-Mead settings of the estimator, shared by the scalar and batch paths
+_XATOL = 1e-8
+_FATOL = 1e-14
+_MAXFEV = 5000
+_PENALTY = 1e12        # objective value where the L-moments are unusable
+_CHUNK = 16            # points per block of the batch objective
 
 
 @dataclass(frozen=True)
@@ -208,6 +226,20 @@ def unlink_parameters(lam: np.ndarray) -> GKParams:
                     float(lam[2]), float(np.exp(lam[3]) - 0.5))
 
 
+def _start(target: LMoments, init: Optional[GKParams] = None) -> np.ndarray:
+    """Validated target's starting point on the link scale.
+
+    The default start is the Gaussian case (g = k = 0) with the target's
+    location and the scale whose l2 matches, B = l2 * sqrt(pi).
+    """
+    if not target.l2 > 0 or not np.isfinite(target.as_array()).all():
+        raise ValueError("degenerate target: second L-moment must be positive "
+                         "and all L-moments finite")
+    if init is None:
+        init = GKParams(target.l1, target.l2 * np.sqrt(np.pi), 0.0, 0.0)
+    return link_parameters(init)
+
+
 def estimate_gk_from_lmoments(target: LMoments,
                               init: Optional[GKParams] = None) -> GKParams:
     """Match theoretical L-moments to a target by Nelder-Mead.
@@ -217,12 +249,7 @@ def estimate_gk_from_lmoments(target: LMoments,
     mismatch of (l1, l2, t3, t4); theoretical values inside the optimizer
     come from a fixed quadrature grid for speed.
     """
-    if not target.l2 > 0 or not np.isfinite(target.as_array()).all():
-        raise ValueError("degenerate target: second L-moment must be positive "
-                         "and all L-moments finite")
-    if init is None:
-        init = GKParams(target.l1, target.l2 * np.sqrt(np.pi), 0.0, 0.0)
-    x0 = link_parameters(init)
+    x0 = _start(target, init)
     tvec = target.as_array()
     z, pw = _grid(_FIT_PANEL_ORDER)
 
@@ -233,21 +260,184 @@ def estimate_gk_from_lmoments(target: LMoments,
         asym = 1.0 + 0.8 * (1.0 - e) / (1.0 + e)
         lam = pw @ (x[0] + b * asym * (1.0 + z * z) ** k * z)
         if lam[1] <= 0 or not np.isfinite(lam).all():
-            return 1e12
+            return _PENALTY
         resid = np.array([lam[0], lam[1], lam[2] / lam[1], lam[3] / lam[1]]) - tvec
         return float(resid @ resid)
 
     res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-14,
-                            "maxfev": 5000, "maxiter": 5000})
+                   options={"xatol": _XATOL, "fatol": _FATOL,
+                            "maxfev": _MAXFEV, "maxiter": _MAXFEV})
     if not res.success:
         raise ArithmeticError(f"L-moment matching did not converge: {res.message}")
     return unlink_parameters(res.x)
 
 
-def estimate_gk(data: np.ndarray) -> GKParams:
-    """Estimate (A, B, g, k) from data by L-moment matching."""
+def _objective_rows(x: np.ndarray, tvec: np.ndarray) -> np.ndarray:
+    """The scalar objective at every row of x against the row of tvec.
+
+    Each step is the scalar objective's own operation on whole blocks of
+    points, so every value is bit-identical to it: (1 + z^2) is a constant
+    of the grid, every elementwise ufunc rounds per element, and
+    ``matmul(pw, q[:, :, None])`` runs one BLAS gemv per point exactly as
+    ``pw @ q`` does (``q @ pw.T`` would block the sums differently).
+    """
+    z, pw = _grid(_FIT_PANEL_ORDER)
+    base = 1.0 + z * z
+    out = np.empty(len(x))
+    e = np.empty((_CHUNK, z.size))
+    q = np.empty((_CHUNK, z.size))
+    for lo in range(0, len(x), _CHUNK):
+        xs = x[lo:lo + _CHUNK]
+        c = len(xs)
+        ec, qc = e[:c], q[:c]
+        np.multiply(-xs[:, 2:3], z, out=ec)
+        np.exp(ec, out=ec)
+        np.subtract(1.0, ec, out=qc)
+        qc *= 0.8
+        ec += 1.0
+        qc /= ec
+        qc += 1.0                                   # asym
+        qc *= np.exp(xs[:, 1:2])                    # b * asym
+        np.power(base, np.exp(xs[:, 3:4]) - 0.5, out=ec)
+        qc *= ec
+        qc *= z
+        qc += xs[:, 0:1]
+        lam = np.matmul(pw, qc[:, :, None])[:, :, 0]
+        # rows the scalar objective returns early on get _PENALTY below;
+        # their ratios and residuals are computed but never used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            resid = np.stack((lam[:, 0], lam[:, 1], lam[:, 2] / lam[:, 1],
+                              lam[:, 3] / lam[:, 1]), axis=1)
+            resid -= tvec[lo:lo + c]
+            val = np.vecdot(resid, resid)
+        bad = (lam[:, 1] <= 0) | ~np.isfinite(lam).all(axis=1)
+        val[bad] = _PENALTY
+        out[lo:lo + c] = val
+    return out
+
+
+def _nelder_mead_rows(x0: np.ndarray, tvec: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """scipy's Nelder-Mead, run on every row at once in lock-step.
+
+    Repeats ``scipy.optimize._minimize_neldermead`` (non-adaptive, with
+    the options :func:`estimate_gk_from_lmoments` passes) step for step on
+    each row: the same initial simplex, the same reflect / expand /
+    contract / shrink expressions and coefficients, the same per-row
+    ``argsort`` and the same stopping tests.  All points pending across
+    rows go to one :func:`_objective_rows` call.  Returns the best vertex
+    of each row and a mask of the rows that stopped converged; a row that
+    reaches the evaluation cap stops unconverged, as scipy's does.
+    """
+    rows, dim = x0.shape
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for j in range(dim):
+        y = sim[:, j + 1, j]
+        y[:] = np.where(y != 0, 1.05 * y, 0.00025)
+    fsim = _objective_rows(sim.reshape(-1, dim),
+                           np.repeat(tvec, dim + 1, axis=0)).reshape(rows, dim + 1)
+    nfev = np.full(rows, dim + 1)
+    best = np.empty((rows, dim))
+    converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    sort_twice = 2                       # scipy sorts twice after the first pass
+    while live.size:
+        for _ in range(sort_twice):
+            ind = np.argsort(fsim, axis=1)
+            sim = np.take_along_axis(sim, ind[:, :, None], axis=1)
+            fsim = np.take_along_axis(fsim, ind, axis=1)
+        sort_twice = 1
+        capped = nfev >= _MAXFEV
+        done = capped | (
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
+        if done.any():
+            best[live[done]] = sim[done, 0]
+            converged[live[done]] = ~capped[done]
+            keep = ~done
+            live, sim, fsim, nfev, tvec = (live[keep], sim[keep], fsim[keep],
+                                           nfev[keep], tvec[keep])
+            if not live.size:
+                break
+        # xbar = np.add.reduce(sim[:-1], 0) / N, summed in the same order
+        xbar = sim[:, 0]
+        for j in range(1, dim):
+            xbar = xbar + sim[:, j]
+        xbar = xbar / dim
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst
+        fxr = _objective_rows(xr, tvec)
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        contract = ~expand & ~accept
+        outside = contract & (fxr < fsim[:, -1])
+        inside = contract & ~outside
+        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
+                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst,
+                                  0.5 * xbar + 0.5 * worst))
+        second = expand | contract
+        ftrial = np.full(len(xr), np.nan)
+        ftrial[second] = _objective_rows(trial[second], tvec[second])
+        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
+                      | (inside & (ftrial < fsim[:, -1])))
+        take_r = (expand & ~take_trial) | accept
+        shrink = contract & ~take_trial
+        sim[take_trial, -1] = trial[take_trial]
+        fsim[take_trial, -1] = ftrial[take_trial]
+        sim[take_r, -1] = xr[take_r]
+        fsim[take_r, -1] = fxr[take_r]
+        nfev += 1 + second
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = _objective_rows(
+                s[:, 1:].reshape(-1, dim),
+                np.repeat(tvec[shrink], dim, axis=0)).reshape(-1, dim)
+            nfev[shrink] += dim
+    return best, converged
+
+
+def estimate_gk_batch(targets: np.ndarray) -> np.ndarray:
+    """Link-scale estimates for many L-moment targets at once.
+
+    ``targets`` holds one (l1, l2, t3, t4) row per target.  Row i of the
+    result is bit for bit
+    ``link_parameters(estimate_gk_from_lmoments(LMoments(*targets[i])))``,
+    and all-NaN where that call raises ValueError or ArithmeticError: the
+    searches run in lock-step (:func:`_nelder_mead_rows`) on the scalar
+    objective's exact arithmetic, and a row that reaches the evaluation
+    cap fails as the scalar search does.
+    """
+    tvec = np.atleast_2d(np.asarray(targets, dtype=float))
+    out = np.full(tvec.shape, np.nan)
+    x0 = np.full(tvec.shape, np.nan)
+    for i, row in enumerate(tvec):
+        try:
+            x0[i] = _start(LMoments(*row))
+        except ValueError:
+            pass
+    valid = np.flatnonzero(np.isfinite(x0).all(axis=1))
+    best, converged = _nelder_mead_rows(x0[valid], tvec[valid])
+    for i, x in zip(valid[converged], best[converged]):
+        try:
+            out[i] = link_parameters(unlink_parameters(x))
+        except ValueError:
+            pass
+    return out
+
+
+def estimation_target(data: np.ndarray) -> LMoments:
+    """The sample L-moments :func:`estimate_gk` matches.
+
+    Needs at least 20 observations.
+    """
     x = np.asarray(data, dtype=float)
     if x.size < _MIN_FIT_SAMPLE:
         raise ValueError(f"need at least {_MIN_FIT_SAMPLE} observations, got {x.size}")
-    return estimate_gk_from_lmoments(sample_lmoments(x))
+    return sample_lmoments(x)
+
+
+def estimate_gk(data: np.ndarray) -> GKParams:
+    """Estimate (A, B, g, k) from data by L-moment matching."""
+    return estimate_gk_from_lmoments(estimation_target(data))

@@ -139,15 +139,14 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     timings = TimingBreakdown()
     training: Optional[TrainingSet] = None
     if lambda_sampler is None:
-        tic = time.perf_counter()
         training = generate_phi_training_set(
             training_config.n_pairs, cube, rng,
             max_failure_rate=training_config.max_failure_rate)
-        timings.pre_sim_seconds = time.perf_counter() - tic
+        timings.pre_sim_seconds = training.simulate_seconds
         timings.pre_sim_units = float(training_config.n_pairs
                                       + training.redraw_count)
         timings.pre_fit_count = training_config.n_pairs + training.redraw_count
-        timings.pre_fit_seconds = timings.pre_sim_seconds
+        timings.pre_fit_seconds = training.estimate_seconds
 
     if init_obs_variance is None:
         init_obs_variance = 0.5 * (cube.q_low + cube.q_high)

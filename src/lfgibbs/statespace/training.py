@@ -10,25 +10,32 @@ whose residuals are resampled to avoid a Gaussianity assumption.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..gk import estimate_gk, gk_sample, link_parameters, unlink_parameters
+# estimate_gk is not called here any more; the benchmark trace
+# (perfbench/tracing.py) wraps it by this module's attribute and keeps
+# doing so until it wraps estimate_gk_batch instead
+from ..gk import (estimate_gk, estimate_gk_batch, estimation_target,
+                  gk_sample, unlink_parameters)
 from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
                        knn_bandwidth, scaled_distance)
 
 N_PREDICTOR = 4
 # phi embedding: 4 prior means, 4 log prior variances, log sample size,
-# and 4 spare coordinates reserved for future context features.
+# and 4 spare coordinates that stay zero; they are kept because the
+# distance sums all 13 squared terms, and dropping them would change the
+# order of that sum and so the distances in their last bits.
 PHI_DIM = 13
-_SPARE = PHI_DIM - (2 * N_PREDICTOR + 1)
 _RIDGE = 1e-10
 _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
 _RATE_CHECK_MIN = 50
+_ROUND_MAX = 256       # attempts fitted together by the default summary
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,9 @@ class TrainingSet:
 
     The embedded contexts and their per-coordinate standard-deviation
     scaling are computed once at construction; constant coordinates are
-    floored inside DistanceScaling so the spare slots stay inert.
+    floored inside DistanceScaling so the spare slots stay inert.  The
+    build record: redraw_count failed attempts, and the seconds spent
+    drawing (contexts and samples) and estimating summaries.
     """
 
     phi_means: np.ndarray
@@ -143,6 +152,8 @@ class TrainingSet:
     predictors: np.ndarray
     summaries: np.ndarray
     redraw_count: int = 0
+    simulate_seconds: float = 0.0
+    estimate_seconds: float = 0.0
     embedded: np.ndarray = field(init=False, repr=False)
     scaling: DistanceScaling = field(init=False, repr=False)
 
@@ -191,18 +202,6 @@ class TrainingSet:
                           self.summaries - self.phi_means))
 
 
-def _gk_link_summaries(predictor: np.ndarray, n_obs: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Simulate n_obs observations at the predictor and re-estimate.
-
-    Raises ValueError or ArithmeticError when the moment-matching
-    estimate fails; callers treat either as a redraw.
-    """
-    params = unlink_parameters(predictor)
-    data = gk_sample(n_obs, params, rng)
-    return np.asarray(link_parameters(estimate_gk(data)), dtype=float)
-
-
 def generate_phi_training_set(
         n_pairs: int, cube: PhiHypercube, rng: np.random.Generator,
         summarize: Optional[Callable[[np.ndarray, int, np.random.Generator],
@@ -215,46 +214,95 @@ def generate_phi_training_set(
     redrawn and counted.  A sustained failure rate above
     max_failure_rate aborts with advice, since it signals contexts the
     observation model cannot support.
+
+    The default summary simulates n observations at the predictor and
+    re-estimates them on the link scale.  It runs in rounds of the
+    missing count, at most 256 attempts: each attempt of a round draws
+    its context and its g-and-k sample in the order of a one-at-a-time
+    loop and keeps only the sample's L-moments; the round's targets are
+    then fitted together by :func:`estimate_gk_batch`, and the failure
+    accounting is replayed in attempt order.  Estimation draws no random
+    numbers and the batch fit is bit-identical to :func:`estimate_gk`,
+    so the pairs, the redraw count, the abort message and the
+    generator's final state are those of fitting every attempt as it is
+    drawn.  A round also ends at the attempt where the failures already
+    known before fitting (samples too small to fit) reach the abort
+    rate, so an abort draws no further than the one-at-a-time loop
+    would, and leaves the generator where it did unless an earlier fit
+    failed.  A custom summarize hook may draw from rng itself, so it
+    runs one attempt per round.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    simulate = _gk_link_summaries if summarize is None else summarize
     f_rows = np.empty((n_pairs, N_PREDICTOR))
     q_rows = np.empty((n_pairs, N_PREDICTOR))
     n_rows = np.empty(n_pairs, dtype=int)
     lam_rows = np.empty((n_pairs, N_PREDICTOR))
     s_rows = np.empty((n_pairs, N_PREDICTOR))
-    done = 0
-    failures = 0
-    attempts = 0
+    done = failures = attempts = 0
+    sim_seconds = fit_seconds = 0.0
     while done < n_pairs:
-        attempts += 1
-        f = rng.uniform(cube.f_low, cube.f_high)
-        q = rng.uniform(cube.q_low, cube.q_high, size=N_PREDICTOR)
-        n = int(rng.integers(cube.n_low, cube.n_high + 1))
-        lam = rng.normal(f, np.sqrt(q))
-        try:
-            s = np.asarray(simulate(lam, n, rng), dtype=float)
-            if s.shape != (N_PREDICTOR,) or not np.all(np.isfinite(s)):
-                raise ArithmeticError("non-finite summary")
-        except (ValueError, ArithmeticError):
-            failures += 1
-            if (attempts >= _RATE_CHECK_MIN
-                    and failures > max_failure_rate * attempts):
-                raise ValueError(
-                    f"summary estimation failed for {failures} of "
-                    f"{attempts} context draws; widen the sample-size "
-                    "range or narrow the hypercube")
-            continue
-        f_rows[done] = f
-        q_rows[done] = q
-        n_rows[done] = n
-        lam_rows[done] = lam
-        s_rows[done] = s
-        done += 1
+        size = min(n_pairs - done, _ROUND_MAX) if summarize is None else 1
+        draws = []
+        # per attempt: the hook's summary, or the L-moment target the
+        # batch fit replaces by its estimate; NaN marks a failure
+        rows = np.full((size, N_PREDICTOR), np.nan)
+        known = failures
+        for i in range(size):
+            t0 = time.perf_counter()
+            f = rng.uniform(cube.f_low, cube.f_high)
+            q = rng.uniform(cube.q_low, cube.q_high, size=N_PREDICTOR)
+            n = int(rng.integers(cube.n_low, cube.n_high + 1))
+            lam = rng.normal(f, np.sqrt(q))
+            draws.append((f, q, n, lam))
+            t1 = None
+            try:
+                if summarize is None:
+                    data = gk_sample(n, unlink_parameters(lam), rng)
+                    t1 = time.perf_counter()
+                    rows[i] = estimation_target(data).as_array()
+                else:
+                    t1 = time.perf_counter()
+                    s = np.asarray(summarize(lam, n, rng), dtype=float)
+                    if s.shape == (N_PREDICTOR,):
+                        rows[i] = s
+            except (ValueError, ArithmeticError):
+                pass
+            t2 = time.perf_counter()
+            if t1 is None:              # the predictor did not unlink
+                t1 = t2
+            sim_seconds += t1 - t0
+            fit_seconds += t2 - t1
+            if not np.all(np.isfinite(rows[i])):
+                known += 1
+                tried = attempts + i + 1
+                if tried >= _RATE_CHECK_MIN and known > max_failure_rate * tried:
+                    break               # the replay aborts here at the latest
+        if summarize is None:
+            t0 = time.perf_counter()
+            rows = estimate_gk_batch(rows[:len(draws)])
+            fit_seconds += time.perf_counter() - t0
+        for (f, q, n, lam), s in zip(draws, rows):
+            attempts += 1
+            if not np.all(np.isfinite(s)):
+                failures += 1
+                if (attempts >= _RATE_CHECK_MIN
+                        and failures > max_failure_rate * attempts):
+                    raise ValueError(
+                        f"summary estimation failed for {failures} of "
+                        f"{attempts} context draws; widen the sample-size "
+                        "range or narrow the hypercube")
+                continue
+            f_rows[done] = f
+            q_rows[done] = q
+            n_rows[done] = n
+            lam_rows[done] = lam
+            s_rows[done] = s
+            done += 1
     return TrainingSet(phi_means=f_rows, phi_variances=q_rows, phi_n=n_rows,
                        predictors=lam_rows, summaries=s_rows,
-                       redraw_count=failures)
+                       redraw_count=failures, simulate_seconds=sim_seconds,
+                       estimate_seconds=fit_seconds)
 
 
 def _localize(training: TrainingSet, phi_star: PhiContext,

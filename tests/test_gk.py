@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import lfgibbs.gk as gk
 from lfgibbs.gk import (
     GKParams,
     LMoments,
     estimate_gk,
+    estimate_gk_batch,
     estimate_gk_from_lmoments,
+    estimation_target,
     gk_quantile,
     gk_sample,
     link_parameters,
@@ -225,3 +228,98 @@ class TestEstimation:
     def test_degenerate_target(self):
         with pytest.raises(ValueError):
             estimate_gk_from_lmoments(LMoments(0.0, -1.0, 0.0, 0.0))
+
+
+def _scalar_row(target):
+    """The scalar estimator's link-scale answer, or None where it raises."""
+    try:
+        return link_parameters(estimate_gk_from_lmoments(LMoments(*target)))
+    except (ValueError, ArithmeticError):
+        return None
+
+
+def _batch_corpus():
+    """L-moment targets of a random corpus plus the edge cases."""
+    rng = np.random.default_rng(41)
+    targets = []
+
+    def add(params, n):
+        targets.append(sample_lmoments(gk_sample(n, params, rng)).as_array())
+
+    for _ in range(14):
+        lam = [rng.normal(1, 1), rng.normal(np.log(0.25), 1),
+               rng.normal(0.2, 1.5), rng.normal(np.log(0.62), 0.7)]
+        add(unlink_parameters(np.array(lam)), int(rng.integers(20, 400)))
+    base = GKParams(1.0, 0.25, 0.2, 0.1)
+    for n in (20, 20, 20, 5, 9, 13, 19):
+        add(base, n)
+    for k in (-0.45, -0.49, -0.499):
+        add(GKParams(0.0, 1.0, 0.5, k), 200)
+    for g in (-6.0, -4.0, 4.0, 6.0):
+        add(GKParams(0.0, 1.0, g, 0.2), 200)
+    # a constant sample, a non-positive second L-moment, a non-finite
+    # ratio and two targets no g-and-k reaches within the evaluation cap
+    targets += [sample_lmoments(np.full(30, 2.5)).as_array(),
+                [0.0, -1.0, 0.0, 0.0], [0.0, 1.0, np.inf, 0.0],
+                [0.0, 1.0, 0.9, 0.8], [0.0, 1.0, 0.9, 0.95]]
+    return np.array(targets)
+
+
+class TestBatchEstimation:
+    """estimate_gk_batch against the scalar estimator, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        targets = _batch_corpus()
+        return targets, [_scalar_row(t) for t in targets]
+
+    @staticmethod
+    def _assert_rows_match(got, expected):
+        for row, want in zip(got, expected):
+            if want is None:
+                assert np.isnan(row).all()
+            else:
+                assert np.array_equal(row, want)
+
+    def test_corpus_bit_identical(self, corpus):
+        targets, expected = corpus
+        self._assert_rows_match(estimate_gk_batch(targets), expected)
+        # the corpus reaches every branch: fits, failures of each kind
+        assert sum(e is None for e in expected) >= 5
+        assert sum(e is not None for e in expected) >= 25
+
+    def test_capped_rows_are_the_scalar_evaluation_failures(self, corpus):
+        targets, _ = corpus
+        valid = [i for i, t in enumerate(targets)
+                 if t[1] > 0 and np.isfinite(t).all()]
+        x0 = np.array([gk._start(LMoments(*t)) for t in targets[valid]])
+        _, converged = gk._nelder_mead_rows(x0, targets[valid])
+        capped = [i for i, ok in zip(valid, converged) if not ok]
+        assert capped == [len(targets) - 2, len(targets) - 1]
+        for i in valid:
+            try:
+                estimate_gk_from_lmoments(LMoments(*targets[i]))
+            except ArithmeticError as err:
+                assert i in capped
+                assert "function evaluations" in str(err)
+            except ValueError:          # converged to a k that unlinks to -0.5
+                assert i not in capped
+            else:
+                assert i not in capped
+
+    @pytest.mark.parametrize("size", [1, gk._CHUNK - 1, gk._CHUNK + 1])
+    def test_batch_sizes(self, corpus, size):
+        targets, expected = corpus
+        # uncapped rows only, so the sizes exercise the chunking
+        for lo in range(0, len(targets) - 2, size):
+            got = estimate_gk_batch(targets[lo:min(lo + size, len(targets) - 2)])
+            self._assert_rows_match(got, expected[lo:lo + len(got)])
+
+    def test_matches_estimate_gk_on_samples(self):
+        rng = np.random.default_rng(42)
+        for n in (20, 21, 300):
+            data = gk_sample(n, GKParams(1.0, 0.25, 0.2, 0.1), rng)
+            got = estimate_gk_batch(estimation_target(data).as_array())
+            assert np.array_equal(got[0], link_parameters(estimate_gk(data)))
+        with pytest.raises(ValueError, match="at least 20"):
+            estimation_target(np.arange(19.0))

@@ -1,5 +1,6 @@
 """Tests for the seasonal state-space model and its approximate sampler."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -37,11 +38,20 @@ from lfgibbs.statespace import (
     trend_block,
     weekly_seasonal_block,
 )
+from lfgibbs import gk
+from lfgibbs.statespace import training
 from lfgibbs.statespace.training import _linear_bayes, _localize
 
 
 def kron_obs(summer):
     return np.kron(observation_block(summer)[:, None], np.eye(N_SERIES))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
 
 
 class TestSystemMatrices:
@@ -566,6 +576,44 @@ class TestGenerateTrainingSet:
         assert ts.redraw_count == 1
         assert np.all(np.isfinite(ts.summaries))
 
+    # Pinned values below were recorded with per-attempt scalar fits
+    # (estimate_gk on each sample as it is drawn), before the batch fit.
+    _CUBE = dict(f_low=np.array([0.8, -1.5, 0.1, -0.7]),
+                 f_high=np.array([1.2, -1.2, 0.3, -0.4]),
+                 q_low=1e-8, q_high=1e-6, n_high=60)
+
+    def test_default_summaries_pinned(self):
+        # n_low < 20 makes some samples too small to fit, so rounds repeat
+        rng = np.random.default_rng(31)
+        ts = generate_phi_training_set(40, PhiHypercube(n_low=16, **self._CUBE), rng)
+        assert digest(ts.phi_means, ts.phi_variances, ts.phi_n, ts.predictors,
+                      ts.summaries) == "66445aad2d7e395f"
+        assert ts.redraw_count == 3
+        # the generator is left where the one-at-a-time loop left it
+        assert rng.random() == 0.9887202316992949
+        assert ts.simulate_seconds > 0 and ts.estimate_seconds > 0
+
+    @pytest.mark.parametrize("n_pairs", [40, 5000])
+    def test_default_summaries_abort_pinned(self, n_pairs, monkeypatch):
+        fitted = []
+
+        def counting(targets):
+            fitted.append(len(targets))
+            return gk.estimate_gk_batch(targets)
+
+        monkeypatch.setattr(training, "estimate_gk_batch", counting)
+        cube = PhiHypercube(n_low=5, **dict(self._CUBE, n_high=30))
+        rng = np.random.default_rng(32)
+        with pytest.raises(ValueError) as err:
+            generate_phi_training_set(n_pairs, cube, rng)
+        assert str(err.value) == (
+            "summary estimation failed for 24 of 50 context draws; widen the "
+            "sample-size range or narrow the hypercube")
+        # the samples too small to fit end the round at the abort, so
+        # nothing past attempt 50 is drawn or fitted, whatever n_pairs is
+        assert sum(fitted) == 50
+        assert rng.random() == 0.2558447014943296
+
     def test_deterministic_under_seed(self):
         def noisy(lam, n, rng):
             return lam + rng.normal(0, 0.01, size=4)
@@ -1000,6 +1048,30 @@ class TestSamplerTrainingPath:
         assert out.timings.pre_sim_units == units
         assert out.timings.pre_fit_count == units
         assert out.timings.in_sim_units == 0.0
+
+    def test_short_chain_pinned(self):
+        # recorded with per-attempt scalar fits of the training set
+        rng = np.random.default_rng(33)
+        cal = SeasonCalendar(n_days=6, summer_start=3, summer_end=5)
+        g = np.kron(block_transition(), np.eye(4))
+        theta = np.zeros((7, 36))
+        theta[0][:4] = [1.0, math.log(0.25), 0.2, math.log(0.62)]
+        for t in range(1, 7):
+            theta[t] = g @ theta[t - 1] + 1e-3 * rng.normal(size=36)
+        observations = [
+            gk_sample(int(rng.integers(100, 400)),
+                      unlink_parameters(kron_obs(cal.is_summer(t)).T @ theta[t]), rng)
+            for t in range(1, 7)]
+        out = run_state_space_gibbs(DlmSpec(), cal,
+                                    TrainingConfig(n_pairs=80, m_neighbours=40),
+                                    ChainConfig(20, 5), np.random.default_rng(34),
+                                    observations=observations)
+        assert out.states.shape == (15, 324)
+        assert digest(out.states) == "7cf7eb8995bd9da7"
+        # simulation and estimation are timed apart
+        t = out.timings
+        assert t.pre_sim_seconds > 0 and t.pre_fit_seconds > 0
+        assert t.pre_sim_seconds != t.pre_fit_seconds
 
     def test_summaries_then_run_reproducible(self):
         cal, observations = self._simulate()
