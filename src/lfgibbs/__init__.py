@@ -50,6 +50,7 @@ from lfgibbs.abc import (
 )
 from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.gibbs import (
+    ChainConfig,
     ChainOutput,
     ConditionalSpec,
     GibbsConfig,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbcOutput",
+    "ChainConfig",
     "ChainOutput",
     "ConditionalSpec",
     "DistanceScaling",

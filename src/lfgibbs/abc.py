@@ -21,6 +21,7 @@ from lfgibbs.kernels import (
     KernelSpec,
     importance_ratio,
     kernel_weight,
+    ratios_from_log,
     scaled_distance,
 )
 from lfgibbs.regression import fit_weighted_linear
@@ -32,6 +33,7 @@ __all__ = [
     "simulate_reference_table",
     "abc_importance",
     "regression_adjust",
+    "table_importance_ratios",
 ]
 
 _MAX_RETRIES = 10
@@ -229,6 +231,14 @@ def _weight_diagnostics(w: np.ndarray) -> tuple:
     return ess, entropy
 
 
+def table_importance_ratios(model: Optional[SimulatorModel],
+                            table: ReferenceTable) -> np.ndarray:
+    """Prior/proposal ratio of every table row; all one without a proposal."""
+    if model is None or model.proposal_logpdf is None:
+        return np.ones(len(table))
+    return ratios_from_log([model.log_importance_ratio(t) for t in table.theta])
+
+
 def abc_importance(model: SimulatorModel, table: ReferenceTable,
                    s_obs: np.ndarray, kernel: KernelSpec,
                    scaling: Optional[DistanceScaling] = None) -> AbcOutput:
@@ -242,10 +252,7 @@ def abc_importance(model: SimulatorModel, table: ReferenceTable,
     if scaling is None:
         scaling = DistanceScaling.from_samples(table.summaries)
     dist = scaled_distance(table.summaries, s_obs, scaling)
-    kw = kernel_weight(dist, kernel)
-    log_ratio = np.array([model.log_importance_ratio(t) for t in table.theta])
-    w = kw * np.exp(np.where(np.isneginf(log_ratio), -np.inf, log_ratio))
-    w = np.where(np.isneginf(log_ratio), 0.0, w)
+    w = kernel_weight(dist, kernel) * table_importance_ratios(model, table)
     if not np.any(w > 0):
         raise ArithmeticError(
             "all ABC weights are zero; increase the kernel bandwidth")

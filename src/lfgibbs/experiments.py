@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from lfgibbs.abc import abc_importance, regression_adjust, simulate_reference_table
-from lfgibbs.gibbs import (GibbsConfig, TimingBreakdown, run_abc_pass,
+from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, run_abc_pass,
                            run_exact_gibbs, run_global_gibbs, run_local_gibbs,
                            save_chain)
 from lfgibbs.kernels import DistanceScaling, KernelSpec
@@ -38,7 +38,7 @@ from lfgibbs.models.hierarchical import (HierarchicalSpec,
 from lfgibbs.models.mixture import (MixtureSpec, mixture_engine_specs,
                                     mixture_exact_specs, mixture_initial_state,
                                     mixture_model, MIXTURE_STATE_NAMES)
-from lfgibbs.statespace import (ChainConfig, DlmSpec, SeasonCalendar,
+from lfgibbs.statespace import (DlmSpec, SeasonCalendar,
                                 TrainingConfig, block_transition,
                                 observation_block, run_state_space_gibbs)
 from lfgibbs.gk import gk_sample, unlink_parameters
@@ -125,12 +125,11 @@ class ExperimentConfig:
         self.seeds = [int(s) for s in self.seeds]
         if not self.seeds:
             raise ValueError("seeds must not be empty")
-        for name in ("n_table", "n_iterations", "thinning", "m_neighbours",
-                     "workers"):
+        for name in ("n_table", "m_neighbours", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.burn_in < self.n_iterations:
-            raise ValueError("burn_in must lie in [0, n_iterations)")
+        # raises on an invalid schedule
+        ChainConfig(self.n_iterations, self.burn_in, self.thinning)
         if not 0.0 < self.nominal < 1.0:
             raise ValueError("nominal must lie in (0, 1)")
         unknown = set(self.options) - _OPTION_KEYS[self.model]
@@ -406,6 +405,20 @@ def _save_weighted(table, names: List[str], timings: TimingBreakdown,
     Path(json_path).write_text(_dump_json(payload))
 
 
+def _run_abc_cell(config: ExperimentConfig, method: str, model, table, s_obs,
+                  names: List[str], csv_path, json_path) -> None:
+    """Importance-sampling ABC on the table, regression-adjusted if asked."""
+    out = abc_importance(model, table, s_obs, config.kernel)
+    fits = 0
+    if method == "abc-adjusted":
+        out = regression_adjust(out, s_obs)
+        fits = 1
+    timings = TimingBreakdown(pre_sim_units=float(config.n_table + table.retries),
+                              pre_fit_count=fits)
+    _save_weighted(out.samples, names, timings,
+                   {"ess": out.ess, "entropy": out.entropy}, csv_path, json_path)
+
+
 def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
                            dataset, rng: np.random.Generator,
                            csv_path, json_path) -> None:
@@ -435,18 +448,8 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
 
     table = simulate_reference_table(model, config.n_table,
                                      seed=_table_seed(seed, method))
-    sim_units = float(config.n_table + table.retries)
     if method in ("abc-importance", "abc-adjusted"):
-        out = abc_importance(model, table, s_obs, config.kernel)
-        fits = 0
-        if method == "abc-adjusted":
-            out = regression_adjust(out, s_obs)
-            fits = 1
-        timings = TimingBreakdown(pre_sim_units=sim_units,
-                                  pre_fit_count=fits)
-        _save_weighted(out.samples, names, timings,
-                       {"ess": out.ess, "entropy": out.entropy},
-                       csv_path, json_path)
+        _run_abc_cell(config, method, model, table, s_obs, names, csv_path, json_path)
         return
     if method == "local-gibbs":
         prelocalize = config.option("prelocalize", None)
@@ -469,7 +472,7 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
             rng, names=names)
     else:
         raise ValueError(f"unsupported method {method!r}")
-    out.timings.pre_sim_units += sim_units
+    out.timings.pre_sim_units += float(config.n_table + table.retries)
     save_chain(out, csv_path, json_path)
 
 
@@ -489,23 +492,13 @@ def _run_mixture_cell(config: ExperimentConfig, method: str, seed: int,
         return
     table = simulate_reference_table(model, config.n_table,
                                      seed=_table_seed(seed, method))
-    sim_units = float(config.n_table + table.retries)
     if method in ("abc-importance", "abc-adjusted"):
-        out = abc_importance(model, table, s_obs, config.kernel)
-        fits = 0
-        if method == "abc-adjusted":
-            out = regression_adjust(out, s_obs)
-            fits = 1
-        timings = TimingBreakdown(pre_sim_units=sim_units,
-                                  pre_fit_count=fits)
-        _save_weighted(out.samples, names, timings,
-                       {"ess": out.ess, "entropy": out.entropy},
-                       csv_path, json_path)
+        _run_abc_cell(config, method, model, table, s_obs, names, csv_path, json_path)
         return
     engine = run_local_gibbs if method == "local-gibbs" else run_global_gibbs
     out = engine(model, mixture_engine_specs(spec), table, s_obs,
                  _gibbs_config(config, initial), rng, names=names)
-    out.timings.pre_sim_units += sim_units
+    out.timings.pre_sim_units += float(config.n_table + table.retries)
     save_chain(out, csv_path, json_path)
 
 

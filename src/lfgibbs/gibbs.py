@@ -1,26 +1,27 @@
 """Approximate Gibbs engines driven by regression-estimated conditionals.
 
-Three samplers share the conditional-specification machinery:
+Every engine is one Gibbs sweep over its conditionals, run by the single
+driver ``_run_sweeps`` on a ``ChainConfig`` schedule.  A conditional with
+an exact sampler is drawn from it; the engines differ only in how they
+update the others:
 
-  - ``run_local_gibbs``: per iteration and per conditional, reweight the
+  - ``run_exact_gibbs``: every conditional is exact;
+  - ``run_local_gibbs``: per sweep and per conditional, reweight the
     reference table around the current conditioning values (feature-space
-    nearest neighbours), fit the regression family, draw.
+    nearest neighbours), fit the regression family, draw;
   - ``run_global_gibbs``: weight the table once against the observed
     summary, fit each conditional a single time before the chain, then
-    iterate cheap draws from the fitted models.
+    draw from the fitted models;
   - ``run_abc_pass``: the single-parameter ABC-MCMC comparator; each
     parameter is updated by Metropolis-Hastings on its own statistic
     subset, simulating only the data that statistic needs.
 
-``run_exact_gibbs`` runs a plain Gibbs sweep when every conditional has an
-exact sampler; the approximate engines reduce to it exactly (same rng
-stream, bit-identical trajectories) when all their conditionals are
-overridden, which is the main correctness reduction used in the tests.
-
-Conventions shared by all engines: a parameter vector is a 1-d float array;
-iteration m is retained when m > burn_in and (m - burn_in) % thinning == 0;
-every random draw flows through the single generator passed in, in sweep
-order, so trajectories are reproducible bit for bit under a fixed seed.
+The approximate engines reduce to exact Gibbs (same rng stream,
+bit-identical trajectories) when all their conditionals are overridden,
+which is the main correctness reduction used in the tests.  A parameter
+vector is a 1-d float array, and every random draw flows through the
+single generator passed in, in sweep order, so trajectories are
+reproducible bit for bit under a fixed seed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from lfgibbs.abc import ReferenceTable, SimulatorModel
+from lfgibbs.abc import ReferenceTable, SimulatorModel, table_importance_ratios
 from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.kernels import (
     DistanceScaling,
@@ -54,6 +55,7 @@ from lfgibbs.regression import (
 
 __all__ = [
     "ConditionalSpec",
+    "ChainConfig",
     "GibbsConfig",
     "TimingBreakdown",
     "ChainOutput",
@@ -117,13 +119,35 @@ class ConditionalSpec:
 
 
 @dataclass
-class GibbsConfig:
-    """Chain length, retention and localization defaults."""
+class ChainConfig:
+    """Sweep count and retention, the schedule of every engine.
+
+    Sweeps are numbered m = 1..n_iterations; sweep m is retained when
+    m > burn_in and (m - burn_in) % thinning == 0.
+    """
 
     n_iterations: int
-    initial: np.ndarray
     burn_in: int = 0
     thinning: int = 1
+
+    def __post_init__(self):
+        if self.n_iterations < 1:
+            raise ValueError("n_iterations must be positive")
+        if self.burn_in < 0 or self.burn_in >= self.n_iterations:
+            raise ValueError("burn_in must lie in [0, n_iterations)")
+        if self.thinning < 1:
+            raise ValueError("thinning must be at least 1")
+
+    @property
+    def n_retained(self) -> int:
+        return (self.n_iterations - self.burn_in) // self.thinning
+
+
+@dataclass
+class GibbsConfig(ChainConfig):
+    """The schedule plus the starting point and localization defaults."""
+
+    initial: np.ndarray = field(kw_only=True)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     m_neighbours: int = 500
     global_kernel: Optional[KernelSpec] = None
@@ -135,16 +159,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float).copy()
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be positive")
-        if self.burn_in < 0 or self.burn_in >= self.n_iterations:
-            raise ValueError("burn_in must lie in [0, n_iterations)")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
-
-    @property
-    def n_retained(self) -> int:
-        return (self.n_iterations - self.burn_in) // self.thinning
+        super().__post_init__()
 
 
 @dataclass
@@ -239,6 +254,52 @@ def _validate_members(specs: Sequence, dim: int) -> None:
         raise ValueError(f"no conditional updates coordinates {missing}")
 
 
+def _run_sweeps(config: ChainConfig, sweep: Callable[[int], None],
+                row: Callable[[], np.ndarray], width: int,
+                timings: TimingBreakdown) -> np.ndarray:
+    """Run sweeps m = 1..n_iterations and stack the retained rows.
+
+    ``sweep(m)`` advances the chain by one sweep; ``row()`` is the state
+    to keep after it.  The loop is the timed region: ``sampler_seconds``
+    is its time less the in-sampler fit and simulation seconds the sweeps
+    booked into ``timings``.
+    """
+    kept = np.empty((config.n_retained, width))
+    k = 0
+    tic = time.perf_counter()
+    for m in range(1, config.n_iterations + 1):
+        sweep(m)
+        if m > config.burn_in and (m - config.burn_in) % config.thinning == 0:
+            kept[k] = row()
+            k += 1
+    timings.sampler_seconds = max(0.0, time.perf_counter() - tic
+                                  - timings.in_fit_seconds - timings.in_sim_seconds)
+    return kept
+
+
+def _gibbs_chain(specs: Sequence, config: GibbsConfig, theta: np.ndarray,
+                 rng: np.random.Generator, timings: TimingBreakdown,
+                 names: Optional[List[str]],
+                 update: Optional[Callable[[object, int], None]] = None,
+                 **extra) -> ChainOutput:
+    """Gibbs sweeps over ``specs`` in order, run by the driver.
+
+    Exact conditionals are drawn here; ``update(spec, m)`` sets the
+    members of every other spec in ``theta`` at sweep m.
+    """
+    def sweep(m: int) -> None:
+        for spec in specs:
+            if spec.is_exact:
+                for member in spec.members:
+                    theta[member] = spec.exact(theta, member, rng)
+            else:
+                update(spec, m)
+
+    kept = _run_sweeps(config, sweep, lambda: theta, theta.size, timings)
+    return ChainOutput(states=kept, names=names or _default_names(theta.size),
+                       timings=timings, **extra)
+
+
 def run_exact_gibbs(specs: Sequence[ConditionalSpec], config: GibbsConfig,
                     rng: np.random.Generator,
                     names: Optional[List[str]] = None) -> ChainOutput:
@@ -248,19 +309,7 @@ def run_exact_gibbs(specs: Sequence[ConditionalSpec], config: GibbsConfig,
     for spec in specs:
         if not spec.is_exact:
             raise ValueError(f"conditional {spec.name!r} has no exact sampler")
-    kept = np.empty((config.n_retained, theta.size))
-    t0 = time.perf_counter()
-    row = 0
-    for m in range(1, config.n_iterations + 1):
-        for spec in specs:
-            for member in spec.members:
-                theta[member] = spec.exact(theta, member, rng)
-        if m > config.burn_in and (m - config.burn_in) % config.thinning == 0:
-            kept[row] = theta
-            row += 1
-    timings = TimingBreakdown(sampler_seconds=time.perf_counter() - t0)
-    return ChainOutput(states=kept, names=names or _default_names(theta.size),
-                       timings=timings)
+    return _gibbs_chain(specs, config, theta, rng, TimingBreakdown(), names)
 
 
 # --- shared regression machinery -----------------------------------------
@@ -273,11 +322,8 @@ class _SpecWorkspace:
     each coordinate in one contiguous pass.
     """
 
-    def __init__(self, spec: ConditionalSpec, table: ReferenceTable,
-                 log_ratio: np.ndarray):
+    def __init__(self, spec: ConditionalSpec, table: ReferenceTable):
         self.spec = spec
-        self.ratios = np.exp(np.where(np.isneginf(log_ratio), 0.0, log_ratio))
-        self.ratios[np.isneginf(log_ratio)] = 0.0
         self.designs: List[np.ndarray] = []
         self.scalings: List[DistanceScaling] = []
         self.responses: List[np.ndarray] = []
@@ -333,13 +379,6 @@ def _localize(design: np.ndarray, scaling: DistanceScaling, ratios: np.ndarray,
     return rows[pos], w[pos], h
 
 
-def _table_log_ratios(model: Optional[SimulatorModel],
-                      table: ReferenceTable) -> np.ndarray:
-    if model is None or model.proposal_logpdf is None:
-        return np.zeros(len(table))
-    return np.array([model.log_importance_ratio(t) for t in table.theta])
-
-
 def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
                 w: np.ndarray, rng: np.random.Generator):
     # one conditional-model fit regardless of internal stages, so recorded
@@ -388,62 +427,48 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     theta = config.initial.copy()
     _validate_members(specs, theta.size)
 
-    log_ratio = _table_log_ratios(model, table)
-    workspaces = {id(spec): _SpecWorkspace(spec, table, log_ratio)
+    ratios = table_importance_ratios(model, table)
+    workspaces = {id(spec): _SpecWorkspace(spec, table)
                   for spec in specs if not spec.is_exact}
-
-    kept = np.empty((config.n_retained, theta.size))
     timings = TimingBreakdown()
-    row = 0
-    t_start = time.perf_counter()
-    for m in range(1, config.n_iterations + 1):
-        for spec in specs:
-            if spec.is_exact:
-                for member in spec.members:
-                    theta[member] = spec.exact(theta, member, rng)
-                continue
-            ws = workspaces[id(spec)]
-            kernel = spec.kernel or config.kernel
-            m_nn = spec.m_neighbours or config.m_neighbours
-            xs, ys, wws, queries = [], [], [], []
-            for j, member in enumerate(spec.members):
-                q = ws.query(s_obs, theta, j)
-                rows, w, _ = _localize(ws.designs[j], ws.scalings[j], ws.ratios,
-                                       q, kernel, m_nn)
-                # integer indexing gathers C-ordered rows from the
-                # column-major design
-                xs.append(ws.designs[j][rows])
-                ys.append(ws.responses[j][rows])
-                wws.append(w)
-                queries.append(q)
-            x = np.concatenate(xs, axis=0)
-            y = np.concatenate(ys)
-            w = np.concatenate(wws)
-            if x.shape[0] < _min_rows(spec, x.shape[1]):
-                raise ArithmeticError(
-                    f"conditional {spec.name!r} at iteration {m}: only "
-                    f"{x.shape[0]} positive-weight rows among {m_nn} neighbours")
-            t_fit = time.perf_counter()
-            try:
-                fit = _fit_family(spec, x, y, w, rng)
-            except (ValueError, ArithmeticError) as exc:
-                raise ArithmeticError(
-                    f"conditional {spec.name!r} failed at iteration {m}: {exc}") from exc
-            timings.in_fit_seconds += time.perf_counter() - t_fit
-            timings.in_fit_count += 1
-            for j, member in enumerate(spec.members):
-                theta[member] = _draw_family(spec, fit, queries[j], rng)
-        if m > config.burn_in and (m - config.burn_in) % config.thinning == 0:
-            kept[row] = theta
-            row += 1
-    timings.sampler_seconds = max(
-        0.0, time.perf_counter() - t_start - timings.in_fit_seconds)
-    return ChainOutput(states=kept, names=names or _default_names(theta.size),
-                       timings=timings)
+
+    def update(spec: ConditionalSpec, m: int) -> None:
+        ws = workspaces[id(spec)]
+        kernel = spec.kernel or config.kernel
+        m_nn = spec.m_neighbours or config.m_neighbours
+        xs, ys, wws, queries = [], [], [], []
+        for j, member in enumerate(spec.members):
+            q = ws.query(s_obs, theta, j)
+            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], ratios, q, kernel, m_nn)
+            # integer indexing gathers C-ordered rows from the column-major
+            # design
+            xs.append(ws.designs[j][rows])
+            ys.append(ws.responses[j][rows])
+            wws.append(w)
+            queries.append(q)
+        x = np.concatenate(xs, axis=0)
+        y = np.concatenate(ys)
+        w = np.concatenate(wws)
+        if x.shape[0] < _min_rows(spec, x.shape[1]):
+            raise ArithmeticError(
+                f"conditional {spec.name!r} at iteration {m}: only "
+                f"{x.shape[0]} positive-weight rows among {m_nn} neighbours")
+        t_fit = time.perf_counter()
+        try:
+            fit = _fit_family(spec, x, y, w, rng)
+        except (ValueError, ArithmeticError) as exc:
+            raise ArithmeticError(
+                f"conditional {spec.name!r} failed at iteration {m}: {exc}") from exc
+        timings.in_fit_seconds += time.perf_counter() - t_fit
+        timings.in_fit_count += 1
+        for j, member in enumerate(spec.members):
+            theta[member] = _draw_family(spec, fit, queries[j], rng)
+
+    return _gibbs_chain(specs, config, theta, rng, timings, names, update)
 
 
-def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
-                    config: GibbsConfig, log_ratio: np.ndarray) -> np.ndarray:
+def _global_weights(model: Optional[SimulatorModel], table: ReferenceTable,
+                    s_obs: np.ndarray, config: GibbsConfig) -> np.ndarray:
     idx = config.global_weight_indices
     cols = np.asarray(idx, dtype=int) if idx is not None else None
     summ = table.summaries if cols is None else table.summaries[:, cols]
@@ -455,9 +480,7 @@ def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
     kernel = config.global_kernel or config.kernel
     if config.global_m is not None:
         kernel = kernel.with_bandwidth(knn_bandwidth(dist, config.global_m))
-    ratios = np.exp(np.where(np.isneginf(log_ratio), 0.0, log_ratio))
-    ratios[np.isneginf(log_ratio)] = 0.0
-    w = kernel_weight(dist, kernel) * ratios
+    w = kernel_weight(dist, kernel) * table_importance_ratios(model, table)
     if not np.any(w > 0):
         raise ArithmeticError("all global weights are zero; widen the kernel")
     return w
@@ -479,16 +502,15 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
     theta = config.initial.copy()
     _validate_members(specs, theta.size)
 
-    log_ratio = _table_log_ratios(model, table)
     fits: Dict[str, object] = {}
     workspaces: Dict[int, _SpecWorkspace] = {}
     timings = TimingBreakdown()
 
     non_exact = [spec for spec in specs if not spec.is_exact]
     if non_exact:
-        weights = _global_weights(table, s_obs, config, log_ratio)
+        weights = _global_weights(model, table, s_obs, config)
         for spec in non_exact:
-            ws = _SpecWorkspace(spec, table, np.zeros(len(table)))
+            ws = _SpecWorkspace(spec, table)
             workspaces[id(spec)] = ws
             x = np.concatenate(ws.designs, axis=0)
             y = np.concatenate(ws.responses)
@@ -508,25 +530,13 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
             timings.pre_fit_count += 1
             fits[spec.name] = fit
 
-    kept = np.empty((config.n_retained, theta.size))
-    row = 0
-    t_start = time.perf_counter()
-    for m in range(1, config.n_iterations + 1):
-        for spec in specs:
-            if spec.is_exact:
-                for member in spec.members:
-                    theta[member] = spec.exact(theta, member, rng)
-                continue
-            ws = workspaces[id(spec)]
-            fit = fits[spec.name]
-            for j, member in enumerate(spec.members):
-                theta[member] = _draw_family(spec, fit, ws.query(s_obs, theta, j), rng)
-        if m > config.burn_in and (m - config.burn_in) % config.thinning == 0:
-            kept[row] = theta
-            row += 1
-    timings.sampler_seconds = time.perf_counter() - t_start
-    return ChainOutput(states=kept, names=names or _default_names(theta.size),
-                       timings=timings, fits=fits)
+    def update(spec: ConditionalSpec, m: int) -> None:
+        ws = workspaces[id(spec)]
+        fit = fits[spec.name]
+        for j, member in enumerate(spec.members):
+            theta[member] = _draw_family(spec, fit, ws.query(s_obs, theta, j), rng)
+
+    return _gibbs_chain(specs, config, theta, rng, timings, names, update, fits=fits)
 
 
 # --- single-parameter ABC-MCMC comparator ---------------------------------
@@ -608,17 +618,16 @@ def run_abc_pass(model: SimulatorModel, specs: Sequence[PassParamSpec],
     _validate_members(specs, theta.size)
 
     timings = TimingBreakdown()
-    setup_obs = 0
-    in_obs = 0
-    extra_obs = 0
+    setup_obs = in_obs = extra_obs = 0
     proposals: Dict[str, int] = {s.name: 0 for s in specs if not s.is_exact}
     accepts: Dict[str, int] = {s.name: 0 for s in specs if not s.is_exact}
 
-    current_stats: Dict[Tuple[int, int], np.ndarray] = {}
-    mh_specs = [(i, s) for i, s in enumerate(specs) if not s.is_exact]
-    for i, spec in mh_specs:
+    # members are unique across classes, so they key the stored statistics
+    current_stats: Dict[int, np.ndarray] = {}
+    mh_specs = [s for s in specs if not s.is_exact]
+    for spec in mh_specs:
         for member in spec.members:
-            current_stats[(i, member)] = np.asarray(
+            current_stats[member] = np.asarray(
                 spec.simulate_stats(theta, member, rng), dtype=float)
             setup_obs += spec.obs_cost
 
@@ -628,68 +637,56 @@ def run_abc_pass(model: SimulatorModel, specs: Sequence[PassParamSpec],
         k = kernel_weight(scaled_distance(stats, target, scaling), spec.kernel)
         return -math.inf if k <= 0 else math.log(k)
 
-    kept = np.empty((config.n_retained, theta.size))
-    row = 0
-    t_start = time.perf_counter()
-    t_sim = 0.0
-    for m in range(1, config.n_iterations + 1):
-        for i, spec in enumerate(specs):
-            if spec.is_exact:
-                for member in spec.members:
-                    theta[member] = spec.exact(theta, member, rng)
+    def _simulate(spec: PassParamSpec, state: np.ndarray, member: int) -> np.ndarray:
+        t0 = time.perf_counter()
+        stats = np.asarray(spec.simulate_stats(state, member, rng), dtype=float)
+        timings.in_sim_seconds += time.perf_counter() - t0
+        return stats
+
+    def update(spec: PassParamSpec, m: int) -> None:
+        nonlocal in_obs, extra_obs
+        for member in spec.members:
+            proposals[spec.name] += 1
+            old = float(theta[member])
+            new = float(spec.proposal_sample(theta, member, rng))
+            theta_prop = theta.copy()
+            theta_prop[member] = new
+            stats_prop = _simulate(spec, theta_prop, member)
+            in_obs += spec.obs_cost
+
+            log_num = _log_kernel(spec, stats_prop, member)
+            if log_num == -math.inf:
                 continue
-            for member in spec.members:
-                proposals[spec.name] += 1
-                old = float(theta[member])
-                new = float(spec.proposal_sample(theta, member, rng))
-                theta_prop = theta.copy()
-                theta_prop[member] = new
-                t0 = time.perf_counter()
-                stats_prop = np.asarray(
-                    spec.simulate_stats(theta_prop, member, rng), dtype=float)
-                t_sim += time.perf_counter() - t0
-                in_obs += spec.obs_cost
-
-                log_num = _log_kernel(spec, stats_prop, member)
-                if log_num == -math.inf:
-                    continue
-                log_den = _log_kernel(spec, current_stats[(i, member)], member)
+            log_den = _log_kernel(spec, current_stats[member], member)
+            if log_den == -math.inf:
+                current_stats[member] = _simulate(spec, theta, member)
+                extra_obs += spec.obs_cost
+                log_den = _log_kernel(spec, current_stats[member], member)
                 if log_den == -math.inf:
-                    t0 = time.perf_counter()
-                    current_stats[(i, member)] = np.asarray(
-                        spec.simulate_stats(theta, member, rng), dtype=float)
-                    t_sim += time.perf_counter() - t0
-                    extra_obs += spec.obs_cost
-                    log_den = _log_kernel(spec, current_stats[(i, member)], member)
-                    if log_den == -math.inf:
-                        continue
-                log_ratio = (log_num - log_den
-                             + model.prior_logpdf(theta_prop)
-                             - model.prior_logpdf(theta)
-                             + spec.proposal_logpdf(theta, member, old)
-                             - spec.proposal_logpdf(theta, member, new))
-                if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
-                    theta[member] = new
-                    current_stats[(i, member)] = stats_prop
-                    accepts[spec.name] += 1
-        if m > config.burn_in and (m - config.burn_in) % config.thinning == 0:
-            kept[row] = theta
-            row += 1
+                    continue
+            log_ratio = (log_num - log_den
+                         + model.prior_logpdf(theta_prop)
+                         - model.prior_logpdf(theta)
+                         + spec.proposal_logpdf(theta, member, old)
+                         - spec.proposal_logpdf(theta, member, new))
+            if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
+                theta[member] = new
+                current_stats[member] = stats_prop
+                accepts[spec.name] += 1
 
-    timings.in_sim_seconds = t_sim
-    timings.sampler_seconds = max(0.0, time.perf_counter() - t_start - t_sim)
-    timings.setup_sim_units = setup_obs / dataset_obs
-    timings.in_sim_units = in_obs / dataset_obs
-    timings.extra_sim_units = extra_obs / dataset_obs
-    rates = {name: (accepts[name] / proposals[name] if proposals[name] else math.nan)
-             for name in proposals}
     kernel_info = {}
-    for _, spec in mh_specs:
+    for spec in mh_specs:
         scaling = spec.scaling or DistanceScaling.identity(
             spec.indices_for(spec.members[0]).size)
         kernel_info[spec.name] = {"kernel": spec.kernel.kind,
                                   "bandwidth": spec.kernel.bandwidth,
                                   "scales": scaling.scales.tolist()}
-    return ChainOutput(states=kept, names=names or _default_names(theta.size),
-                       timings=timings, acceptance_rates=rates,
+    out = _gibbs_chain(specs, config, theta, rng, timings, names, update,
                        diagnostics={"kernels": kernel_info})
+    timings.setup_sim_units = setup_obs / dataset_obs
+    timings.in_sim_units = in_obs / dataset_obs
+    timings.extra_sim_units = extra_obs / dataset_obs
+    out.acceptance_rates = {
+        name: (accepts[name] / proposals[name] if proposals[name] else math.nan)
+        for name in proposals}
+    return out

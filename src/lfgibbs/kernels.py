@@ -23,6 +23,7 @@ __all__ = [
     "knn_bandwidth",
     "scaled_distance",
     "importance_ratio",
+    "ratios_from_log",
 ]
 
 _TIE_MARGIN = 1e-9
@@ -211,3 +212,12 @@ def importance_ratio(log_prior: float, log_proposal: float) -> float:
     if log_proposal == -math.inf:
         raise ValueError("sample has zero proposal density but positive prior density")
     return math.exp(log_prior - log_proposal)
+
+
+def ratios_from_log(log_ratios: np.ndarray) -> np.ndarray:
+    """Importance ratios from their logs; a -inf log ratio gives exactly 0."""
+    log_ratios = np.asarray(log_ratios, dtype=float)
+    zero = np.isneginf(log_ratios)
+    ratios = np.exp(np.where(zero, 0.0, log_ratios))
+    ratios[zero] = 0.0
+    return ratios

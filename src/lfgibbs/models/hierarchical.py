@@ -182,6 +182,23 @@ def hierarchical_initial_state(spec: HierarchicalSpec, data: np.ndarray) -> np.n
     return np.concatenate([[0.0, 1.0, 1.0], means])
 
 
+def _hyper_draws(spec: HierarchicalSpec, fixed_tau_mu: Optional[float] = None):
+    """Exact samplers of mu and tau_mu, the conditionals that touch no data."""
+    u = spec.u_groups
+
+    def draw_mu(state, member, rng):
+        mean, var = mu_conditional(state[1], float(state[3:3 + u].mean()), u)
+        return rng.normal(mean, math.sqrt(var))
+
+    def draw_tau_mu(state, member, rng):
+        if fixed_tau_mu is not None:
+            return fixed_tau_mu
+        shape, rate = tau_mu_conditional(spec, state[3:3 + u], state[0])
+        return rng.gamma(shape, 1.0 / rate)
+
+    return draw_mu, draw_tau_mu
+
+
 def hierarchical_exact_specs(spec: HierarchicalSpec, data: np.ndarray,
                              fixed_tau_mu: Optional[float] = None,
                              fixed_tau_x: Optional[float] = None
@@ -195,16 +212,7 @@ def hierarchical_exact_specs(spec: HierarchicalSpec, data: np.ndarray,
     data = np.atleast_2d(np.asarray(data, dtype=float))
     group_means = data.mean(axis=1)
     u = spec.u_groups
-
-    def draw_mu(state, member, rng):
-        mean, var = mu_conditional(state[1], float(state[3:3 + u].mean()), u)
-        return rng.normal(mean, math.sqrt(var))
-
-    def draw_tau_mu(state, member, rng):
-        if fixed_tau_mu is not None:
-            return fixed_tau_mu
-        shape, rate = tau_mu_conditional(spec, state[3:3 + u], state[0])
-        return rng.gamma(shape, 1.0 / rate)
+    draw_mu, draw_tau_mu = _hyper_draws(spec, fixed_tau_mu)
 
     def draw_tau_x(state, member, rng):
         if fixed_tau_x is not None:
@@ -302,14 +310,7 @@ def hierarchical_engine_specs(spec: HierarchicalSpec,
     u = spec.u_groups
     if family not in ("linear", "flexible"):
         raise ValueError("family must be 'linear' or 'flexible'")
-
-    def draw_mu(state, member, rng):
-        mean, var = mu_conditional(state[1], float(state[3:3 + u].mean()), u)
-        return rng.normal(mean, math.sqrt(var))
-
-    def draw_tau_mu(state, member, rng):
-        shape, rate = tau_mu_conditional(spec, state[3:3 + u], state[0])
-        return rng.gamma(shape, 1.0 / rate)
+    draw_mu, draw_tau_mu = _hyper_draws(spec)
 
     def tau_x_features(summ, states, member):
         summ = np.atleast_2d(np.asarray(summ, dtype=float))
@@ -359,14 +360,7 @@ def hierarchical_pass_specs(spec: HierarchicalSpec, data: np.ndarray,
     data = np.atleast_2d(np.asarray(data, dtype=float))
     group_means = data.mean(axis=1)
     u, l = spec.u_groups, spec.l_obs
-
-    def draw_mu(state, member, rng):
-        mean, var = mu_conditional(state[1], float(state[3:3 + u].mean()), u)
-        return rng.normal(mean, math.sqrt(var))
-
-    def draw_tau_mu(state, member, rng):
-        shape, rate = tau_mu_conditional(spec, state[3:3 + u], state[0])
-        return rng.gamma(shape, 1.0 / rate)
+    draw_mu, draw_tau_mu = _hyper_draws(spec)
 
     def simulate_group(state, member, rng):
         x = rng.normal(state[member], 1.0 / math.sqrt(state[2]), size=l)

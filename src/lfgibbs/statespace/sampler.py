@@ -9,13 +9,12 @@ predictor step touches the intractable observation model; everything
 else is exact linear-Gaussian and Gamma algebra.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..gibbs import ChainOutput, TimingBreakdown
+from ..gibbs import ChainConfig, ChainOutput, TimingBreakdown, _run_sweeps
 from ..gk import estimate_gk, link_parameters
 from ..kernels import KernelSpec
 from .conditionals import SweepOperator, innovation_precision_conditional
@@ -43,32 +42,6 @@ class TrainingConfig:
     def __post_init__(self):
         if not 1 <= self.m_neighbours <= self.n_pairs:
             raise ValueError("m_neighbours must be in [1, n_pairs]")
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Sweep count and retention for the state-space sampler.
-
-    The other engines carry their starting point inside their config;
-    here the start is a whole state path built by the Kalman smoother
-    (or passed to the runner directly), so only the schedule lives here.
-    """
-
-    n_iterations: int
-    burn_in: int = 0
-    thinning: int = 1
-
-    def __post_init__(self):
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be positive")
-        if self.burn_in < 0 or self.burn_in >= self.n_iterations:
-            raise ValueError("burn_in must lie in [0, n_iterations)")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
-
-    @property
-    def n_retained(self) -> int:
-        return (self.n_iterations - self.burn_in) // self.thinning
 
 
 def summarize_observations(observations: Sequence[np.ndarray]) -> np.ndarray:
@@ -189,12 +162,11 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         # so conditioning tau on it would start absurdly tight)
         tau = np.full(p, 1.0 / init_block_w)
 
-    retained = []
     lam_running = np.zeros((n_days, spec.n_series))
-    lam_count = 0
     q_off_max = 0.0
-    tic = time.perf_counter()
-    for sweep in range(config.n_iterations):
+
+    def sweep(m: int) -> None:
+        nonlocal tau, q_off_max
         op = SweepOperator(g_mat, 1.0 / tau, f_by_season)
         q_off_max = max(q_off_max, op.off_diagonal_max)
         theta[0] = op.draw_initial(theta[1], spec.m0, spec.c0_diag, rng)
@@ -213,10 +185,11 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                     training_config.m_neighbours, rng)
             lam = np.asarray(lam, dtype=float)
             theta[t] = op.draw_state(a, lam, flag, rng)
+            # messages number the sweeps from 0
             if not np.all(np.isfinite(theta[t])):
                 raise FloatingPointError(
-                    f"non-finite state at day {t}, sweep {sweep}")
-            if sweep >= config.burn_in:
+                    f"non-finite state at day {t}, sweep {m - 1}")
+            if m > config.burn_in:
                 lam_running[t - 1] += lam
         theta[n_days + 1] = op.draw_terminal(theta[n_days], rng)
         if fix_tau is None:
@@ -225,25 +198,19 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                 innov, spec.alpha, spec.nu)
             tau = rng.gamma(shape, 1.0 / rates)
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(tau))):
-            raise FloatingPointError(f"non-finite state at sweep {sweep}")
-        if sweep >= config.burn_in:
-            lam_count += 1
-            # the Gibbs engines' rule, with 1-based sweep number sweep + 1
-            if (sweep + 1 - config.burn_in) % config.thinning == 0:
-                retained.append(np.concatenate((theta.ravel(), tau)))
-    timings.sampler_seconds = time.perf_counter() - tic
+            raise FloatingPointError(f"non-finite state at sweep {m - 1}")
 
-    states = np.asarray(retained)
+    states = _run_sweeps(config, sweep, lambda: np.concatenate((theta.ravel(), tau)),
+                         theta.size + p, timings)
+    lam_hat = lam_running / (config.n_iterations - config.burn_in)
     diagnostics = {
         "q_off_diagonal_max": q_off_max,
         "init_block_w": init_block_w,
         "init_obs_variance": init_obs_variance,
         "n_days": n_days,
         "training_redraws": 0 if training is None else training.redraw_count,
+        "predictor_means": lam_hat,
+        "predictor_residuals": summaries - lam_hat,
     }
-    if lam_count > 0:
-        lam_hat = lam_running / lam_count
-        diagnostics["predictor_means"] = lam_hat
-        diagnostics["predictor_residuals"] = summaries - lam_hat
     return ChainOutput(states=states, names=_state_names(n_days, p),
                        timings=timings, diagnostics=diagnostics)
