@@ -170,6 +170,9 @@ class TimingBreakdown:
     (reference-table rows for table-based engines, synthetic dataset
     equivalents for the ABC-MCMC comparator).  Pre-sampler work happens
     before the first iteration; in-sampler work inside the iterations.
+    ``localize_seconds`` is local Gibbs' time spent reweighting the table
+    around each query; it is a part of ``sampler_seconds``, not carved out
+    of it.
     """
 
     pre_sim_units: float = 0.0
@@ -181,6 +184,7 @@ class TimingBreakdown:
     in_fit_count: int = 0
     in_fit_seconds: float = 0.0
     sampler_seconds: float = 0.0
+    localize_seconds: float = 0.0
     setup_sim_units: float = 0.0
     extra_sim_units: float = 0.0
 
@@ -285,15 +289,22 @@ def _gibbs_chain(specs: Sequence, config: GibbsConfig, theta: np.ndarray,
     """Gibbs sweeps over ``specs`` in order, run by the driver.
 
     Exact conditionals are drawn here; ``update(spec, m)`` sets the
-    members of every other spec in ``theta`` at sweep m.
+    members of every other spec in ``theta`` at sweep m.  A conditional
+    that draws a non-finite value raises ArithmeticError naming itself and
+    the sweep.
     """
+    blocks = [(spec, np.asarray(spec.members)) for spec in specs]
+
     def sweep(m: int) -> None:
-        for spec in specs:
+        for spec, members in blocks:
             if spec.is_exact:
                 for member in spec.members:
                     theta[member] = spec.exact(theta, member, rng)
             else:
                 update(spec, m)
+            if not np.isfinite(theta[members]).all():
+                raise ArithmeticError(
+                    f"conditional {spec.name!r} drew a non-finite value at sweep {m}")
 
     kept = _run_sweeps(config, sweep, lambda: theta, theta.size, timings)
     return ChainOutput(states=kept, names=names or _default_names(theta.size),
@@ -439,7 +450,9 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         xs, ys, wws, queries = [], [], [], []
         for j, member in enumerate(spec.members):
             q = ws.query(s_obs, theta, j)
+            t_loc = time.perf_counter()
             rows, w, _ = _localize(ws.designs[j], ws.scalings[j], ratios, q, kernel, m_nn)
+            timings.localize_seconds += time.perf_counter() - t_loc
             # integer indexing gathers C-ordered rows from the column-major
             # design
             xs.append(ws.designs[j][rows])

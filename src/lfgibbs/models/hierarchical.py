@@ -90,9 +90,42 @@ class HierarchicalSummaries:
     precision_precision: float
 
     def as_array(self) -> np.ndarray:
-        pairs = np.column_stack([self.group_means, self.group_precisions]).ravel()
-        return np.concatenate([pairs, [self.grand_mean, self.mean_precision,
-                                       self.precision_mean, self.precision_precision]])
+        return _interleave(np.asarray(self.group_means, dtype=float),
+                           np.asarray(self.group_precisions, dtype=float),
+                           [self.grand_mean, self.mean_precision,
+                            self.precision_mean, self.precision_precision])
+
+
+def _interleave(means: np.ndarray, precisions: np.ndarray, symmetric) -> np.ndarray:
+    """The summary layout; leading axes, if any, index stacked data sets."""
+    u = means.shape[-1]
+    out = np.empty(means.shape[:-1] + (2 * u + 4,))
+    out[..., 0:2 * u:2] = means
+    out[..., 1:2 * u:2] = precisions
+    out[..., 2 * u:] = symmetric
+    return out
+
+
+def _group_stats(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and precision of each group, reduced along the last axis."""
+    return data.mean(axis=-1), 1.0 / data.var(axis=-1, ddof=1)
+
+
+def _summary_parts(data: np.ndarray, strict: bool):
+    """Group means, group precisions and the four symmetric statistics.
+
+    ``data`` is shaped (..., U, L), its leading axes indexing stacked data
+    sets.  Every reduction runs along the last axis, so a data set gets the
+    same bits alone as in a stack.  The symmetric statistics are the mean
+    and precision of the group means, then of the group precisions.  A
+    zero variance among either gives an infinite precision, or raises
+    ZeroDivisionError when ``strict``.
+    """
+    means, precisions = _group_stats(data)
+    if strict and any(np.any(v.var(axis=-1, ddof=1) == 0) for v in (means, precisions)):
+        raise ZeroDivisionError("float division by zero")
+    symmetric = np.stack([*_group_stats(means), *_group_stats(precisions)], axis=-1)
+    return means, precisions, symmetric
 
 
 def _sample_precision(values: np.ndarray) -> float:
@@ -113,16 +146,16 @@ def hierarchical_summaries(data: np.ndarray) -> HierarchicalSummaries:
         raise ValueError("group precision needs at least two observations per group")
     if u < 2:
         raise ValueError("symmetric statistics need at least two groups")
-    means = data.mean(axis=1)
-    precisions = 1.0 / data.var(axis=1, ddof=1)
-    return HierarchicalSummaries(
-        group_means=means,
-        group_precisions=precisions,
-        grand_mean=float(means.mean()),
-        mean_precision=_sample_precision(means),
-        precision_mean=float(precisions.mean()),
-        precision_precision=_sample_precision(precisions),
-    )
+    means, precisions, symmetric = _summary_parts(data, strict=True)
+    return HierarchicalSummaries(means, precisions, *(float(v) for v in symmetric))
+
+
+def _batch_summaries(data: np.ndarray) -> np.ndarray:
+    """Summary rows of data sets stacked as (rows, U, L)."""
+    # a zero variance reads as an infinite precision here; the table
+    # builder summarizes such rows again through the raising scalar form
+    with np.errstate(all="ignore"):
+        return _interleave(*_summary_parts(data, strict=False))
 
 
 def hierarchical_simulate(spec: HierarchicalSpec, params: np.ndarray,
@@ -290,6 +323,7 @@ def hierarchical_model(spec: HierarchicalSpec) -> SimulatorModel:
         prior_logpdf=prior_logpdf,
         simulate_data=lambda state, rng: _hierarchical_data(spec, state, rng),
         summary=lambda data: hierarchical_summaries(data).as_array(),
+        batch_summary=_batch_summaries,
         theta_names=hierarchical_state_names(spec),
         spec=spec,
     )
@@ -364,7 +398,7 @@ def hierarchical_pass_specs(spec: HierarchicalSpec, data: np.ndarray,
 
     def simulate_group(state, member, rng):
         x = rng.normal(state[member], 1.0 / math.sqrt(state[2]), size=l)
-        return np.array([x.mean(), 1.0 / np.var(x, ddof=1)])
+        return np.array(_group_stats(x))
 
     def propose_mu_u(state, member, rng):
         mean, var = mu_u_conditional(state[0], state[1], state[2],

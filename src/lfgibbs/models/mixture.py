@@ -213,6 +213,10 @@ def mixture_model(spec: MixtureSpec) -> SimulatorModel:
                              + b * np.log(1.0 - spec.omega)))
         return -2.0 * np.log(width) + log_b
 
+    def identity(data: np.ndarray) -> np.ndarray:
+        """The summary is the observation itself, one or stacked."""
+        return np.asarray(data, dtype=float)
+
     return SimulatorModel(
         name="sign-flip-mixture",
         dim_theta=4,
@@ -221,7 +225,8 @@ def mixture_model(spec: MixtureSpec) -> SimulatorModel:
         prior_logpdf=prior_logpdf,
         simulate_data=lambda state, rng: simulate_given_signs(
             state[:2], state[2:], spec, rng),
-        summary=lambda data: np.asarray(data, dtype=float),
+        summary=identity,
+        batch_summary=identity,
         theta_names=list(MIXTURE_STATE_NAMES),
         spec=spec,
     )

@@ -9,14 +9,16 @@ different BLAS may round the fits differently.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lfgibbs.abc import simulate_reference_table
-from lfgibbs.gibbs import (ChainConfig, GibbsConfig, run_abc_pass, run_exact_gibbs,
-                           run_global_gibbs, run_local_gibbs)
+from lfgibbs.gibbs import (ChainConfig, ConditionalSpec, GibbsConfig, run_abc_pass,
+                           run_exact_gibbs, run_global_gibbs, run_local_gibbs,
+                           save_chain)
 from lfgibbs.kernels import DistanceScaling
 from lfgibbs.models.hierarchical import (
     HierarchicalSpec,
@@ -114,13 +116,35 @@ class TestSchedule:
         assert out.ess.shape == (len(names),)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_loop_time_is_booked(self, engine, hierarchy):
+    def test_loop_time_is_booked(self, engine, hierarchy, tmp_path):
         out, _ = run_engine(engine, hierarchy, ChainConfig(6, 1, 2), seed=44)
         t = out.timings
         assert out.states.shape[0] == 2
         assert t.sampler_seconds > 0
         assert (t.in_sim_seconds > 0) == (engine == "abc-pass")
         assert (t.in_fit_seconds > 0) == (engine == "local")
+        # localize time is a part of the sampler time, not carved out of it
+        if engine == "local":
+            assert 0 < t.localize_seconds <= t.sampler_seconds
+        else:
+            assert t.localize_seconds == 0
+        save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
+        with open(tmp_path / "chain.json") as fh:
+            assert json.load(fh)["timings"]["localize_seconds"] == t.localize_seconds
+
+    def test_non_finite_draw_names_its_conditional_and_sweep(self):
+        calls = []
+
+        def flaky(state, member, rng):
+            calls.append(member)
+            return math.nan if len(calls) == 3 else rng.normal()
+
+        specs = [ConditionalSpec(name="steady", members=(0,),
+                                 exact=lambda state, member, rng: rng.normal()),
+                 ConditionalSpec(name="flaky", members=(1,), exact=flaky)]
+        config = GibbsConfig(10, initial=[0.0, 0.0])
+        with pytest.raises(ArithmeticError, match=r"conditional 'flaky' .* sweep 3$"):
+            run_exact_gibbs(specs, config, np.random.default_rng(46))
 
 
 class TestPinnedChains:
