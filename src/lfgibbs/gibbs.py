@@ -170,9 +170,10 @@ class TimingBreakdown:
     (reference-table rows for table-based engines, synthetic dataset
     equivalents for the ABC-MCMC comparator).  Pre-sampler work happens
     before the first iteration; in-sampler work inside the iterations.
-    ``localize_seconds`` is local Gibbs' time spent reweighting the table
-    around each query; it is a part of ``sampler_seconds``, not carved out
-    of it.
+    ``localize_seconds`` is the time local Gibbs spends reweighting the
+    table around each query, or the state-space sampler the training
+    pairs around each context phi; it is a part of ``sampler_seconds``,
+    not carved out of it.
     """
 
     pre_sim_units: float = 0.0

@@ -15,24 +15,30 @@ composite Gauss-Legendre quadrature on panels refined geometrically toward
 both endpoints; the per-panel order is raised until two successive rules
 agree to 1e-8.
 
-Estimation matches (l1, l2, t3, t4) by scipy's Nelder-Mead on the link
-scale, with a fixed 32-point panel grid inside the objective.  Many
-targets are estimated at once by :func:`estimate_gk_batch`, which runs one
-lock-step Nelder-Mead over all of them: every row repeats scipy's steps
-(simplex, reflect / expand / contract / shrink, sorting, stopping tests)
-and every objective value is computed with the scalar objective's exact
-operations, so each row is bit for bit what :func:`estimate_gk_from_lmoments`
-returns, failures included.  A row that reaches the evaluation cap fails
-there, as scipy's search does whenever its count reaches the cap.
+Estimation matches the sample's (l1, l2, t3, t4).  With
+Q = A + B h(z; g, k), the theoretical L-moments are lambda_1 = A + B m1
+and lambda_r = B m_r for r >= 2, where m_r are those of h; so t3 and t4
+depend on (g, k) alone (L-moment ratios are location- and
+scale-invariant, Hosking 1990).  The estimator solves the two equations
+t3(g, k) = t3, t4(g, k) = t4 by Levenberg-Marquardt on (g, log(k+1/2))
+with the analytic Jacobian, on a fixed 32-point panel grid, and then
+sets B = l2 / m2 and A = l1 - B m1.  The fit is therefore exactly
+equivariant under a + b x, whatever the sample's scale.  A fit whose
+(t3, t4) residual is still above _FIT_TOL at the iteration cap fails
+(ArithmeticError from :func:`estimate_gk_from_lmoments`, an all-NaN row
+from :func:`estimate_gk_batch`), so a wrong fit is never returned; this
+is what happens to a target outside the family's (t3, t4) range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+# not used by the estimator; the benchmark trace (perfbench/tracing.py)
+# wraps lfgibbs.gk.minimize by name and fails if the attribute is gone
+from scipy.optimize import minimize  # noqa: F401
 from scipy.special import ndtri
 
 __all__ = [
@@ -54,15 +60,15 @@ _CLIP = 1e-12          # quadrature nodes kept inside (eps, 1-eps)
 _PANEL_LEVELS = 24     # geometric endpoint refinement depth
 _ORDER_LADDER = (16, 24, 32, 48, 64, 96, 128)
 _CONV_TOL = 1e-8
-_FIT_PANEL_ORDER = 32  # fixed grid used inside the estimator objective
+_FIT_PANEL_ORDER = 32  # fixed grid of the estimator's (g, k) solve
 _MIN_SAMPLE = 4        # smallest n with defined fourth L-moment
 _MIN_FIT_SAMPLE = 20
-# Nelder-Mead settings of the estimator, shared by the scalar and batch paths
-_XATOL = 1e-8
-_FATOL = 1e-14
-_MAXFEV = 5000
-_PENALTY = 1e12        # objective value where the L-moments are unusable
-_CHUNK = 16            # points per block of the batch objective
+# Levenberg-Marquardt settings of the (g, k) solve
+_FIT_TOL = 1e-13       # largest |t3, t4| residual of an accepted fit
+_MAX_ITER = 100        # steps tried per row, accepted or not
+_DAMP_START = 1e-3     # Marquardt damping, relative to diag(J'J)
+_DAMP_STEP = 10.0      # damping divided by this after a kept step, else times
+_BLOCK = 16            # rows solved together
 
 
 @dataclass(frozen=True)
@@ -226,176 +232,139 @@ def unlink_parameters(lam: np.ndarray) -> GKParams:
                     float(lam[2]), float(np.exp(lam[3]) - 0.5))
 
 
-def _start(target: LMoments, init: Optional[GKParams] = None) -> np.ndarray:
-    """Validated target's starting point on the link scale.
+def _shape_lambdas(x: np.ndarray, z: np.ndarray, pw: np.ndarray,
+                   log_base: np.ndarray) -> np.ndarray:
+    """L-moments of h(z; g, k) and their (g, log(k+1/2)) derivatives.
 
-    The default start is the Gaussian case (g = k = 0) with the target's
-    location and the scale whose l2 matches, B = l2 * sqrt(pi).
+    ``x`` holds one (g, log(k+1/2)) row per fit.  Entry [i, 0, r] of the
+    result is lambda_{r+1} of the unit-location, unit-scale quantile
+    h = [1 + 0.8 tanh(gz/2)] (1+z^2)^k z at row i; entries [i, 1, r] and
+    [i, 2, r] are its derivatives in g and in log(k+1/2), by
+    dh/dg = 0.4 z sech^2(gz/2) (1+z^2)^k z and
+    dh/dlog(k+1/2) = h log(1+z^2) (k+1/2).  Every row goes through the
+    same operations whatever the other rows are (``matmul`` runs one
+    product per row), so a row's value never depends on its batch.
     """
-    if not target.l2 > 0 or not np.isfinite(target.as_array()).all():
-        raise ValueError("degenerate target: second L-moment must be positive "
-                         "and all L-moments finite")
-    if init is None:
-        init = GKParams(target.l1, target.l2 * np.sqrt(np.pi), 0.0, 0.0)
-    return link_parameters(init)
+    kh = np.exp(x[:, 1:])                           # k + 1/2
+    t = np.tanh(0.5 * x[:, :1] * z)
+    s = np.exp((kh - 0.5) * log_base)
+    s *= z                                          # (1+z^2)^k z
+    cols = np.empty((len(x), 3, z.size))
+    h, dg, dk = cols[:, 0], cols[:, 1], cols[:, 2]
+    np.multiply(t, 0.8, out=h)
+    h += 1.0
+    h *= s
+    np.multiply(t, t, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= 0.4 * z
+    dg *= s
+    np.multiply(h, log_base, out=dk)
+    dk *= kh
+    return np.matmul(cols, pw.T)
 
 
-def estimate_gk_from_lmoments(target: LMoments,
-                              init: Optional[GKParams] = None) -> GKParams:
-    """Match theoretical L-moments to a target by Nelder-Mead.
+def _ratio_fit(lam: np.ndarray, target: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """(t3, t4) residuals of each row and their derivatives.
 
-    The search runs on the unconstrained scale (A, log B, g, log(k+1/2)) so
-    B > 0 and k > -0.5 hold by construction.  The objective is the squared
-    mismatch of (l1, l2, t3, t4); theoretical values inside the optimizer
-    come from a fixed quadrature grid for speed.
+    Entry [i, j] of the derivatives is d(t3, t4) / d x_j at row i.
     """
-    x0 = _start(target, init)
-    tvec = target.as_array()
-    z, pw = _grid(_FIT_PANEL_ORDER)
-
-    def objective(x):
-        b = np.exp(x[1])
-        k = np.exp(x[3]) - 0.5
-        e = np.exp(-x[2] * z)
-        asym = 1.0 + 0.8 * (1.0 - e) / (1.0 + e)
-        lam = pw @ (x[0] + b * asym * (1.0 + z * z) ** k * z)
-        if lam[1] <= 0 or not np.isfinite(lam).all():
-            return _PENALTY
-        resid = np.array([lam[0], lam[1], lam[2] / lam[1], lam[3] / lam[1]]) - tvec
-        return float(resid @ resid)
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": _XATOL, "fatol": _FATOL,
-                            "maxfev": _MAXFEV, "maxiter": _MAXFEV})
-    if not res.success:
-        raise ArithmeticError(f"L-moment matching did not converge: {res.message}")
-    return unlink_parameters(res.x)
+    l2 = lam[:, 0, 1:2]
+    ratios = lam[:, 0, 2:] / l2                       # (t3, t4)
+    jac = (lam[:, 1:, 2:] - lam[:, 1:, 1:2] * ratios[:, None, :]) / l2[:, :, None]
+    return ratios - target, jac
 
 
-def _objective_rows(x: np.ndarray, tvec: np.ndarray) -> np.ndarray:
-    """The scalar objective at every row of x against the row of tvec.
+def _solve_block(tvec: np.ndarray, z: np.ndarray, pw: np.ndarray,
+                 log_base: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt on (g, log(k+1/2)) for valid target rows.
 
-    Each step is the scalar objective's own operation on whole blocks of
-    points, so every value is bit-identical to it: (1 + z^2) is a constant
-    of the grid, every elementwise ufunc rounds per element, and
-    ``matmul(pw, q[:, :, None])`` runs one BLAS gemv per point exactly as
-    ``pw @ q`` does (``q @ pw.T`` would block the sums differently).
+    Starts every row at g = k = 0 and takes Marquardt-damped Gauss-Newton
+    steps on the (t3, t4) residual, accepting a step only if it lowers the
+    residual norm.  Returns (A, B, g, k) rows, all-NaN for a row whose
+    residual is still above _FIT_TOL at the iteration cap or whose
+    closed-form A and B are unusable.
     """
-    z, pw = _grid(_FIT_PANEL_ORDER)
-    base = 1.0 + z * z
-    out = np.empty(len(x))
-    e = np.empty((_CHUNK, z.size))
-    q = np.empty((_CHUNK, z.size))
-    for lo in range(0, len(x), _CHUNK):
-        xs = x[lo:lo + _CHUNK]
-        c = len(xs)
-        ec, qc = e[:c], q[:c]
-        np.multiply(-xs[:, 2:3], z, out=ec)
-        np.exp(ec, out=ec)
-        np.subtract(1.0, ec, out=qc)
-        qc *= 0.8
-        ec += 1.0
-        qc /= ec
-        qc += 1.0                                   # asym
-        qc *= np.exp(xs[:, 1:2])                    # b * asym
-        np.power(base, np.exp(xs[:, 3:4]) - 0.5, out=ec)
-        qc *= ec
-        qc *= z
-        qc += xs[:, 0:1]
-        lam = np.matmul(pw, qc[:, :, None])[:, :, 0]
-        # rows the scalar objective returns early on get _PENALTY below;
-        # their ratios and residuals are computed but never used
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = np.stack((lam[:, 0], lam[:, 1], lam[:, 2] / lam[:, 1],
-                              lam[:, 3] / lam[:, 1]), axis=1)
-            resid -= tvec[lo:lo + c]
-            val = np.vecdot(resid, resid)
-        bad = (lam[:, 1] <= 0) | ~np.isfinite(lam).all(axis=1)
-        val[bad] = _PENALTY
-        out[lo:lo + c] = val
+    rows = len(tvec)
+    x = np.zeros((rows, 2))
+    x[:, 1] = np.log(0.5)
+    lam = _shape_lambdas(x, z, pw, log_base)
+    resid, jac = _ratio_fit(lam, tvec[:, 2:])
+    norm = np.vecdot(resid, resid)
+    mu = np.full(rows, _DAMP_START)
+    live = np.flatnonzero(np.abs(resid).max(axis=1) > _FIT_TOL)
+    for _ in range(_MAX_ITER):
+        if not live.size:
+            break
+        # (J'J + mu diag(J'J)) step = -J'r, solved by Cramer's rule
+        jg, jk, r = jac[live, 0], jac[live, 1], resid[live]
+        damp = 1.0 + mu[live]
+        a11, a22 = np.vecdot(jg, jg) * damp, np.vecdot(jk, jk) * damp
+        a12, b1, b2 = np.vecdot(jg, jk), np.vecdot(jg, r), np.vecdot(jk, r)
+        det = a11 * a22 - a12 * a12
+        step = np.stack((a12 * b2 - a22 * b1, a12 * b1 - a11 * b2), axis=1) / det[:, None]
+        trial = x[live] + step
+        lam_t = _shape_lambdas(trial, z, pw, log_base)
+        resid_t, jac_t = _ratio_fit(lam_t, tvec[live, 2:])
+        norm_t = np.vecdot(resid_t, resid_t)
+        better = norm_t < norm[live]                # False where not finite
+        take = live[better]
+        x[take], lam[take], resid[take], jac[take], norm[take] = (
+            trial[better], lam_t[better], resid_t[better], jac_t[better],
+            norm_t[better])
+        mu[live] = np.where(better, mu[live] / _DAMP_STEP, mu[live] * _DAMP_STEP)
+        live = live[np.abs(resid[live]).max(axis=1) > _FIT_TOL]
+    scale = tvec[:, 1] / lam[:, 0, 1]
+    out = np.column_stack((tvec[:, 0] - scale * lam[:, 0, 0], scale,
+                           x[:, 0], np.exp(x[:, 1]) - 0.5))
+    ok = ((np.abs(resid).max(axis=1) <= _FIT_TOL) & (scale > 0)
+          & (out[:, 3] > -0.5) & np.isfinite(out).all(axis=1))
+    out[~ok] = np.nan
     return out
 
 
-def _nelder_mead_rows(x0: np.ndarray, tvec: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """scipy's Nelder-Mead, run on every row at once in lock-step.
+def _fit_rows(tvec: np.ndarray) -> np.ndarray:
+    """(A, B, g, k) for each (l1, l2, t3, t4) row, all-NaN where it fails.
 
-    Repeats ``scipy.optimize._minimize_neldermead`` (non-adaptive, with
-    the options :func:`estimate_gk_from_lmoments` passes) step for step on
-    each row: the same initial simplex, the same reflect / expand /
-    contract / shrink expressions and coefficients, the same per-row
-    ``argsort`` and the same stopping tests.  All points pending across
-    rows go to one :func:`_objective_rows` call.  Returns the best vertex
-    of each row and a mask of the rows that stopped converged; a row that
-    reaches the evaluation cap stops unconverged, as scipy's does.
+    A row fails if its target is degenerate (l2 not positive, or a
+    non-finite entry) or its fit does not reach the tolerance.  The rows
+    are solved _BLOCK at a time, which bounds the working arrays.
     """
-    rows, dim = x0.shape
-    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for j in range(dim):
-        y = sim[:, j + 1, j]
-        y[:] = np.where(y != 0, 1.05 * y, 0.00025)
-    fsim = _objective_rows(sim.reshape(-1, dim),
-                           np.repeat(tvec, dim + 1, axis=0)).reshape(rows, dim + 1)
-    nfev = np.full(rows, dim + 1)
-    best = np.empty((rows, dim))
-    converged = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)
-    sort_twice = 2                       # scipy sorts twice after the first pass
-    while live.size:
-        for _ in range(sort_twice):
-            ind = np.argsort(fsim, axis=1)
-            sim = np.take_along_axis(sim, ind[:, :, None], axis=1)
-            fsim = np.take_along_axis(fsim, ind, axis=1)
-        sort_twice = 1
-        capped = nfev >= _MAXFEV
-        done = capped | (
-            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL)
-            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL))
-        if done.any():
-            best[live[done]] = sim[done, 0]
-            converged[live[done]] = ~capped[done]
-            keep = ~done
-            live, sim, fsim, nfev, tvec = (live[keep], sim[keep], fsim[keep],
-                                           nfev[keep], tvec[keep])
-            if not live.size:
-                break
-        # xbar = np.add.reduce(sim[:-1], 0) / N, summed in the same order
-        xbar = sim[:, 0]
-        for j in range(1, dim):
-            xbar = xbar + sim[:, j]
-        xbar = xbar / dim
-        worst = sim[:, -1]
-        xr = 2 * xbar - worst
-        fxr = _objective_rows(xr, tvec)
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        contract = ~expand & ~accept
-        outside = contract & (fxr < fsim[:, -1])
-        inside = contract & ~outside
-        trial = np.where(expand[:, None], 3 * xbar - 2 * worst,
-                         np.where(outside[:, None], 1.5 * xbar - 0.5 * worst,
-                                  0.5 * xbar + 0.5 * worst))
-        second = expand | contract
-        ftrial = np.full(len(xr), np.nan)
-        ftrial[second] = _objective_rows(trial[second], tvec[second])
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < fsim[:, -1])))
-        take_r = (expand & ~take_trial) | accept
-        shrink = contract & ~take_trial
-        sim[take_trial, -1] = trial[take_trial]
-        fsim[take_trial, -1] = ftrial[take_trial]
-        sim[take_r, -1] = xr[take_r]
-        fsim[take_r, -1] = fxr[take_r]
-        nfev += 1 + second
-        if shrink.any():
-            s = sim[shrink]
-            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
-            sim[shrink] = s
-            fsim[shrink, 1:] = _objective_rows(
-                s[:, 1:].reshape(-1, dim),
-                np.repeat(tvec[shrink], dim, axis=0)).reshape(-1, dim)
-            nfev[shrink] += dim
-    return best, converged
+    z, pw = _grid(_FIT_PANEL_ORDER)
+    log_base = np.log1p(z * z)
+    out = np.full(tvec.shape, np.nan)
+    valid = np.flatnonzero((tvec[:, 1] > 0) & np.isfinite(tvec).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, valid.size, _BLOCK):
+            rows = valid[lo:lo + _BLOCK]
+            out[rows] = _solve_block(tvec[rows], z, pw, log_base)
+    return out
+
+
+def estimate_gk_from_lmoments(target: LMoments) -> GKParams:
+    """Match theoretical L-moments (l1, l2, t3, t4) to a target.
+
+    Solves t3(g, k) = t3 and t4(g, k) = t4 by Levenberg-Marquardt on
+    (g, log(k+1/2)), on the fixed 32-point panel grid and from g = k = 0,
+    then sets B = l2 / m2 and A = l1 - B m1 in closed form, where m_r are
+    the L-moments at A = 0, B = 1.  The L-moment ratios do not depend on
+    A and B, so the fit is location- and scale-equivariant.  This is
+    :func:`estimate_gk_batch` on one row.
+
+    Raises ValueError for a degenerate target (l2 not positive, or a
+    non-finite entry) and ArithmeticError when (t3, t4) is not matched to
+    within _FIT_TOL, as for a target outside the family's range.
+    """
+    tvec = target.as_array()
+    if not tvec[1] > 0 or not np.isfinite(tvec).all():
+        raise ValueError("degenerate target: second L-moment must be positive "
+                         "and all L-moments finite")
+    row = _fit_rows(tvec[None])[0]
+    if np.isnan(row).any():
+        raise ArithmeticError(
+            f"L-moment matching failed: (t3, t4) = ({tvec[2]:.6g}, {tvec[3]:.6g}) "
+            f"not matched to {_FIT_TOL:g} in {_MAX_ITER} iterations")
+    return GKParams(*row)
 
 
 def estimate_gk_batch(targets: np.ndarray) -> np.ndarray:
@@ -404,26 +373,13 @@ def estimate_gk_batch(targets: np.ndarray) -> np.ndarray:
     ``targets`` holds one (l1, l2, t3, t4) row per target.  Row i of the
     result is bit for bit
     ``link_parameters(estimate_gk_from_lmoments(LMoments(*targets[i])))``,
-    and all-NaN where that call raises ValueError or ArithmeticError: the
-    searches run in lock-step (:func:`_nelder_mead_rows`) on the scalar
-    objective's exact arithmetic, and a row that reaches the evaluation
-    cap fails as the scalar search does.
+    and all-NaN where that call raises.
     """
     tvec = np.atleast_2d(np.asarray(targets, dtype=float))
+    params = _fit_rows(tvec)
     out = np.full(tvec.shape, np.nan)
-    x0 = np.full(tvec.shape, np.nan)
-    for i, row in enumerate(tvec):
-        try:
-            x0[i] = _start(LMoments(*row))
-        except ValueError:
-            pass
-    valid = np.flatnonzero(np.isfinite(x0).all(axis=1))
-    best, converged = _nelder_mead_rows(x0[valid], tvec[valid])
-    for i, x in zip(valid[converged], best[converged]):
-        try:
-            out[i] = link_parameters(unlink_parameters(x))
-        except ValueError:
-            pass
+    for i in np.flatnonzero(np.isfinite(params).all(axis=1)):
+        out[i] = link_parameters(GKParams(*params[i]))
     return out
 
 

@@ -1,9 +1,7 @@
 """Seasonal dynamic linear model observed through distribution summaries."""
 
-from .conditionals import (StateUpdate, SweepOperator,
-                           initial_state_conditional,
+from .conditionals import (SweepOperator, initial_state_conditional,
                            innovation_precision_conditional,
-                           state_given_predictor_conditional,
                            terminal_state_conditional)
 from .kalman import block_kalman_smoother, kalman_smoother_init
 from .sampler import (ChainConfig, TrainingConfig, run_state_space_gibbs,
@@ -23,7 +21,6 @@ __all__ = [
     "PhiContext",
     "PhiHypercube",
     "SeasonCalendar",
-    "StateUpdate",
     "SweepOperator",
     "TrainingConfig",
     "TrainingPair",
@@ -41,7 +38,6 @@ __all__ = [
     "observation_block",
     "run_state_space_gibbs",
     "sample_lambda_conditional",
-    "state_given_predictor_conditional",
     "summarize_observations",
     "terminal_state_conditional",
     "trend_block",

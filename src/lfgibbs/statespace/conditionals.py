@@ -2,12 +2,10 @@
 
 All of these follow from the linear-Gaussian state equations alone, so
 they are exact regardless of how the observation side is handled.  The
-predictor conditional also exposes the one-step moments (f, q) of the
-linear predictor, which the likelihood-free update conditions on.
+sweep operator also exposes the one-step moments (f, q) of the linear
+predictor, which the likelihood-free update conditions on.
 """
 
-import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -76,61 +74,6 @@ def innovation_precision_conditional(innovations: np.ndarray,
     shape = alpha + 0.5 * w.shape[0]
     rates = nu + 0.5 * np.sum(w * w, axis=0)
     return shape, rates
-
-
-@dataclass(frozen=True)
-class StateUpdate:
-    """Conditional Gaussian of one state given its neighbours and predictor.
-
-    predictor_mean and predictor_var are the one-step moments (f, q) of
-    the linear predictor before conditioning; q is treated as diagonal
-    and the discarded off-diagonal mass is recorded.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    predictor_mean: np.ndarray
-    predictor_var: np.ndarray
-    off_diagonal_max: float
-
-
-def state_given_predictor_conditional(theta_prev: np.ndarray,
-                                      theta_next: np.ndarray, w,
-                                      g_mat: np.ndarray,
-                                      f_mat: np.ndarray,
-                                      predictor: np.ndarray) -> StateUpdate:
-    """Condition the two-sided state prior on its linear predictor.
-
-    The prior given both neighbours is N(a, R) with
-    R = (G' W^-1 G + W^-1)^-1 and a = R (W^-1 G theta_prev +
-    G' W^-1 theta_next); conditioning on predictor = F' theta gives
-    mean a + R F q^-1 (predictor - f) and covariance R - R F q^-1 F' R
-    with f = F' a and q = diag(F' R F).
-    """
-    theta_prev = np.asarray(theta_prev, dtype=float)
-    theta_next = np.asarray(theta_next, dtype=float)
-    p = theta_prev.size
-    g = np.asarray(g_mat, dtype=float).reshape(p, p)
-    f = np.asarray(f_mat, dtype=float).reshape(p, -1)
-    lam = np.asarray(predictor, dtype=float).reshape(f.shape[1])
-    w_inv = np.linalg.inv(_cov_dense(w, p))
-    r_cov = np.linalg.inv(g.T @ w_inv @ g + w_inv)
-    r_cov = 0.5 * (r_cov + r_cov.T)
-    a = r_cov @ (w_inv @ (g @ theta_prev) + g.T @ (w_inv @ theta_next))
-    u = r_cov @ f
-    q_full = f.T @ u
-    q_diag = np.diag(q_full).copy()
-    off = q_full - np.diag(q_diag)
-    off_max = float(np.max(np.abs(off))) if off.size else 0.0
-    if np.any(q_diag <= 0) or not np.all(np.isfinite(q_diag)):
-        raise np.linalg.LinAlgError("predictor variance is not positive")
-    gain = u / q_diag
-    f_mean = f.T @ a
-    mean = a + gain @ (lam - f_mean)
-    cov = r_cov - gain @ u.T
-    cov = 0.5 * (cov + cov.T)
-    return StateUpdate(mean=mean, cov=cov, predictor_mean=f_mean,
-                       predictor_var=q_diag, off_diagonal_max=off_max)
 
 
 class SweepOperator:

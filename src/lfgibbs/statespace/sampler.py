@@ -15,6 +15,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..gibbs import ChainConfig, ChainOutput, TimingBreakdown, _run_sweeps
+# summarize_observations looks estimate_gk up here, once per day, so
+# that the benchmark trace (perfbench/tracing.py) can wrap this module's
+# attribute and count the observation fits
 from ..gk import estimate_gk, link_parameters
 from ..kernels import KernelSpec
 from .conditionals import SweepOperator, innovation_precision_conditional
@@ -83,7 +86,10 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     lambda_sampler overrides the training-table predictor draw (the
     exact-conditional special cases use this); fix_tau pins the
     precisions and skips their updates.  A non-finite draw aborts with
-    the offending day and sweep.
+    the offending day and sweep.  With the training table, the
+    diagnostics report the fraction of sweep contexts outside its
+    hypercube (``phi_outside_fraction``) and the timings book the
+    table's localization in ``localize_seconds``.
     """
     if (observations is None) == (summaries is None):
         raise ValueError("supply either observations or summaries")
@@ -164,9 +170,13 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
 
     lam_running = np.zeros((n_days, spec.n_series))
     q_off_max = 0.0
+    # the sweep's contexts, to count those outside the training hypercube
+    f_days = np.empty((n_days, spec.n_series))
+    q_days = np.empty((n_days, spec.n_series))
+    outside = 0
 
     def sweep(m: int) -> None:
-        nonlocal tau, q_off_max
+        nonlocal tau, q_off_max, outside
         op = SweepOperator(g_mat, 1.0 / tau, f_by_season)
         q_off_max = max(q_off_max, op.off_diagonal_max)
         theta[0] = op.draw_initial(theta[1], spec.m0, spec.c0_diag, rng)
@@ -180,9 +190,10 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             if lambda_sampler is not None:
                 lam = lambda_sampler(phi, summaries[t - 1], rng)
             else:
+                f_days[t - 1], q_days[t - 1] = f_mean, q_diag
                 lam = sample_lambda_conditional(
                     phi, summaries[t - 1], training, training_config.kernel,
-                    training_config.m_neighbours, rng)
+                    training_config.m_neighbours, rng, timings)
             lam = np.asarray(lam, dtype=float)
             theta[t] = op.draw_state(a, lam, flag, rng)
             # messages number the sweeps from 0
@@ -191,6 +202,9 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                     f"non-finite state at day {t}, sweep {m - 1}")
             if m > config.burn_in:
                 lam_running[t - 1] += lam
+        if training is not None:
+            outside += n_days - int(np.count_nonzero(
+                cube.contains(f_days, q_days, n_obs)))
         theta[n_days + 1] = op.draw_terminal(theta[n_days], rng)
         if fix_tau is None:
             innov = theta[1:] - theta[:-1] @ g_mat.T
@@ -212,5 +226,10 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         "predictor_means": lam_hat,
         "predictor_residuals": summaries - lam_hat,
     }
+    if training is not None:
+        # share of the predictor updates whose context phi lay outside the
+        # hypercube the training pairs were drawn from: the localized
+        # table extrapolates there
+        diagnostics["phi_outside_fraction"] = outside / (config.n_iterations * n_days)
     return ChainOutput(states=states, names=_state_names(n_days, p),
                        timings=timings, diagnostics=diagnostics)

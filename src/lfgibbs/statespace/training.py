@@ -22,6 +22,7 @@ from scipy.linalg import solve_triangular
 # doing so until it wraps estimate_gk_batch instead
 from ..gk import (estimate_gk, estimate_gk_batch, estimation_target,
                   gk_sample, unlink_parameters)
+from ..gibbs import TimingBreakdown
 from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
                        knn_bandwidth, scaled_distance)
 
@@ -113,6 +114,14 @@ class PhiHypercube:
             raise ValueError("need 2 <= n_low <= n_high")
         object.__setattr__(self, "f_low", lo)
         object.__setattr__(self, "f_high", hi)
+
+    def contains(self, means: np.ndarray, variances: np.ndarray,
+                 n_obs: np.ndarray) -> np.ndarray:
+        """Which contexts lie inside the box, one per row of means and
+        variances (and entry of n_obs)."""
+        return (((means >= self.f_low) & (means <= self.f_high)).all(axis=-1)
+                & ((variances >= self.q_low) & (variances <= self.q_high)).all(axis=-1)
+                & (n_obs >= self.n_low) & (n_obs <= self.n_high))
 
     @classmethod
     def from_observed(cls, summaries: np.ndarray, n_obs: np.ndarray,
@@ -220,10 +229,10 @@ def generate_phi_training_set(
     missing count, at most 256 attempts: each attempt of a round draws
     its context and its g-and-k sample in the order of a one-at-a-time
     loop and keeps only the sample's L-moments; the round's targets are
-    then fitted together by :func:`estimate_gk_batch`, and the failure
+    then fitted together by :func:`estimate_gk_batch`, whose rows are
+    what :func:`estimate_gk` returns for each sample, and the failure
     accounting is replayed in attempt order.  Estimation draws no random
-    numbers and the batch fit is bit-identical to :func:`estimate_gk`,
-    so the pairs, the redraw count, the abort message and the
+    numbers, so the pairs, the redraw count, the abort message and the
     generator's final state are those of fitting every attempt as it is
     drawn.  A round also ends at the attempt where the failures already
     known before fitting (samples too small to fit) reach the abort
@@ -371,7 +380,8 @@ def linear_bayes_moments(omega: np.ndarray, f: np.ndarray, s: np.ndarray
 
 def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
                               training: TrainingSet, kernel: KernelSpec,
-                              m: int, rng: np.random.Generator
+                              m: int, rng: np.random.Generator,
+                              timings: Optional[TimingBreakdown] = None
                               ) -> np.ndarray:
     """One draw of the predictor given its context and observed summary.
 
@@ -380,10 +390,14 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
     resampled among the positive-weight ones in proportion to its kernel
     weight, its predictor is centered at its own fitted value under the
     shared gain, whitened by the conditional covariance root, and the
-    same root maps it onto the posterior mean.
+    same root maps it onto the posterior mean.  The localization time is
+    added to ``timings.localize_seconds`` when timings are given.
     """
     s_obs = np.asarray(s_obs, dtype=float).reshape(N_PREDICTOR)
+    t_loc = time.perf_counter()
     omega, weights = _localize(training, phi_star, kernel, m)
+    if timings is not None:
+        timings.localize_seconds += time.perf_counter() - t_loc
     gain, cov = _linear_bayes(omega)
     mean = phi_star.mean + gain @ (s_obs - phi_star.mean)
     root = np.linalg.cholesky(cov)

@@ -92,13 +92,18 @@ def run_engine(engine, hierarchy, schedule, seed):
         return run_abc_pass(model, specs, s_obs, config, rng, dataset_obs=dataset_obs,
                             names=names), names
     calendar, summaries, n_obs = three_days()
-    out = run_state_space_gibbs(DlmSpec(), calendar, TrainingConfig(), schedule, rng,
-                                summaries=summaries, n_obs=n_obs,
-                                lambda_sampler=stub_lambda)
+    if engine == "state-space-table":
+        out = run_state_space_gibbs(DlmSpec(), calendar,
+                                    TrainingConfig(n_pairs=60, m_neighbours=30), schedule,
+                                    rng, summaries=summaries, n_obs=n_obs)
+    else:
+        out = run_state_space_gibbs(DlmSpec(), calendar, TrainingConfig(), schedule, rng,
+                                    summaries=summaries, n_obs=n_obs,
+                                    lambda_sampler=stub_lambda)
     return out, out.names
 
 
-ENGINES = ("exact", "local", "global", "abc-pass", "state-space")
+ENGINES = ("exact", "local", "global", "abc-pass", "state-space", "state-space-table")
 
 
 class TestSchedule:
@@ -123,8 +128,9 @@ class TestSchedule:
         assert t.sampler_seconds > 0
         assert (t.in_sim_seconds > 0) == (engine == "abc-pass")
         assert (t.in_fit_seconds > 0) == (engine == "local")
-        # localize time is a part of the sampler time, not carved out of it
-        if engine == "local":
+        # localize time is a part of the sampler time, not carved out of
+        # it; the state-space sampler localizes only its training table
+        if engine in ("local", "state-space-table"):
             assert 0 < t.localize_seconds <= t.sampler_seconds
         else:
             assert t.localize_seconds == 0

@@ -1,11 +1,14 @@
 """Tests for the seasonal state-space model and its approximate sampler."""
 
 import hashlib
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from lfgibbs.gibbs import save_chain
 from lfgibbs.gk import GKParams, gk_sample, link_parameters, unlink_parameters
 from lfgibbs.kernels import KernelSpec
 from lfgibbs.statespace import (
@@ -32,7 +35,6 @@ from lfgibbs.statespace import (
     observation_block,
     run_state_space_gibbs,
     sample_lambda_conditional,
-    state_given_predictor_conditional,
     summarize_observations,
     terminal_state_conditional,
     trend_block,
@@ -52,6 +54,53 @@ def digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class StateUpdate:
+    """Conditional Gaussian of one state given its neighbours and predictor.
+
+    predictor_mean and predictor_var are the one-step moments (f, q) of
+    the linear predictor before conditioning; q is treated as diagonal
+    and the discarded off-diagonal mass is recorded.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+    predictor_mean: np.ndarray
+    predictor_var: np.ndarray
+    off_diagonal_max: float
+
+
+def state_given_predictor_conditional(theta_prev, theta_next, w, g_mat, f_mat,
+                                      predictor) -> StateUpdate:
+    """Condition the two-sided state prior on its linear predictor.
+
+    The test oracle of SweepOperator, written out with dense inverses.
+    The prior given both neighbours is N(a, R) with
+    R = (G' W^-1 G + W^-1)^-1 and a = R (W^-1 G theta_prev +
+    G' W^-1 theta_next), for the diagonal W = diag(w); conditioning on
+    predictor = F' theta gives mean a + R F q^-1 (predictor - f) and
+    covariance R - R F q^-1 F' R with f = F' a and q = diag(F' R F).
+    """
+    g = np.asarray(g_mat, dtype=float)
+    f = np.asarray(f_mat, dtype=float)
+    w_inv = np.diag(1.0 / np.asarray(w, dtype=float))
+    r_cov = np.linalg.inv(g.T @ w_inv @ g + w_inv)
+    r_cov = 0.5 * (r_cov + r_cov.T)
+    a = r_cov @ (w_inv @ (g @ theta_prev) + g.T @ (w_inv @ theta_next))
+    u = r_cov @ f
+    q_full = f.T @ u
+    q_diag = np.diag(q_full).copy()
+    off = q_full - np.diag(q_diag)
+    if np.any(q_diag <= 0) or not np.all(np.isfinite(q_diag)):
+        raise np.linalg.LinAlgError("predictor variance is not positive")
+    gain = u / q_diag
+    f_mean = f.T @ a
+    cov = r_cov - gain @ u.T
+    return StateUpdate(mean=a + gain @ (predictor - f_mean), cov=0.5 * (cov + cov.T),
+                       predictor_mean=f_mean, predictor_var=q_diag,
+                       off_diagonal_max=float(np.max(np.abs(off))))
 
 
 class TestSystemMatrices:
@@ -576,8 +625,10 @@ class TestGenerateTrainingSet:
         assert ts.redraw_count == 1
         assert np.all(np.isfinite(ts.summaries))
 
-    # Pinned values below were recorded with per-attempt scalar fits
-    # (estimate_gk on each sample as it is drawn), before the batch fit.
+    # The redraw counts, messages and generator states below were recorded
+    # with per-attempt scalar fits (estimate_gk on each sample as it is
+    # drawn), before the batch fit; the digest holds the profiled (g, k)
+    # fits.
     _CUBE = dict(f_low=np.array([0.8, -1.5, 0.1, -0.7]),
                  f_high=np.array([1.2, -1.2, 0.3, -0.4]),
                  q_low=1e-8, q_high=1e-6, n_high=60)
@@ -587,7 +638,7 @@ class TestGenerateTrainingSet:
         rng = np.random.default_rng(31)
         ts = generate_phi_training_set(40, PhiHypercube(n_low=16, **self._CUBE), rng)
         assert digest(ts.phi_means, ts.phi_variances, ts.phi_n, ts.predictors,
-                      ts.summaries) == "66445aad2d7e395f"
+                      ts.summaries) == "e5b55eac8d56cb73"
         assert ts.redraw_count == 3
         # the generator is left where the one-at-a-time loop left it
         assert rng.random() == 0.9887202316992949
@@ -1050,7 +1101,7 @@ class TestSamplerTrainingPath:
         assert out.timings.in_sim_units == 0.0
 
     def test_short_chain_pinned(self):
-        # recorded with per-attempt scalar fits of the training set
+        # recorded with the profiled (g, k) solve of the g-and-k fits
         rng = np.random.default_rng(33)
         cal = SeasonCalendar(n_days=6, summer_start=3, summer_end=5)
         g = np.kron(block_transition(), np.eye(4))
@@ -1067,11 +1118,42 @@ class TestSamplerTrainingPath:
                                     ChainConfig(20, 5), np.random.default_rng(34),
                                     observations=observations)
         assert out.states.shape == (15, 324)
-        assert digest(out.states) == "7cf7eb8995bd9da7"
+        assert digest(out.states) == "e4ffb8fb562ce2f8"
         # simulation and estimation are timed apart
         t = out.timings
         assert t.pre_sim_seconds > 0 and t.pre_fit_seconds > 0
         assert t.pre_sim_seconds != t.pre_fit_seconds
+
+    def test_out_of_envelope_fraction(self, tmp_path):
+        cal, observations = self._simulate()
+        s_obs = summarize_observations(observations)
+        n_obs = np.array([len(d) for d in observations])
+
+        def run(cube, n_iterations):
+            tcfg = TrainingConfig(n_pairs=100, m_neighbours=50, hypercube=cube)
+            return run_state_space_gibbs(DlmSpec(), cal, tcfg, ChainConfig(n_iterations, 2),
+                                         np.random.default_rng(5), summaries=s_obs,
+                                         n_obs=n_obs)
+
+        # a hypercube one unit above the observed summaries in every
+        # coordinate: no sweep context lies inside it
+        box = PhiHypercube.from_observed(s_obs, n_obs)
+        above = PhiHypercube(box.f_low + 1.0, box.f_high + 1.0, n_low=box.n_low,
+                             n_high=box.n_high)
+        assert run(above, 6).diagnostics["phi_outside_fraction"] == 1.0
+        # the default box spans the observed summaries; the diagnostics
+        # keep their shapes whatever the chain length, and the fraction
+        # reaches the sidecar as one number
+        shapes = []
+        for n_iterations in (6, 30):
+            out = run(None, n_iterations)
+            assert 0.0 <= out.diagnostics["phi_outside_fraction"] < 1.0
+            shapes.append({k: np.shape(v) for k, v in out.diagnostics.items()})
+            save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
+            with open(tmp_path / "chain.json") as fh:
+                saved = json.load(fh)["diagnostics"]["phi_outside_fraction"]
+            assert saved == out.diagnostics["phi_outside_fraction"]
+        assert shapes[0] == shapes[1]
 
     def test_summaries_then_run_reproducible(self):
         cal, observations = self._simulate()
