@@ -61,7 +61,7 @@ def kernel_weight(distance: Union[float, np.ndarray], spec: KernelSpec) -> Union
     Both return 1 everywhere for an infinite bandwidth.
     """
     d = np.asarray(distance, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("distances must be non-negative")
     h = spec.bandwidth
     if math.isinf(h):
@@ -158,8 +158,10 @@ def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> U
     if a.shape[-1] != s.size:
         raise ValueError(f"a has last dimension {a.shape[-1]}, expected {s.size}")
     if a.ndim == 1 or a.flags.c_contiguous:
-        z = (a - b) / s
-        out = np.sqrt(np.sum(z * z, axis=-1))
+        z = a - b
+        z /= s
+        z *= z
+        out = np.sqrt(z.sum(axis=-1))
         return float(out) if a.ndim == 1 else out
 
     def square(j: int) -> np.ndarray:

@@ -24,6 +24,23 @@ def _cov_dense(w, p: int) -> np.ndarray:
     return w
 
 
+def _inverse_cov(w, p: int) -> np.ndarray:
+    """Inverse of ``_cov_dense(w, p)``.
+
+    A scalar or vector w is a diagonal covariance and is inverted entry
+    by entry: for positive variances that is bit for bit the LU inverse
+    ``np.linalg.inv`` computes, which divides only on the diagonal.  A
+    zero variance raises, as the LU inverse does.
+    """
+    cov = _cov_dense(w, p)
+    if np.ndim(w) == 2:
+        return np.linalg.inv(cov)
+    d = cov.diagonal()
+    if (d == 0).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.diag(1.0 / d)
+
+
 def initial_state_conditional(theta_next: np.ndarray, w,
                               g_mat: np.ndarray,
                               m0: Optional[np.ndarray] = None,
@@ -37,11 +54,11 @@ def initial_state_conditional(theta_next: np.ndarray, w,
     theta_next = np.asarray(theta_next, dtype=float)
     p = theta_next.size
     g = np.asarray(g_mat, dtype=float).reshape(p, p)
-    w_inv = np.linalg.inv(_cov_dense(w, p))
+    w_inv = _inverse_cov(w, p)
     info = g.T @ w_inv @ g
     shift = g.T @ (w_inv @ theta_next)
     if c0 is not None:
-        c0_inv = np.linalg.inv(_cov_dense(c0, p))
+        c0_inv = _inverse_cov(c0, p)
         info = info + c0_inv
         shift = shift + c0_inv @ (np.zeros(p) if m0 is None
                                   else np.asarray(m0, dtype=float))

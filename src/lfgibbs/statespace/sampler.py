@@ -197,7 +197,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             lam = np.asarray(lam, dtype=float)
             theta[t] = op.draw_state(a, lam, flag, rng)
             # messages number the sweeps from 0
-            if not np.all(np.isfinite(theta[t])):
+            if not np.isfinite(theta[t]).all():
                 raise FloatingPointError(
                     f"non-finite state at day {t}, sweep {m - 1}")
             if m > config.burn_in:

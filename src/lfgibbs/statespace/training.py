@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 # estimate_gk is not called here any more; the benchmark trace
 # (perfbench/tracing.py) wraps it by this module's attribute and keeps
@@ -28,15 +28,17 @@ from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
 
 N_PREDICTOR = 4
 # phi embedding: 4 prior means, 4 log prior variances, log sample size,
-# and 4 spare coordinates that stay zero; they are kept because the
-# distance sums all 13 squared terms, and dropping them would change the
-# order of that sum and so the distances in their last bits.
+# and 4 spare coordinates that stay zero.  The spares add exactly 0.0 to
+# each squared distance, so they do not change it; they are kept because
+# the training set's scaling (DistanceScaling.from_samples, w @ x) rounds
+# differently over fewer columns, which would move every chain.
 PHI_DIM = 13
-_RIDGE = 1e-10
+_RIDGE_EYE = 1e-10 * np.eye(N_PREDICTOR)
 _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
 _RATE_CHECK_MIN = 50
 _ROUND_MAX = 256       # attempts fitted together by the default summary
+_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class PhiContext:
         var = np.asarray(self.variance, dtype=float)
         if mean.shape != (N_PREDICTOR,) or var.shape != (N_PREDICTOR,):
             raise ValueError(f"mean and variance must be length {N_PREDICTOR}")
-        if np.any(var <= 0) or not np.all(np.isfinite(var)):
+        if (var <= 0).any() or not np.isfinite(var).all():
             raise ValueError("prior variances must be positive and finite")
         if self.n_obs < 1:
             raise ValueError("n_obs must be positive")
@@ -148,9 +150,11 @@ class TrainingPair:
 class TrainingSet:
     """Column-oriented table of training pairs plus the phi metric.
 
-    The embedded contexts and their per-coordinate standard-deviation
-    scaling are computed once at construction; constant coordinates are
-    floored inside DistanceScaling so the spare slots stay inert.  The
+    The embedded contexts, their per-coordinate standard-deviation
+    scaling and the centered pairs (predictor - mean, summary - mean),
+    the 8-vectors the localized covariance is taken over, are computed
+    once at construction; constant coordinates are floored inside
+    DistanceScaling so the spare slots stay inert.  The
     build record: redraw_count failed attempts, and the seconds spent
     drawing (contexts and samples) and estimating summaries.
     """
@@ -165,6 +169,7 @@ class TrainingSet:
     estimate_seconds: float = 0.0
     embedded: np.ndarray = field(init=False, repr=False)
     scaling: DistanceScaling = field(init=False, repr=False)
+    centered_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         f = np.atleast_2d(np.asarray(self.phi_means, dtype=float))
@@ -190,7 +195,8 @@ class TrainingSet:
         for attr, val in (("phi_means", f), ("phi_variances", q),
                           ("phi_n", n), ("predictors", lam),
                           ("summaries", s), ("embedded", emb),
-                          ("scaling", DistanceScaling.from_samples(emb))):
+                          ("scaling", DistanceScaling.from_samples(emb)),
+                          ("centered_pairs", np.hstack((lam - f, s - f)))):
             object.__setattr__(self, attr, val)
 
     @property
@@ -203,12 +209,6 @@ class TrainingSet:
                          n_obs=int(self.phi_n[i]))
         return TrainingPair(phi=phi, predictor=self.predictors[i],
                             summary=self.summaries[i])
-
-    def centered(self) -> np.ndarray:
-        """(predictor - mean, summary - mean) rows, the 8-vectors the
-        localized covariance is taken over."""
-        return np.hstack((self.predictors - self.phi_means,
-                          self.summaries - self.phi_means))
 
 
 def generate_phi_training_set(
@@ -316,8 +316,9 @@ def generate_phi_training_set(
 
 def _localize(training: TrainingSet, phi_star: PhiContext,
               kernel: KernelSpec, m: int
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Kernel weights around phi_star and the weighted covariance.
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted covariance around phi_star, the indices of the pairs
+    with positive kernel weight, and those weights normalized to sum 1.
 
     The covariance is taken about zero: the pairs are already centered
     by their own prior means, which is the moment the linear Bayes step
@@ -328,17 +329,17 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
     # an exact context match makes the m-th distance zero; any positive
     # bandwidth then keeps exactly the zero-distance pairs inside
     h = knn_bandwidth(d, m) or np.finfo(float).tiny
-    local = kernel.with_bandwidth(h)
-    weights = kernel_weight(d, local)
-    positive = weights > 0
-    if int(positive.sum()) < _MIN_POSITIVE:
+    weights = kernel_weight(d, kernel.with_bandwidth(h))
+    pool = np.flatnonzero(weights > 0)
+    if pool.size < _MIN_POSITIVE:
         raise ValueError(
-            f"only {int(positive.sum())} training pairs have positive "
+            f"only {pool.size} training pairs have positive "
             "weight; increase m or enlarge the training set")
-    z = training.centered()[positive]
-    w = weights[positive]
-    omega = (z * w[:, None]).T @ z / w.sum()
-    return omega, weights
+    z = training.centered_pairs[pool]
+    w = weights[pool]
+    total = w.sum()
+    omega = (z * w[:, None]).T @ z / total
+    return omega, pool, w / total
 
 
 def localized_covariance(training: TrainingSet, phi_star: PhiContext,
@@ -355,7 +356,7 @@ def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     o11 = omega[:N_PREDICTOR, :N_PREDICTOR]
     o12 = omega[:N_PREDICTOR, N_PREDICTOR:]
     o21 = omega[N_PREDICTOR:, :N_PREDICTOR]
-    o22 = omega[N_PREDICTOR:, N_PREDICTOR:] + _RIDGE * np.eye(N_PREDICTOR)
+    o22 = omega[N_PREDICTOR:, N_PREDICTOR:] + _RIDGE_EYE
     gain = np.linalg.solve(o22, o12.T).T
     cov = o11 - gain @ o21
     cov = 0.5 * (cov + cov.T)
@@ -378,6 +379,35 @@ def linear_bayes_moments(omega: np.ndarray, f: np.ndarray, s: np.ndarray
     return f + gain @ (s - f), cov
 
 
+def _solve_lower(root: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with root @ x = b for a C-ordered lower-triangular root.
+
+    The LAPACK call ``scipy.linalg.solve_triangular(root, b, lower=True)``
+    makes, without its wrapper: trtrs on the Fortran-ordered view
+    ``root.T`` as an upper triangle, transposed.  The same finiteness
+    check and the same error on a singular root.
+    """
+    if not (np.isfinite(root).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _TRTRS(root.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def _choice_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with the given probabilities, as rng.choice draws it.
+
+    These are the steps ``Generator.choice(a, p=probs)`` takes for one
+    draw with replacement, so the index and the one double it consumes
+    are the same; the checks on probs are left out.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
                               training: TrainingSet, kernel: KernelSpec,
                               m: int, rng: np.random.Generator,
@@ -385,27 +415,29 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
                               ) -> np.ndarray:
     """One draw of the predictor given its context and observed summary.
 
-    Localizes the training set at phi_star, forms the linear Bayes
-    moments, then adds back a standardized residual: a training pair is
-    resampled among the positive-weight ones in proportion to its kernel
-    weight, its predictor is centered at its own fitted value under the
-    shared gain, whitened by the conditional covariance root, and the
-    same root maps it onto the posterior mean.  The localization time is
-    added to ``timings.localize_seconds`` when timings are given.
+    Localizes the training set at phi_star and forms the linear Bayes
+    moments, then adds back a resampled residual: a training pair k is
+    drawn among the positive-weight ones in proportion to its kernel
+    weight, and its predictor's residual about its own fitted value
+    under the shared gain, predictor_k - fitted_k, is added to the
+    posterior mean.  The code whitens that residual by the conditional
+    covariance root and maps it back by the same root, so the two steps
+    cancel up to rounding: the draw is a homoscedastic residual
+    resample, as in Beaumont, Zhang & Balding (2002), and the residuals
+    are not rescaled to the conditional covariance.  The localization
+    time is added to ``timings.localize_seconds`` when timings are
+    given.
     """
     s_obs = np.asarray(s_obs, dtype=float).reshape(N_PREDICTOR)
     t_loc = time.perf_counter()
-    omega, weights = _localize(training, phi_star, kernel, m)
+    omega, pool, probs = _localize(training, phi_star, kernel, m)
     if timings is not None:
         timings.localize_seconds += time.perf_counter() - t_loc
     gain, cov = _linear_bayes(omega)
     mean = phi_star.mean + gain @ (s_obs - phi_star.mean)
     root = np.linalg.cholesky(cov)
-    pool = np.flatnonzero(weights > 0)
-    probs = weights[pool] / weights[pool].sum()
-    k = int(rng.choice(pool, p=probs))
+    k = pool[_choice_index(probs, rng)]
     fitted = (training.phi_means[k]
               + gain @ (training.summaries[k] - training.phi_means[k]))
-    residual = solve_triangular(root, training.predictors[k] - fitted,
-                                lower=True)
+    residual = _solve_lower(root, training.predictors[k] - fitted)
     return mean + root @ residual

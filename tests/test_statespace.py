@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from lfgibbs.gibbs import save_chain
 from lfgibbs.gk import GKParams, gk_sample, link_parameters, unlink_parameters
@@ -41,7 +42,7 @@ from lfgibbs.statespace import (
     weekly_seasonal_block,
 )
 from lfgibbs import gk
-from lfgibbs.statespace import training
+from lfgibbs.statespace import conditionals, training
 from lfgibbs.statespace.training import _linear_bayes, _localize
 
 
@@ -221,6 +222,26 @@ class TestInitialStateConditional:
             np.array([1.0]), np.array([4.0]))
         assert cov[0, 0] == pytest.approx(4.0 / 17.0, rel=1e-12)
         assert mean[0] == pytest.approx(25.0 / 17.0, rel=1e-12)
+
+    def test_diagonal_inverse_is_the_lu_inverse(self):
+        # a diagonal covariance is inverted entry by entry, bit for bit
+        # what np.linalg.inv gives for positive variances of any size
+        gen = np.random.default_rng(12)
+        for case in range(2000):
+            p = int(gen.integers(1, 40))
+            w = 10.0 ** gen.uniform(-300, 300, size=p) if case % 2 \
+                else gen.uniform(1e-9, 10.0, size=p)
+            for cov in (w, w[0]):
+                got = conditionals._inverse_cov(cov, p)
+                want = np.linalg.inv(conditionals._cov_dense(cov, p))
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        full = np.array([[2.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(conditionals._inverse_cov(full, 2),
+                                      np.linalg.inv(full))
+        for singular in (np.array([1.0, 0.0, 2.0]), 0.0):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                conditionals._inverse_cov(singular, 3)
 
 
 class TestTerminalStateConditional:
@@ -540,7 +561,7 @@ class TestTrainingSet:
                          summaries=f - 0.1)
         assert ts.n_pairs == 20
         assert ts.embedded.shape == (20, 13)
-        np.testing.assert_allclose(ts.centered(),
+        np.testing.assert_allclose(ts.centered_pairs,
                                    np.hstack([np.full((20, 4), 0.1),
                                               np.full((20, 4), -0.1)]))
         pair = ts.pair(3)
@@ -717,8 +738,8 @@ class TestLocalizedCovariance:
         ts = TrainingSet(phi_means=f, phi_variances=np.full((400, 4), 1e-6),
                          phi_n=np.full(400, 100), predictors=f, summaries=f)
         phi = PhiContext(np.zeros(4), np.full(4, 1e-6), 100)
-        _, weights = _localize(ts, phi, KernelSpec("epanechnikov"), 37)
-        assert int((weights > 0).sum()) == 37
+        _, pool, w = _localize(ts, phi, KernelSpec("epanechnikov"), 37)
+        assert pool.size == 37 and np.all(w > 0)
 
     def test_too_few_positive_weights_errors(self):
         rng = np.random.default_rng(21)
@@ -804,9 +825,8 @@ class TestSampleLambda:
         # two Monte Carlo error sources: the resampling of k_draws
         # residuals, and the finite weighted pool whose mean residual is
         # an O(1/sqrt(m_eff)) offset shared by every draw
-        omega, weights = _localize(ts, phi, kern, m)
+        omega, _, w_pos = _localize(ts, phi, kern, m)
         _, cov = _linear_bayes(omega)
-        w_pos = weights[weights > 0]
         pool_var = (w_pos ** 2).sum() / w_pos.sum() ** 2 * np.diag(cov)
         tol = 3 * np.sqrt(draws.var(axis=0) / k_draws + pool_var)
         assert np.all(np.abs(draws.mean(axis=0) - true_mean) < tol)
@@ -829,6 +849,49 @@ class TestSampleLambda:
                                       KernelSpec("epanechnikov"), 100,
                                       np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+
+    def test_choice_index_replays_generator_choice(self):
+        # the same index as Generator.choice from the same one double, so
+        # the generators stay in step afterwards
+        gen = np.random.default_rng(40)
+        for case in range(2000):
+            n = int(gen.integers(1, 80))
+            w = gen.random(n) ** gen.uniform(0.5, 6.0)
+            w[gen.random(n) < gen.uniform(0.0, 0.6)] = 0.0
+            if not w.any():
+                w[gen.integers(n)] = gen.random()
+            probs = w / w.sum()
+            pool = np.sort(gen.choice(5000, size=n, replace=False))
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            assert pool[training._choice_index(probs, ours)] == theirs.choice(pool, p=probs)
+            assert ours.random() == theirs.random()
+
+    def test_solve_lower_matches_solve_triangular(self):
+        gen = np.random.default_rng(41)
+        for _ in range(2000):
+            a = gen.normal(size=(4, 4)) * 10.0 ** gen.uniform(-5, 1, size=4)
+            root = np.linalg.cholesky(a @ a.T + 1e-12 * np.eye(4))
+            b = gen.normal(size=4) * 10.0 ** gen.uniform(-6, 2)
+            assert np.array_equal(training._solve_lower(root, b),
+                                  solve_triangular(root, b, lower=True))
+
+    @pytest.mark.parametrize("solve", [training._solve_lower,
+                                       lambda root, b: solve_triangular(root, b, lower=True)],
+                             ids=["trtrs", "solve_triangular"])
+    def test_solve_lower_errors(self, solve):
+        root = np.tril(np.ones((4, 4)))
+        singular = root.copy()
+        singular[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            solve(singular, np.ones(4))
+        for bad in (np.nan, np.inf):
+            broken = root.copy()
+            broken[3, 1] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(broken, np.ones(4))
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(root, np.array([1.0, bad, 0.0, 2.0]))
 
 
 class TestKalman:
@@ -1100,8 +1163,8 @@ class TestSamplerTrainingPath:
         assert out.timings.pre_fit_count == units
         assert out.timings.in_sim_units == 0.0
 
-    def test_short_chain_pinned(self):
-        # recorded with the profiled (g, k) solve of the g-and-k fits
+    def _short_chain(self, kernel=KernelSpec("epanechnikov")):
+        """A 6-day chain on an 80-pair training table, 20 sweeps."""
         rng = np.random.default_rng(33)
         cal = SeasonCalendar(n_days=6, summer_start=3, summer_end=5)
         g = np.kron(block_transition(), np.eye(4))
@@ -1113,16 +1176,28 @@ class TestSamplerTrainingPath:
             gk_sample(int(rng.integers(100, 400)),
                       unlink_parameters(kron_obs(cal.is_summer(t)).T @ theta[t]), rng)
             for t in range(1, 7)]
-        out = run_state_space_gibbs(DlmSpec(), cal,
-                                    TrainingConfig(n_pairs=80, m_neighbours=40),
-                                    ChainConfig(20, 5), np.random.default_rng(34),
-                                    observations=observations)
+        return run_state_space_gibbs(DlmSpec(), cal,
+                                     TrainingConfig(n_pairs=80, m_neighbours=40,
+                                                    kernel=kernel),
+                                     ChainConfig(20, 5), np.random.default_rng(34),
+                                     observations=observations)
+
+    def test_short_chain_pinned(self):
+        # recorded with the profiled (g, k) solve of the g-and-k fits
+        out = self._short_chain()
         assert out.states.shape == (15, 324)
         assert digest(out.states) == "e4ffb8fb562ce2f8"
         # simulation and estimation are timed apart
         t = out.timings
         assert t.pre_sim_seconds > 0 and t.pre_fit_seconds > 0
         assert t.pre_sim_seconds != t.pre_fit_seconds
+
+    def test_short_chain_uniform_kernel_pinned(self):
+        # the uniform kernel gives every kept pair weight 1, so the
+        # resampled pair is drawn uniformly among exactly m neighbours
+        out = self._short_chain(KernelSpec("uniform"))
+        assert out.states.shape == (15, 324)
+        assert digest(out.states) == "3da64503b1c6f2c9"
 
     def test_out_of_envelope_fraction(self, tmp_path):
         cal, observations = self._simulate()
