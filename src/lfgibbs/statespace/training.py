@@ -5,8 +5,9 @@ once up front, a table of (predictor, summary) pairs from contexts phi =
 (prior mean, prior variance, sample size) covering the contexts the
 sweep will visit, then localizes that table around the current context
 with a kernel over a scaled phi embedding.  A kernel-weighted covariance
-of the pairs, centered at their prior means, feeds a linear Bayes update
-whose residuals are resampled to avoid a Gaussianity assumption.
+of the pairs, centered at their prior means, gives the gain of a linear
+Bayes mean update; a resampled training residual is added to that mean,
+so no Gaussian shape is assumed for the predictor.
 """
 
 import math
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 # estimate_gk is not called here any more; the benchmark trace
 # (perfbench/tracing.py) wraps it by this module's attribute and keeps
@@ -38,7 +38,6 @@ _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
 _RATE_CHECK_MIN = 50
 _ROUND_MAX = 256       # attempts fitted together by the default summary
-_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -178,16 +177,16 @@ class TrainingSet:
         lam = np.atleast_2d(np.asarray(self.predictors, dtype=float))
         s = np.atleast_2d(np.asarray(self.summaries, dtype=float))
         rows = f.shape[0]
-        for arr, name in ((q, "phi_variances"), (lam, "predictors"),
-                          (s, "summaries")):
+        for arr, name in ((f, "phi_means"), (q, "phi_variances"),
+                          (lam, "predictors"), (s, "summaries")):
             if arr.shape != (rows, N_PREDICTOR):
                 raise ValueError(f"{name} must have shape ({rows}, 4)")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if n.shape != (rows,) or np.any(n < 1):
             raise ValueError("phi_n must hold one positive size per row")
         if np.any(q <= 0):
             raise ValueError("phi_variances must be positive")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("summaries must be finite")
         emb = np.zeros((rows, PHI_DIM))
         emb[:, :N_PREDICTOR] = f
         emb[:, N_PREDICTOR:2 * N_PREDICTOR] = np.log(q)
@@ -348,17 +347,25 @@ def localized_covariance(training: TrainingSet, phi_star: PhiContext,
     return _localize(training, phi_star, kernel, m)[0]
 
 
+def _gain(omega: np.ndarray) -> np.ndarray:
+    """Linear Bayes gain omega12 (omega22 + ridge)^-1 of an 8x8 joint
+    covariance of (predictor, summary)."""
+    return np.linalg.solve(omega[N_PREDICTOR:, N_PREDICTOR:] + _RIDGE_EYE,
+                           omega[:N_PREDICTOR, N_PREDICTOR:].T).T
+
+
 def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gain and floored conditional covariance from a joint covariance."""
+    """Gain and floored conditional covariance from a joint covariance.
+
+    The covariance is a diagnostic: the sampler's draw uses the gain
+    alone.
+    """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (2 * N_PREDICTOR, 2 * N_PREDICTOR):
         raise ValueError("omega must be 8x8")
-    o11 = omega[:N_PREDICTOR, :N_PREDICTOR]
-    o12 = omega[:N_PREDICTOR, N_PREDICTOR:]
-    o21 = omega[N_PREDICTOR:, :N_PREDICTOR]
-    o22 = omega[N_PREDICTOR:, N_PREDICTOR:] + _RIDGE_EYE
-    gain = np.linalg.solve(o22, o12.T).T
-    cov = o11 - gain @ o21
+    gain = _gain(omega)
+    cov = (omega[:N_PREDICTOR, :N_PREDICTOR]
+           - gain @ omega[N_PREDICTOR:, :N_PREDICTOR])
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, _EIG_FLOOR)) @ vecs.T
@@ -371,29 +378,14 @@ def linear_bayes_moments(omega: np.ndarray, f: np.ndarray, s: np.ndarray
 
     mean = f + gain (s - f) and cov = top-left block minus the explained
     part, symmetrized and eigenvalue-floored so a Cholesky factor always
-    exists.
+    exists.  The covariance is the Gaussian linear Bayes diagnostic;
+    :func:`sample_lambda_conditional` draws around the same mean with a
+    resampled residual and does not use it.
     """
     f = np.asarray(f, dtype=float).reshape(N_PREDICTOR)
     s = np.asarray(s, dtype=float).reshape(N_PREDICTOR)
     gain, cov = _linear_bayes(omega)
     return f + gain @ (s - f), cov
-
-
-def _solve_lower(root: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with root @ x = b for a C-ordered lower-triangular root.
-
-    The LAPACK call ``scipy.linalg.solve_triangular(root, b, lower=True)``
-    makes, without its wrapper: trtrs on the Fortran-ordered view
-    ``root.T`` as an upper triangle, transposed.  The same finiteness
-    check and the same error on a singular root.
-    """
-    if not (np.isfinite(root).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = _TRTRS(root.T, b, lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
 
 
 def _choice_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -416,28 +408,24 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
     """One draw of the predictor given its context and observed summary.
 
     Localizes the training set at phi_star and forms the linear Bayes
-    moments, then adds back a resampled residual: a training pair k is
-    drawn among the positive-weight ones in proportion to its kernel
-    weight, and its predictor's residual about its own fitted value
-    under the shared gain, predictor_k - fitted_k, is added to the
-    posterior mean.  The code whitens that residual by the conditional
-    covariance root and maps it back by the same root, so the two steps
-    cancel up to rounding: the draw is a homoscedastic residual
-    resample, as in Beaumont, Zhang & Balding (2002), and the residuals
-    are not rescaled to the conditional covariance.  The localization
-    time is added to ``timings.localize_seconds`` when timings are
-    given.
+    mean with the localized gain, then adds a resampled residual as it
+    is: a training pair k is drawn among the positive-weight ones in
+    proportion to its kernel weight (one ``rng.random()`` double), and
+    its predictor's residual about its own fitted value under the same
+    gain, predictor_k - fitted_k, is added to the mean.  This is the
+    homoscedastic residual resample of Beaumont, Zhang & Balding (2002):
+    the residuals keep the training pairs' own scale and are not
+    rescaled to the conditional covariance.  The localization time is
+    added to ``timings.localize_seconds`` when timings are given.
     """
     s_obs = np.asarray(s_obs, dtype=float).reshape(N_PREDICTOR)
     t_loc = time.perf_counter()
     omega, pool, probs = _localize(training, phi_star, kernel, m)
     if timings is not None:
         timings.localize_seconds += time.perf_counter() - t_loc
-    gain, cov = _linear_bayes(omega)
+    gain = _gain(omega)
     mean = phi_star.mean + gain @ (s_obs - phi_star.mean)
-    root = np.linalg.cholesky(cov)
     k = pool[_choice_index(probs, rng)]
     fitted = (training.phi_means[k]
               + gain @ (training.summaries[k] - training.phi_means[k]))
-    residual = _solve_lower(root, training.predictors[k] - fitted)
-    return mean + root @ residual
+    return mean + (training.predictors[k] - fitted)
