@@ -5,7 +5,7 @@ cheap to sample from.  Full conditional distributions are estimated by
 kernel-weighted regressions fitted to a reference table of (parameter,
 summary) pairs, and the resulting approximate conditionals are plugged into
 an otherwise standard Gibbs sweep.  Localized (per-iteration) and global
-(fit-once) variants are provided, together with an importance-sampling ABC
+(fit-once) variants are provided, together with a kernel-weighted ABC
 baseline, a single-parameter ABC-MCMC comparator, exact samplers for the
 bundled example models, and a state-space subsystem for time series with
 g-and-k observation densities.
@@ -14,7 +14,6 @@ g-and-k observation densities.
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
-    importance_ratio,
     kernel_weight,
     knn_bandwidth,
     scaled_distance,
@@ -101,7 +100,6 @@ __all__ = [
     "full_interactions",
     "gk_quantile",
     "gk_sample",
-    "importance_ratio",
     "kernel_weight",
     "knn_bandwidth",
     "regression_adjust",

@@ -1,8 +1,8 @@
-"""Reference tables and importance-sampling ABC.
+"""Reference tables and kernel-weighted ABC.
 
-A simulator model bundles the prior, an optional importance proposal, the
-data generator and the summary map, optionally with a vectorized form of
-the summary map.  ``simulate_reference_table`` draws the (parameter,
+A simulator model bundles the prior, the data generator and the summary
+map, optionally with a vectorized form of the summary map.
+``simulate_reference_table`` draws from the prior the (parameter,
 summary) pairs reused by every downstream regression.  Every row draws its
 parameter and data from its own child seed; a model with a batch summary
 then has its rows summarized in blocks, one call per block, which leaves
@@ -20,14 +20,7 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from lfgibbs.kernels import (
-    DistanceScaling,
-    KernelSpec,
-    importance_ratio,
-    kernel_weight,
-    ratios_from_log,
-    scaled_distance,
-)
+from lfgibbs.kernels import DistanceScaling, KernelSpec, kernel_weight, scaled_distance
 from lfgibbs.regression import fit_weighted_linear
 
 __all__ = [
@@ -37,7 +30,6 @@ __all__ = [
     "simulate_reference_table",
     "abc_importance",
     "regression_adjust",
-    "table_importance_ratios",
 ]
 
 _MAX_RETRIES = 10
@@ -50,9 +42,8 @@ _BLOCK_ROWS = 256
 
 @dataclass
 class SimulatorModel:
-    """Prior, proposal, simulator and summary map for one inference problem.
+    """Prior, simulator and summary map for one inference problem.
 
-    The proposal defaults to the prior (importance ratios are then all one).
     ``simulate_data`` may raise to signal a failed simulation; table
     generation retries such draws with fresh sub-seeds.  ``spec`` is the
     model configuration (for example a frozen spec dataclass); its repr
@@ -76,32 +67,13 @@ class SimulatorModel:
     prior_logpdf: Callable[[np.ndarray], float]
     simulate_data: Callable[[np.ndarray, np.random.Generator], object]
     summary: Callable[[object], np.ndarray]
-    proposal_sample: Optional[Callable[[np.random.Generator], np.ndarray]] = None
-    proposal_logpdf: Optional[Callable[[np.ndarray], float]] = None
     theta_names: Optional[List[str]] = None
     spec: object = None
     batch_summary: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if (self.proposal_sample is None) != (self.proposal_logpdf is None):
-            raise ValueError("proposal sampler and density must come together")
         if self.theta_names is None:
             self.theta_names = [f"theta_{d + 1}" for d in range(self.dim_theta)]
-
-    def draw_parameter(self, rng: np.random.Generator) -> np.ndarray:
-        if self.proposal_sample is not None:
-            return np.asarray(self.proposal_sample(rng), dtype=float)
-        return np.asarray(self.prior_sample(rng), dtype=float)
-
-    def log_importance_ratio(self, theta: np.ndarray) -> float:
-        """log prior minus log proposal; zero when sampling from the prior."""
-        if self.proposal_logpdf is None:
-            return 0.0
-        lp = self.prior_logpdf(theta)
-        lq = self.proposal_logpdf(theta)
-        # delegate the zero-density conventions
-        r = importance_ratio(lp, lq)
-        return -np.inf if r == 0.0 else float(np.log(r))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(
@@ -208,7 +180,7 @@ def _draw_row(model: SimulatorModel, i: int, seq: np.random.SeedSequence,
     while True:
         rng = np.random.default_rng(seq)
         try:
-            th = model.draw_parameter(rng)
+            th = np.asarray(model.prior_sample(rng), dtype=float)
             out = model.simulate_data(th, rng)
             if summarize:
                 out = model.summary(out)
@@ -230,7 +202,7 @@ def _checked(s, shape: tuple, what: str) -> np.ndarray:
 
 def simulate_reference_table(model: SimulatorModel, n: int,
                              seed: int) -> ReferenceTable:
-    """Draw n (theta, summary) pairs from the proposal and simulator.
+    """Draw n (theta, summary) pairs from the prior and simulator.
 
     Each row uses its own child seed spawned from the master seed, so the
     table is reproducible row by row regardless of execution order.  A row
@@ -299,28 +271,30 @@ def _weight_diagnostics(w: np.ndarray) -> tuple:
     return ess, entropy
 
 
-def table_importance_ratios(model: Optional[SimulatorModel],
-                            table: ReferenceTable) -> np.ndarray:
-    """Prior/proposal ratio of every table row; all one without a proposal."""
-    if model is None or model.proposal_logpdf is None:
-        return np.ones(len(table))
-    return ratios_from_log([model.log_importance_ratio(t) for t in table.theta])
+def _observed_summary(s_obs, table: ReferenceTable) -> np.ndarray:
+    """s_obs as a float vector, finite and as wide as the table's summaries."""
+    s_obs = _checked(s_obs, (table.summaries.shape[1],), "s_obs")
+    if not np.isfinite(s_obs).all():
+        raise ValueError("s_obs must be finite")
+    return s_obs
 
 
-def abc_importance(model: SimulatorModel, table: ReferenceTable,
+def abc_importance(model: Optional[SimulatorModel], table: ReferenceTable,
                    s_obs: np.ndarray, kernel: KernelSpec,
                    scaling: Optional[DistanceScaling] = None) -> AbcOutput:
-    """Kernel-weighted importance sample targeting the ABC posterior.
+    """Kernel-weighted sample of a prior-drawn table targeting the ABC
+    posterior.
 
-    Weights are K_h(||s_i - s_obs||) times the prior/proposal ratio,
-    normalized to sum to one.  All-zero weights indicate a bandwidth too
-    small for the observed summary and raise an error.
+    Weights are K_h(||s_i - s_obs||), normalized to sum to one.  All-zero
+    weights indicate a bandwidth too small for the observed summary and
+    raise an error.  ``model`` is unused; it keeps the calling convention
+    of the table engines.
     """
-    s_obs = np.asarray(s_obs, dtype=float)
+    s_obs = _observed_summary(s_obs, table)
     if scaling is None:
         scaling = DistanceScaling.from_samples(table.summaries)
     dist = scaled_distance(table.summaries, s_obs, scaling)
-    w = kernel_weight(dist, kernel) * table_importance_ratios(model, table)
+    w = kernel_weight(dist, kernel)
     if not np.any(w > 0):
         raise ArithmeticError(
             "all ABC weights are zero; increase the kernel bandwidth")

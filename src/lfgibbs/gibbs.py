@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from lfgibbs.abc import ReferenceTable, SimulatorModel, table_importance_ratios
+from lfgibbs.abc import ReferenceTable, SimulatorModel, _observed_summary
 from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.kernels import (
     DistanceScaling,
@@ -371,24 +371,20 @@ def _member_design(spec: ConditionalSpec, table: ReferenceTable,
     return np.asarray(rows, dtype=float)
 
 
-def _localize(design: np.ndarray, scaling: DistanceScaling, ratios: np.ndarray,
+def _localize(design: np.ndarray, scaling: DistanceScaling,
               query: np.ndarray, kernel: KernelSpec, m: int
               ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Positive-weight rows around the query, their weights and the bandwidth.
 
-    Only rows closer than the kNN bandwidth can have positive kernel
-    weight, so the kernel and the importance ratios are evaluated on those
-    rows alone.  Rows come in table order, with the weights the full-table
-    product ``kernel_weight(dist) * ratios`` gives them.
+    The rows with positive kernel weight are exactly those closer than the
+    kNN bandwidth h (for the Epanechnikov kernel d < h rounds d/h below 1),
+    so the kernel is evaluated on those rows alone.  Rows come in table
+    order, with the weights ``kernel_weight`` gives them over the full table.
     """
     dist = scaled_distance(design, query, scaling)
     h = knn_bandwidth(dist, min(m, dist.size))
     rows = np.flatnonzero(dist < h)
-    w = kernel_weight(dist[rows], kernel.with_bandwidth(h)) * ratios[rows]
-    # a row inside the bandwidth still weighs zero when its importance
-    # ratio is zero
-    pos = w > 0
-    return rows[pos], w[pos], h
+    return rows, kernel_weight(dist[rows], kernel.with_bandwidth(h)), h
 
 
 def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
@@ -429,17 +425,17 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
                     names: Optional[List[str]] = None) -> ChainOutput:
     """Localized approximate Gibbs: refit every conditional every sweep.
 
-    Per iteration and per non-exact conditional, the table is reweighted by
-    the kernel distance between each row's features and the features of the
-    observed summary at the current conditioning values, times the
-    prior/proposal ratio; the regression family is refitted on the rows
-    with positive weight and the parameter is drawn from it.
+    Per iteration and per non-exact conditional, the prior-drawn table is
+    reweighted by the kernel distance between each row's features and the
+    features of the observed summary at the current conditioning values;
+    the regression family is refitted on the rows with positive weight and
+    the parameter is drawn from it.  ``model`` is unused; it keeps the
+    calling convention of the table engines.
     """
-    s_obs = np.asarray(s_obs, dtype=float)
+    s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
     _validate_members(specs, theta.size)
 
-    ratios = table_importance_ratios(model, table)
     workspaces = {id(spec): _SpecWorkspace(spec, table)
                   for spec in specs if not spec.is_exact}
     timings = TimingBreakdown()
@@ -452,7 +448,7 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         for j, member in enumerate(spec.members):
             q = ws.query(s_obs, theta, j)
             t_loc = time.perf_counter()
-            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], ratios, q, kernel, m_nn)
+            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], q, kernel, m_nn)
             timings.localize_seconds += time.perf_counter() - t_loc
             # integer indexing gathers C-ordered rows from the column-major
             # design
@@ -481,8 +477,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     return _gibbs_chain(specs, config, theta, rng, timings, names, update)
 
 
-def _global_weights(model: Optional[SimulatorModel], table: ReferenceTable,
-                    s_obs: np.ndarray, config: GibbsConfig) -> np.ndarray:
+def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
+                    config: GibbsConfig) -> np.ndarray:
     idx = config.global_weight_indices
     cols = np.asarray(idx, dtype=int) if idx is not None else None
     summ = table.summaries if cols is None else table.summaries[:, cols]
@@ -494,7 +490,7 @@ def _global_weights(model: Optional[SimulatorModel], table: ReferenceTable,
     kernel = config.global_kernel or config.kernel
     if config.global_m is not None:
         kernel = kernel.with_bandwidth(knn_bandwidth(dist, config.global_m))
-    w = kernel_weight(dist, kernel) * table_importance_ratios(model, table)
+    w = kernel_weight(dist, kernel)
     if not np.any(w > 0):
         raise ArithmeticError("all global weights are zero; widen the kernel")
     return w
@@ -510,9 +506,10 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
     (optionally on a subset of coordinates, see
     ``GibbsConfig.global_weight_indices``); each non-exact conditional is
     fitted a single time before the chain starts, and the sweep evaluates
-    the fitted conditionals at the current state.
+    the fitted conditionals at the current state.  ``model`` is unused; it
+    keeps the calling convention of the table engines.
     """
-    s_obs = np.asarray(s_obs, dtype=float)
+    s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
     _validate_members(specs, theta.size)
 
@@ -522,7 +519,7 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
 
     non_exact = [spec for spec in specs if not spec.is_exact]
     if non_exact:
-        weights = _global_weights(model, table, s_obs, config)
+        weights = _global_weights(table, s_obs, config)
         for spec in non_exact:
             ws = _SpecWorkspace(spec, table)
             workspaces[id(spec)] = ws

@@ -1,11 +1,9 @@
-"""Smoothing kernels, scaled distances and importance ratios.
+"""Smoothing kernels and scaled distances.
 
 Conventions used throughout the package:
   - distances are non-negative scalars produced by ``scaled_distance``,
   - kernels are unnormalized (only weight ratios matter downstream),
-  - an infinite bandwidth is legal and makes every sample weight equal,
-  - importance ratios are prior/proposal density ratios evaluated in log
-    space so that zero-prior samples get exact zero weight.
+  - an infinite bandwidth is legal and makes every sample weight equal.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ __all__ = [
     "kernel_weight",
     "knn_bandwidth",
     "scaled_distance",
-    "importance_ratio",
-    "ratios_from_log",
 ]
 
 _TIE_MARGIN = 1e-9
@@ -81,7 +77,10 @@ def knn_bandwidth(distances: np.ndarray, m: int) -> float:
 
     Returns the m-th smallest distance inflated by a relative margin of 1e-9
     so ties at the boundary stay inside (the uniform kernel has an open
-    support check, and exact ties would otherwise drop out).
+    support check, and exact ties would otherwise drop out).  When the m-th
+    distance is zero it returns the smallest normal float instead, a
+    positive bandwidth that keeps exactly the zero-distance points inside
+    (a positive ``scaled_distance`` is a square root, never below it).
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -89,7 +88,7 @@ def knn_bandwidth(distances: np.ndarray, m: int) -> float:
     if not 1 <= m <= d.size:
         raise ValueError(f"m must be in [1, {d.size}], got {m}")
     kth = np.partition(d, m - 1)[m - 1]
-    return float(kth) * (1.0 + _TIE_MARGIN)
+    return float(kth) * (1.0 + _TIE_MARGIN) or float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -198,28 +197,3 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     half = n // 2
     half -= half % 8
     return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
-
-
-def importance_ratio(log_prior: float, log_proposal: float) -> float:
-    """Prior/proposal density ratio exp(log_prior - log_proposal).
-
-    A sample outside the prior support (log_prior = -inf) gets ratio 0.  A
-    sample outside the proposal support but inside the prior support cannot
-    have been drawn from the proposal, so that combination is an error.
-    """
-    if np.isnan(log_prior) or np.isnan(log_proposal):
-        raise ValueError("log densities must not be NaN")
-    if log_prior == -math.inf:
-        return 0.0
-    if log_proposal == -math.inf:
-        raise ValueError("sample has zero proposal density but positive prior density")
-    return math.exp(log_prior - log_proposal)
-
-
-def ratios_from_log(log_ratios: np.ndarray) -> np.ndarray:
-    """Importance ratios from their logs; a -inf log ratio gives exactly 0."""
-    log_ratios = np.asarray(log_ratios, dtype=float)
-    zero = np.isneginf(log_ratios)
-    ratios = np.exp(np.where(zero, 0.0, log_ratios))
-    ratios[zero] = 0.0
-    return ratios

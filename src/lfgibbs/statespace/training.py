@@ -183,8 +183,10 @@ class TrainingSet:
                 raise ValueError(f"{name} must have shape ({rows}, 4)")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if n.shape != (rows,) or np.any(n < 1):
-            raise ValueError("phi_n must hold one positive size per row")
+        # pair(i) reads a size back with int(), so it must be a whole number
+        if (n.shape != (rows,) or not np.isfinite(n).all() or np.any(n < 1)
+                or np.any(n != np.floor(n))):
+            raise ValueError("phi_n must hold one positive whole size per row")
         if np.any(q <= 0):
             raise ValueError("phi_variances must be positive")
         emb = np.zeros((rows, PHI_DIM))
@@ -325,9 +327,7 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
     """
     d = scaled_distance(training.embedded, phi_star.embed(),
                         training.scaling)
-    # an exact context match makes the m-th distance zero; any positive
-    # bandwidth then keeps exactly the zero-distance pairs inside
-    h = knn_bandwidth(d, m) or np.finfo(float).tiny
+    h = knn_bandwidth(d, m)
     weights = kernel_weight(d, kernel.with_bandwidth(h))
     pool = np.flatnonzero(weights > 0)
     if pool.size < _MIN_POSITIVE:

@@ -1,4 +1,4 @@
-"""Tests for reference tables, importance weighting and adjustment."""
+"""Tests for reference tables, kernel weighting and adjustment."""
 
 import numpy as np
 import pytest
@@ -124,25 +124,6 @@ class TestAbcImportance:
         np.testing.assert_allclose(out.weights, np.full(100, 0.01), atol=1e-15)
         assert out.ess == pytest.approx(100.0)
 
-    def test_exact_match_reduces_to_importance_ratios(self):
-        # proposal is N(1, 2^2), prior is N(0,1); summaries all equal s_obs
-        model = SimulatorModel(
-            name="flat-sim",
-            dim_theta=1,
-            dim_summary=1,
-            prior_sample=lambda rng: rng.normal(size=1),
-            prior_logpdf=lambda th: float(-0.5 * th[0] ** 2),
-            simulate_data=lambda th, rng: 0.0,
-            summary=lambda data: np.array([0.0]),
-            proposal_sample=lambda rng: np.array([1.0 + 2.0 * rng.standard_normal()]),
-            proposal_logpdf=lambda th: float(-0.5 * ((th[0] - 1.0) / 2.0) ** 2),
-        )
-        table = simulate_reference_table(model, 200, seed=17)
-        out = abc_importance(model, table, np.array([0.0]),
-                             KernelSpec("epanechnikov", 1.0))
-        ratios = np.exp([model.log_importance_ratio(t) for t in table.theta])
-        np.testing.assert_allclose(out.weights, ratios / ratios.sum(), atol=1e-12)
-
     def test_conjugate_posterior_mean(self):
         model = gaussian_mean_model(n_obs=10)
         table = simulate_reference_table(model, 10 ** 5, seed=19)
@@ -162,6 +143,13 @@ class TestAbcImportance:
         with pytest.raises(ArithmeticError, match="bandwidth"):
             abc_importance(model, table, np.array([1e6]),
                            KernelSpec("uniform", 1e-6), DistanceScaling.identity(1))
+
+    def test_bad_observed_summary_rejected(self):
+        model = gaussian_mean_model()
+        table = simulate_reference_table(model, 50, seed=23)
+        for s_obs in ([np.nan], [np.inf], [0.1, 0.2]):
+            with pytest.raises(ValueError, match="s_obs"):
+                abc_importance(model, table, np.array(s_obs), KernelSpec())
 
     def test_discrepancy_shrinks_with_bandwidth(self):
         model = gaussian_mean_model()

@@ -229,6 +229,14 @@ class TestGlobalGibbs:
             run_global_gibbs(model, specs, table, np.array([50.0]), config,
                              np.random.default_rng(0))
 
+    def test_bad_observed_summary_rejected(self):
+        model, table, specs = linear_gaussian_setup(n_table=500)
+        config = GibbsConfig(n_iterations=10, initial=np.zeros(2), global_m=100)
+        for s_obs in ([np.nan], [np.inf], [1.0, 1.0]):
+            with pytest.raises(ValueError, match="s_obs"):
+                run_global_gibbs(model, specs, table, np.array(s_obs), config,
+                                 np.random.default_rng(0))
+
 
 class TestLocalGibbs:
     def test_gaussian_posterior_and_fit_count(self):
@@ -259,6 +267,14 @@ class TestLocalGibbs:
         t = out.timings
         assert t.in_fit_seconds >= 0 and t.sampler_seconds >= 0
         assert t.in_fit_count == 240
+
+    def test_bad_observed_summary_rejected(self):
+        model, table, specs = linear_gaussian_setup(n_table=500)
+        config = GibbsConfig(n_iterations=10, initial=np.zeros(2), m_neighbours=100)
+        for s_obs in ([np.nan], [np.inf], [1.0, 1.0]):
+            with pytest.raises(ValueError, match="s_obs"):
+                run_local_gibbs(model, specs, table, np.array(s_obs), config,
+                                np.random.default_rng(0))
 
 
 class TestAbcPass:

@@ -6,7 +6,6 @@ import pytest
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
-    importance_ratio,
     kernel_weight,
     knn_bandwidth,
     scaled_distance,
@@ -66,6 +65,17 @@ class TestKnnBandwidth:
         h = knn_bandwidth(d, 2)
         w = kernel_weight(d, KernelSpec("uniform", h))
         assert np.all(w == 1.0)
+
+    def test_zero_mth_distance_keeps_exactly_the_zero_rows(self):
+        # three points on the query itself and m = 2: the bandwidth stays
+        # positive and admits no positive distance, however small
+        d = np.array([0.0, 0.5, 0.0, 1e-150, 0.0, 2.0])
+        h = knn_bandwidth(d, 2)
+        assert h > 0
+        for kind in ("uniform", "epanechnikov"):
+            with np.errstate(over="ignore"):  # (d / h)^2 overflows to inf
+                w = kernel_weight(d, KernelSpec(kind, h))
+            np.testing.assert_array_equal(w, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
@@ -127,22 +137,3 @@ class TestDistanceScaling:
         w = np.array([0.5, 0.5])
         s = DistanceScaling.from_samples(x, w)
         assert s.scales[0] == pytest.approx(0.5)
-
-
-class TestImportanceRatio:
-    def test_prior_equals_proposal(self):
-        assert importance_ratio(-1.3, -1.3) == pytest.approx(1.0)
-
-    def test_zero_prior_gives_zero(self):
-        assert importance_ratio(-math.inf, -0.5) == 0.0
-
-    def test_zero_proposal_with_positive_prior_is_error(self):
-        with pytest.raises(ValueError):
-            importance_ratio(-0.5, -math.inf)
-
-    def test_both_zero_gives_zero(self):
-        # outside the prior support the weight is zero regardless
-        assert importance_ratio(-math.inf, -math.inf) == 0.0
-
-    def test_log_space_evaluation(self):
-        assert importance_ratio(1.0, 0.0) == pytest.approx(math.e)

@@ -34,11 +34,12 @@ def reference_distance(a, b, scaling):
     return np.sqrt(np.sum(z * z, axis=-1))
 
 
-def brute_force(design, scaling, ratios, query, kernel, m):
+def brute_force(design, scaling, query, kernel, m):
     """Kernel weights over the whole table, then the positive-weight mask."""
     dist = reference_distance(design, query, scaling)
     h = knn_bandwidth(dist, min(m, dist.size))
-    w = kernel_weight(dist, kernel.with_bandwidth(h)) * ratios
+    with np.errstate(over="ignore"):  # d / h overflows for a zero-distance h
+        w = kernel_weight(dist, kernel.with_bandwidth(h))
     pos = w > 0
     return np.flatnonzero(pos), w[pos], h
 
@@ -86,27 +87,29 @@ def tie_heavy_design(rng, n):
 
 class TestLocalize:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
-    @pytest.mark.parametrize("design_kind", ["continuous", "ties"])
-    @pytest.mark.parametrize("zero_ratios", [False, True])
-    def test_matches_the_mask_path(self, kernel, design_kind, zero_ratios):
+    @pytest.mark.parametrize("design_kind", ["continuous", "ties", "duplicates"])
+    def test_matches_the_mask_path(self, kernel, design_kind):
         rng = np.random.default_rng(11)
         for trial in range(20):
             n = 400
             x = (continuous_design(rng, n, 7) if design_kind == "continuous"
                  else tie_heavy_design(rng, n))
             scaling = DistanceScaling.from_samples(x)
-            ratios = rng.lognormal(size=n)
-            if zero_ratios:
-                ratios[rng.random(n) < 0.3] = 0.0
             # queries on a table row give exact zero distances and ties
             query = x[rng.integers(n)] + (0.0 if trial % 2 else rng.normal(size=x.shape[1]))
             m = int(rng.integers(60, n + 1))
-            rows, w, h = gibbs._localize(np.asfortranarray(x), scaling, ratios,
-                                         query, kernel, m)
-            want_rows, want_w, want_h = brute_force(x, scaling, ratios, query, kernel, m)
+            if design_kind == "duplicates":
+                # a query repeated at least m times: the m-th distance is zero
+                query = x[rng.integers(n)]
+                zero = np.flatnonzero(reference_distance(x, query, scaling) == 0)
+                m = int(rng.integers(1, zero.size + 1))
+            rows, w, h = gibbs._localize(np.asfortranarray(x), scaling, query, kernel, m)
+            want_rows, want_w, want_h = brute_force(x, scaling, query, kernel, m)
             assert h == want_h
             np.testing.assert_array_equal(rows, want_rows)
             np.testing.assert_array_equal(bits(w), bits(want_w))
+            if design_kind == "duplicates":
+                np.testing.assert_array_equal(rows, zero)
 
     def test_fits_see_the_mask_path_arrays(self, monkeypatch):
         spec = HierarchicalSpec(u_groups=4, l_obs=5)
@@ -119,10 +122,10 @@ class TestLocalize:
         seen = []
         real_localize, real_fit = gibbs._localize, gibbs._fit_family
 
-        def spy_localize(design, scaling, ratios, query, kernel, m):
-            seen.append(brute_force(design, scaling, ratios, query, kernel, m)
+        def spy_localize(design, scaling, query, kernel, m):
+            seen.append(brute_force(design, scaling, query, kernel, m)
                         + (np.ascontiguousarray(design),))
-            return real_localize(design, scaling, ratios, query, kernel, m)
+            return real_localize(design, scaling, query, kernel, m)
 
         def spy_fit(cond, x, y, w, rng):
             members = len(cond.members)

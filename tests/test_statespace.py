@@ -597,6 +597,13 @@ class TestTrainingSet:
             TrainingSet(phi_means=f, phi_variances=np.full((5, 4), 1e-6),
                         phi_n=np.full(5, 10), predictors=f,
                         summaries=np.full((5, 4), np.nan))
+        # pair(i) would truncate 2.5 to 2
+        for bad in (np.nan, np.inf, -np.inf, 2.5, 0.0):
+            n = np.full(5, 10.0)
+            n[2] = bad
+            with pytest.raises(ValueError, match="phi_n"):
+                TrainingSet(phi_means=f, phi_variances=np.full((5, 4), 1e-6),
+                            phi_n=n, predictors=f, summaries=f)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["phi_means", "phi_variances",
