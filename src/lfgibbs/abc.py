@@ -3,10 +3,14 @@
 A simulator model bundles the prior, the data generator and the summary
 map, optionally with a vectorized form of the summary map.
 ``simulate_reference_table`` draws from the prior the (parameter,
-summary) pairs reused by every downstream regression.  Every row draws its
-parameter and data from its own child seed; a model with a batch summary
-then has its rows summarized in blocks, one call per block, which leaves
-every row bit for bit as drawing and summarizing it alone would.
+summary) pairs reused by every downstream regression.  Row i draws its
+parameter and data on ``PCG64`` seeded by the i-th child of
+``SeedSequence(seed)``; the rows' PCG64 states are computed in one numpy
+pass per block, replaying SeedSequence's hashing and PCG64's seeding, and
+the rows are drawn on one reused Generator.  A failed row is retried from
+``spawn(1)[0]`` of the seq that failed.  A model with a batch summary then
+has its rows summarized in blocks, one call per block, which leaves every
+row bit for bit as drawing and summarizing it alone would.
 ``abc_importance`` turns a table into a kernel-weighted posterior sample and
 ``regression_adjust`` applies the standard linear post-adjustment.
 """
@@ -162,11 +166,122 @@ class ReferenceTable:
         return table
 
 
+# SeedSequence's hash constants and PCG64's multiplier; NumPy keeps both
+# streams fixed across releases (NEP 19), so _row_states can replay them
+_M32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _uint32_words(value) -> List[int]:
+    """The uint32 words SeedSequence reads from an entropy value."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _M32]
+        while value := value >> 32:
+            words.append(value & _M32)
+        return words
+    return [w for v in value for w in _uint32_words(v)]
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of value, an int or a uint32 array, and the
+    next hash constant; with ``mult=_MULT_B`` it hashes as generate_state."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _M32
+    value = value * hash_const & _M32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _spawn_prefix(root: np.random.SeedSequence):
+    """The pool and hash constant of SeedSequence.mix_entropy for any child
+    ``SeedSequence(root.entropy, spawn_key=(i,))``, short of mixing in its
+    last entropy word, the key i."""
+    if root.pool_size != _POOL_SIZE:
+        raise ValueError(f"row seeds need a SeedSequence pool of {_POOL_SIZE} words")
+    words = _uint32_words(root.entropy)
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        h, hash_const = _hashmix(w, hash_const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, hash_const = _hashmix(w, hash_const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, hash_const
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products of the uint64 array a and b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    c10, c01 = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> 32) + (c10 & _M32) + (c01 & _M32)
+    return a1 * b1 + (c10 >> 32) + (c01 >> 32) + (mid >> 32)
+
+
+def _row_states(prefix, start: int, stop: int):
+    """The PCG64 states of rows start..stop-1, as ``.state`` dicts: row i's
+    is that of ``PCG64(SeedSequence(entropy).spawn(stop)[i])``.
+
+    One pass over the rows mixes the key i into the pool ``prefix`` left
+    for it, draws the pool's 4 uint64 words as ``generate_state`` does and
+    seeds PCG64 from them (state 0, inc 2 x word 2:3 + 1, one step, add
+    word 0:1, one step), in 128 bits kept as uint64 halves.
+    """
+    pool, hash_const = prefix
+    keys = np.arange(start, stop, dtype=np.uint32)
+    pool = list(pool)
+    for dst in range(_POOL_SIZE):
+        h, hash_const = _hashmix(keys, hash_const)
+        pool[dst] = _mix(pool[dst], h)
+    hash_const = _INIT_B
+    words = []
+    for k in range(2 * _POOL_SIZE):
+        w, hash_const = _hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B)
+        words.append(w.astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (words[k] | words[k + 1] << 32
+                                        for k in range(0, 2 * _POOL_SIZE, 2))
+    inc_hi = inc_hi << 1 | inc_lo >> 63
+    inc_lo = inc_lo << 1 | 1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo)
+    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO)
+    lo = lo * _PCG_MULT_LO + inc_lo
+    hi = hi + inc_hi + (lo < inc_lo)
+    for sh, sl, ih, il in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(),
+                              inc_lo.tolist()):
+        yield {"bit_generator": "PCG64",
+               "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+               "has_uint32": 0, "uinteger": 0}
+
+
 class _Row(NamedTuple):
     theta: np.ndarray
     out: object                   # the row's data, or its summary
-    seq: np.random.SeedSequence   # the seed that drew them
+    # the seed that drew them; None for the row's own child seed
+    seq: Optional[np.random.SeedSequence]
     failures: int
+
+
+def _attempt(model: SimulatorModel, rng: np.random.Generator, summarize: bool):
+    th = np.asarray(model.prior_sample(rng), dtype=float)
+    out = model.simulate_data(th, rng)
+    return th, model.summary(out) if summarize else out
 
 
 def _draw_row(model: SimulatorModel, i: int, seq: np.random.SeedSequence,
@@ -178,13 +293,9 @@ def _draw_row(model: SimulatorModel, i: int, seq: np.random.SeedSequence,
     row's failed attempts so far; the eleventh aborts the table.
     """
     while True:
-        rng = np.random.default_rng(seq)
         try:
-            th = np.asarray(model.prior_sample(rng), dtype=float)
-            out = model.simulate_data(th, rng)
-            if summarize:
-                out = model.summary(out)
-            return _Row(th, out, seq, failures)
+            return _Row(*_attempt(model, np.random.Generator(np.random.PCG64(seq)),
+                                  summarize), seq, failures)
         except ArithmeticError as exc:
             failures += 1
             if failures > _MAX_RETRIES:
@@ -200,35 +311,65 @@ def _checked(s, shape: tuple, what: str) -> np.ndarray:
     return s
 
 
+def _row_seq(entropy, i: int) -> np.random.SeedSequence:
+    """The i-th child of ``SeedSequence(entropy)``, built on its own."""
+    return np.random.SeedSequence(entropy, spawn_key=(i,))
+
+
+def _first_draw(model: SimulatorModel, i: int, rng: np.random.Generator,
+                entropy, summarize: bool) -> _Row:
+    """Draw table row i on rng, set to the state of the row's child seed.
+
+    A failed attempt goes on as ``_draw_row`` from the child seq itself.
+    """
+    try:
+        return _Row(*_attempt(model, rng, summarize), None, 0)
+    except ArithmeticError:
+        return _draw_row(model, i, _row_seq(entropy, i).spawn(1)[0], 1, summarize)
+
+
 def simulate_reference_table(model: SimulatorModel, n: int,
                              seed: int) -> ReferenceTable:
     """Draw n (theta, summary) pairs from the prior and simulator.
 
-    Each row uses its own child seed spawned from the master seed, so the
-    table is reproducible row by row regardless of execution order.  A row
-    whose draw or summary raises ArithmeticError is drawn again from a
-    fresh sub-seed, up to 10 times per row.
+    Row i is drawn on ``PCG64`` seeded by the i-th child of
+    ``SeedSequence(seed)``, as ``SeedSequence(seed).spawn(n)[i]`` would
+    seed it, so the table is reproducible row by row regardless of
+    execution order.  The rows' PCG64 states are computed in one pass per
+    block of ``_BLOCK_ROWS`` rows, and each row is drawn on one reused
+    Generator set to its state.  A row whose draw or summary raises
+    ArithmeticError is drawn again from ``seq.spawn(1)[0]`` of the seq that
+    failed, starting from the row's child seq, up to 10 times per row.
+    Tables of up to 2**32 rows are supported.
 
-    With ``model.batch_summary`` the rows are drawn in blocks of
-    ``_BLOCK_ROWS`` and each block's stacked data is summarized in one
-    call.  A row whose batch summary is not finite is summarized again
-    through ``model.summary``; if that raises, the row is redrawn as above,
-    and its failures at both stages share the one budget.  Row streams are
+    With ``model.batch_summary`` each block's stacked data is summarized in
+    one call.  A row whose batch summary is not finite is drawn again from
+    the seq that drew it, which repeats its data, and summarized through
+    ``model.summary``; if that raises, the row is redrawn as above, and its
+    failures at both stages share the one budget.  Row streams are
     independent, so the table and its retry count are those of drawing and
     summarizing one row at a time.
     """
     if n < 1:
         raise ValueError("table size must be positive")
-    children = np.random.SeedSequence(seed).spawn(n)
+    if n > 2 ** 32:
+        raise ValueError("table size must be at most 2**32")
+    root = np.random.SeedSequence(seed)
+    prefix = _spawn_prefix(root)
+    # one Generator for every row; its state is set before each draw
+    rng = np.random.Generator(np.random.PCG64(root))
     theta = np.empty((n, model.dim_theta))
     summ = np.empty((n, model.dim_summary))
     retries = 0
     batched = model.batch_summary is not None
-    step = _BLOCK_ROWS if batched else 1
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        rows = [_draw_row(model, i, children[i], 0, summarize=not batched)
-                for i in range(start, stop)]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = []
+        for i, state in enumerate(_row_states(prefix, start, stop), start):
+            rng.bit_generator.state = state
+            rows.append(_first_draw(model, i, rng, root.entropy, summarize=not batched))
+            if not batched:
+                summ[i] = _checked(rows[-1].out, (model.dim_summary,), "summary")
         if batched:
             block = _checked(np.array(model.batch_summary(np.stack([r.out for r in rows]))),
                              (stop - start, model.dim_summary), "batch summary")
@@ -236,12 +377,13 @@ def simulate_reference_table(model: SimulatorModel, n: int,
                 # drawing again from the seq that drew the row repeats its
                 # data, now summarized through the scalar map under the
                 # retry rule
-                rows[j] = _draw_row(model, start + j, rows[j].seq, rows[j].failures,
+                seq = rows[j].seq
+                if seq is None:
+                    seq = _row_seq(root.entropy, start + j)
+                rows[j] = _draw_row(model, start + j, seq, rows[j].failures,
                                     summarize=True)
                 block[j] = _checked(rows[j].out, (model.dim_summary,), "summary")
-        else:
-            block = _checked(rows[0].out, (model.dim_summary,), "summary")
-        summ[start:stop] = block
+            summ[start:stop] = block
         for i, row in enumerate(rows, start):
             theta[i] = row.theta
             retries += row.failures

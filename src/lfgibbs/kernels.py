@@ -53,7 +53,8 @@ def kernel_weight(distance: Union[float, np.ndarray], spec: KernelSpec) -> Union
     """Unnormalized kernel value at the given distance(s).
 
     Uniform: 1 inside the bandwidth, 0 at or beyond it.
-    Epanechnikov: max(0, 1 - (d/h)^2).
+    Epanechnikov: max(0, 1 - (d/h)^2), computed as 1 - u^2 with
+    u = min(d, h)/h <= 1, which cannot overflow however small h is.
     Both return 1 everywhere for an infinite bandwidth.
     """
     d = np.asarray(distance, dtype=float)
@@ -65,8 +66,8 @@ def kernel_weight(distance: Union[float, np.ndarray], spec: KernelSpec) -> Union
     elif spec.kind == "uniform":
         out = (d < h).astype(float)
     else:
-        u = d / h
-        out = np.maximum(0.0, 1.0 - u * u)
+        u = np.minimum(d, h) / h
+        out = 1.0 - u * u
     if np.ndim(distance) == 0:
         return float(out)
     return out

@@ -174,8 +174,10 @@ def _hierarchical_data(spec: HierarchicalSpec, params: np.ndarray,
     if not params[1] > 0 or not tau_x > 0:
         raise ValueError("precisions must be positive")
     mu_u = params[3:3 + spec.u_groups]
-    return rng.normal(mu_u[:, None], 1.0 / math.sqrt(tau_x),
-                      size=(spec.u_groups, spec.l_obs))
+    # the draws and arithmetic of rng.normal(mu_u[:, None], sd, size=(U, L)),
+    # without its per-element broadcast of loc and scale
+    return mu_u[:, None] + 1.0 / math.sqrt(tau_x) * rng.standard_normal(
+        (spec.u_groups, spec.l_obs))
 
 
 # --- full conditionals (Table rows, in sweep order) ------------------------

@@ -106,8 +106,10 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         raise ValueError("data do not match the calendar length")
     if summaries.shape[1] != spec.n_series or not np.all(np.isfinite(summaries)):
         raise ValueError("summaries must be finite rows, one per day")
-    if n_obs.shape != (n_days,) or np.any(n_obs < 1):
-        raise ValueError("n_obs must hold one positive size per day")
+    # the sweep reads each size back with int(), so it must be a whole number
+    if (n_obs.shape != (n_days,) or not np.isfinite(n_obs).all() or np.any(n_obs < 1)
+            or np.any(n_obs != np.floor(n_obs))):
+        raise ValueError("n_obs must hold one positive whole size per day")
 
     p = spec.p
     cube = training_config.hypercube

@@ -149,6 +149,26 @@ class TestSimulate:
         b, _ = hierarchical_simulate(SPEC, state, np.random.default_rng(6))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("spec", [SPEC, HierarchicalSpec(u_groups=3, l_obs=7)])
+    def test_data_are_the_broadcast_normal_draw(self, spec):
+        # the data equal rng.normal(mu_u[:, None], 1/sqrt(tau_x), (U, L))
+        # bit for bit, and leave the stream where that draw leaves it
+        meta = np.random.default_rng(8)
+        u = spec.u_groups
+        for k in range(2000):
+            tau_x = 10.0 ** meta.uniform(-8.5, 8.5)
+            if k % 4 == 0:
+                tau_x = meta.choice([1e-8, 1e8]) * meta.uniform(0.9, 1.1)
+            mu_u = meta.normal(0.0, 10.0 ** meta.uniform(-3, 3), size=u)
+            state = np.concatenate([[meta.normal(), meta.gamma(1.0), tau_x], mu_u])
+            seed = int(meta.integers(2 ** 63))
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            data, _ = hierarchical_simulate(spec, state, rng)
+            expected = old.normal(mu_u[:, None], 1.0 / math.sqrt(tau_x),
+                                  size=(u, spec.l_obs))
+            np.testing.assert_array_equal(data, expected)
+            assert rng.random() == old.random()
+
 
 class TestConditionals:
     def test_location_update_substitution(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,30 @@ class TestKernelWeight:
         assert kernel_weight(1.5, spec) == 0.0
         assert kernel_weight(2.5, spec) == 0.0
 
+    def test_epanechnikov_no_overflow_at_the_smallest_bandwidth(self):
+        spec = KernelSpec("epanechnikov", float(np.finfo(float).tiny))
+        d = np.array([0.0, 1e-300, 1e-160, 1.0, 1e10, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = kernel_weight(d, spec)
+            assert kernel_weight(1e300, spec) == 0.0
+        np.testing.assert_array_equal(w, [1.0, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("h", [float(np.finfo(float).tiny), 1e-3, 0.7, 2.0, 1e200])
+    def test_epanechnikov_matches_the_direct_formula(self, h):
+        rng = np.random.default_rng(17)
+        spread = rng.exponential(h, size=2000)
+        # tie-heavy: exact multiples of h around the boundary, zeros and inf
+        ties = np.repeat([0.0, 0.5 * h, np.nextafter(h, 0), h, np.nextafter(h, np.inf),
+                          2 * h, np.inf], 50)
+        for d in (spread, ties, np.concatenate([spread, ties])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = d / h
+                direct = np.maximum(0.0, 1.0 - u * u)
+            got = kernel_weight(d, KernelSpec("epanechnikov", h))
+            np.testing.assert_array_equal(got, direct)
+            assert not np.signbit(got).any()
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             kernel_weight(-0.1, KernelSpec("uniform", 1.0))
@@ -73,8 +98,7 @@ class TestKnnBandwidth:
         h = knn_bandwidth(d, 2)
         assert h > 0
         for kind in ("uniform", "epanechnikov"):
-            with np.errstate(over="ignore"):  # (d / h)^2 overflows to inf
-                w = kernel_weight(d, KernelSpec(kind, h))
+            w = kernel_weight(d, KernelSpec(kind, h))
             np.testing.assert_array_equal(w, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
     def test_m_out_of_range(self):

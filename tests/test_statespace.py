@@ -1068,6 +1068,16 @@ class TestSamplerValidation:
                                   summaries=self.s, n_obs=self.n,
                                   lambda_sampler=self.stub, fix_tau=0.0)
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 0])
+    def test_n_obs_must_be_positive_whole_sizes(self, bad):
+        n = self.n.astype(float)
+        n[1] = bad
+        with pytest.raises(ValueError, match="n_obs"):
+            run_state_space_gibbs(self.spec, self.cal, TrainingConfig(),
+                                  ChainConfig(2), np.random.default_rng(0),
+                                  summaries=self.s, n_obs=n,
+                                  lambda_sampler=self.stub, fix_tau=100.0)
+
 
 class TestSamplerGaussianCase:
     """Exact-conditional special case against the smoother oracle.

@@ -12,7 +12,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from lfgibbs.abc import _BLOCK_ROWS, SimulatorModel, simulate_reference_table
+from lfgibbs.abc import (
+    _BLOCK_ROWS,
+    SimulatorModel,
+    _row_states,
+    _spawn_prefix,
+    simulate_reference_table,
+)
 from lfgibbs.models.hierarchical import HierarchicalSpec, hierarchical_model
 from lfgibbs.models.mixture import MixtureSpec, mixture_model
 
@@ -85,6 +91,52 @@ class TestPinnedTables:
     def test_mixture(self, n):
         table = simulate_reference_table(mixture_model(MixtureSpec()), n, seed=SEED)
         assert (digest(table), table.retries) == MIXTURE_PINS[n]
+
+
+# two of the benchmark's table seeds (those of its seeds 1 and 7), and
+# entropy of more words than the pool holds
+ROW_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3, 1189033389, 369571992,
+             2 ** 130 + 5, (3, 2 ** 40, 0, 9)]
+
+
+class TestRowSeeds:
+    """The rows' PCG64 states replay SeedSequence.spawn and PCG64 seeding."""
+
+    @pytest.mark.parametrize("seed", ROW_SEEDS)
+    def test_states_match_numpy(self, seed):
+        n = 1028
+        children = np.random.SeedSequence(seed).spawn(n)
+        prefix = _spawn_prefix(np.random.SeedSequence(seed))
+        states = [state for start in range(0, n, _BLOCK_ROWS)
+                  for state in _row_states(prefix, start, min(start + _BLOCK_ROWS, n))]
+        assert len(states) == n
+        for i, child in enumerate(children):
+            assert states[i] == np.random.PCG64(child).state, i
+        # a block may start anywhere: the states depend on the row index alone
+        assert list(_row_states(prefix, 1000, n)) == states[1000:]
+        # what default_rng gives for a child seed is this PCG64 state
+        for i in (0, 255, 256, n - 1):
+            assert np.random.default_rng(children[i]).bit_generator.state == states[i]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_raises_as_seed_sequence(self, seed):
+        with pytest.raises(Exception) as expected:
+            np.random.SeedSequence(seed)
+        with pytest.raises(Exception) as got:
+            simulate_reference_table(hierarchical_model(SPEC), 3, seed=seed)
+        assert type(got.value) is type(expected.value)
+
+    def test_too_many_rows(self):
+        with pytest.raises(ValueError, match="at most 2"):
+            simulate_reference_table(hierarchical_model(SPEC), 2 ** 32 + 1, seed=SEED)
+
+    def test_rows_summarized_one_at_a_time_match_the_blocks(self):
+        model = hierarchical_model(SPEC)
+        batched = simulate_reference_table(model, 600, seed=SEED)
+        model.batch_summary = None
+        single = simulate_reference_table(model, 600, seed=SEED)
+        np.testing.assert_array_equal(single.theta, batched.theta)
+        np.testing.assert_array_equal(single.summaries, batched.summaries)
 
 
 class TestForcedRetries:
