@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from lfgibbs.abc import abc_importance, regression_adjust, simulate_reference_table
-from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, run_abc_pass,
-                           run_exact_gibbs, run_global_gibbs, run_local_gibbs,
-                           save_chain)
+from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, _whole_number,
+                           run_abc_pass, run_exact_gibbs, run_global_gibbs,
+                           run_local_gibbs, save_chain)
 from lfgibbs.kernels import DistanceScaling, KernelSpec
 from lfgibbs.models.hierarchical import (HierarchicalSpec,
                                          hierarchical_engine_specs,
@@ -126,6 +126,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         for name in ("n_table", "m_neighbours", "workers"):
+            setattr(self, name, _whole_number(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         # raises on an invalid schedule

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -50,8 +51,10 @@ from lfgibbs.regression import (
     fit_weighted_logistic,
     sample_flexible,
     sample_linear_parametric,
-    sample_linear_residual,
 )
+# sample_linear_residual is not called here any more; the benchmark trace
+# (perfbench/tracing.py) wraps it by this module's attribute
+from lfgibbs.regression import sample_linear_residual  # noqa: F401
 
 __all__ = [
     "ConditionalSpec",
@@ -68,7 +71,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("linear", "logistic", "flexible")
-_SAMPLING = ("parametric", "residual")
 
 
 @dataclass
@@ -80,24 +82,19 @@ class ConditionalSpec:
     per sweep on the stacked per-member rows, which assumes the members are
     conditionally independent given the rest (their feature maps must not
     read each other).
-    feature_map(summary, theta, member): regressors for one table row or
-    query point.  The member's own coordinate must not appear.
-    feature_map_batch(summaries, thetas, member): optional vectorized
-    version over table rows, returning an (N, p) matrix.
+    feature_map_batch(summaries, thetas, member): regressors for a stack of
+    table rows or query points, returning an (N, p) matrix; a query is a
+    stack of one.  The member's own coordinate must not appear.
     exact(theta, member, rng): exact conditional sampler; when set, the
     regression machinery is bypassed entirely for this spec.
     """
 
     name: str
     members: Tuple[int, ...]
-    feature_map: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
     feature_map_batch: Optional[Callable[[np.ndarray, np.ndarray, int], np.ndarray]] = None
     family: str = "linear"
-    sampling: str = "parametric"
     exact: Optional[Callable[[np.ndarray, int, np.random.Generator], float]] = None
     positive_response: bool = False
-    kernel: Optional[KernelSpec] = None
-    m_neighbours: Optional[int] = None
 
     def __post_init__(self):
         if isinstance(self.members, int):
@@ -107,15 +104,21 @@ class ConditionalSpec:
             raise ValueError("a conditional must update at least one coordinate")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.sampling not in _SAMPLING:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if self.exact is None and self.feature_map is None and self.feature_map_batch is None:
+        if self.exact is None and self.feature_map_batch is None:
             raise ValueError(f"conditional {self.name!r} needs a feature map "
                              "or an exact sampler")
 
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming it unless finite and whole."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -131,6 +134,8 @@ class ChainConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        for name in ("n_iterations", "burn_in", "thinning"):
+            setattr(self, name, _whole_number(getattr(self, name), name))
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be positive")
         if self.burn_in < 0 or self.burn_in >= self.n_iterations:
@@ -145,12 +150,11 @@ class ChainConfig:
 
 @dataclass
 class GibbsConfig(ChainConfig):
-    """The schedule plus the starting point and localization defaults."""
+    """The schedule plus the starting point and localization settings."""
 
     initial: np.ndarray = field(kw_only=True)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     m_neighbours: int = 500
-    global_kernel: Optional[KernelSpec] = None
     global_m: Optional[int] = None
     global_weight_indices: Optional[Tuple[int, ...]] = None
     # overrides the weighted-std scaling of the global distance; must match
@@ -349,26 +353,19 @@ class _SpecWorkspace:
 
     def query(self, s_obs: np.ndarray, theta: np.ndarray, j: int) -> np.ndarray:
         spec = self.spec
-        if spec.feature_map is not None:
-            return np.asarray(spec.feature_map(s_obs, theta, spec.members[j]),
-                              dtype=float)
         return np.asarray(
-            self.spec.feature_map_batch(s_obs[None, :], theta[None, :],
-                                        spec.members[j]), dtype=float)[0]
+            spec.feature_map_batch(s_obs[None, :], theta[None, :],
+                                   spec.members[j]), dtype=float)[0]
 
 
 def _member_design(spec: ConditionalSpec, table: ReferenceTable,
                    member: int) -> np.ndarray:
-    if spec.feature_map_batch is not None:
-        x = np.asarray(spec.feature_map_batch(table.summaries, table.theta, member),
-                       dtype=float)
-        if x.shape[0] != len(table):
-            raise ValueError(f"batch feature map for {spec.name!r} returned "
-                             f"{x.shape[0]} rows for {len(table)} samples")
-        return x
-    rows = [spec.feature_map(table.summaries[i], table.theta[i], member)
-            for i in range(len(table))]
-    return np.asarray(rows, dtype=float)
+    x = np.asarray(spec.feature_map_batch(table.summaries, table.theta, member),
+                   dtype=float)
+    if x.shape[0] != len(table):
+        raise ValueError(f"batch feature map for {spec.name!r} returned "
+                         f"{x.shape[0]} rows for {len(table)} samples")
+    return x
 
 
 def _localize(design: np.ndarray, scaling: DistanceScaling,
@@ -403,9 +400,7 @@ def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
 def _draw_family(spec: ConditionalSpec, fit, query: np.ndarray,
                  rng: np.random.Generator) -> float:
     if spec.family == "linear":
-        if spec.sampling == "parametric":
-            return float(sample_linear_parametric(fit, query, rng))
-        return float(sample_linear_residual(fit, query, rng))
+        return float(sample_linear_parametric(fit, query, rng))
     if spec.family == "logistic":
         return 1.0 if rng.random() < fit.predict_prob(query) else 0.0
     return float(sample_flexible(fit, query, rng))
@@ -442,13 +437,12 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
 
     def update(spec: ConditionalSpec, m: int) -> None:
         ws = workspaces[id(spec)]
-        kernel = spec.kernel or config.kernel
-        m_nn = spec.m_neighbours or config.m_neighbours
         xs, ys, wws, queries = [], [], [], []
         for j, member in enumerate(spec.members):
             q = ws.query(s_obs, theta, j)
             t_loc = time.perf_counter()
-            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], q, kernel, m_nn)
+            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], q,
+                                   config.kernel, config.m_neighbours)
             timings.localize_seconds += time.perf_counter() - t_loc
             # integer indexing gathers C-ordered rows from the column-major
             # design
@@ -462,7 +456,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         if x.shape[0] < _min_rows(spec, x.shape[1]):
             raise ArithmeticError(
                 f"conditional {spec.name!r} at iteration {m}: only "
-                f"{x.shape[0]} positive-weight rows among {m_nn} neighbours")
+                f"{x.shape[0]} positive-weight rows among "
+                f"{config.m_neighbours} neighbours")
         t_fit = time.perf_counter()
         try:
             fit = _fit_family(spec, x, y, w, rng)
@@ -487,7 +482,7 @@ def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
     if scaling is None:
         scaling = DistanceScaling.from_samples(summ, table.weights)
     dist = scaled_distance(summ, target, scaling)
-    kernel = config.global_kernel or config.kernel
+    kernel = config.kernel
     if config.global_m is not None:
         kernel = kernel.with_bandwidth(knn_bandwidth(dist, config.global_m))
     w = kernel_weight(dist, kernel)

@@ -368,11 +368,9 @@ def hierarchical_engine_specs(spec: HierarchicalSpec,
         ConditionalSpec(name="mu", members=(0,), exact=draw_mu),
         ConditionalSpec(name="tau_mu", members=(1,), exact=draw_tau_mu),
         ConditionalSpec(name="tau_x", members=(2,), feature_map_batch=tau_x_features,
-                        family=family, sampling="parametric",
-                        positive_response=(family == "flexible")),
+                        family=family, positive_response=(family == "flexible")),
         ConditionalSpec(name="mu_u", members=tuple(range(3, 3 + u)),
-                        feature_map_batch=mu_u_features, family=family,
-                        sampling="parametric"),
+                        feature_map_batch=mu_u_features, family=family),
     ]
 
 

@@ -316,7 +316,6 @@ def mixture_engine_specs(spec: MixtureSpec) -> List[ConditionalSpec]:
             feature_map_batch=(lambda summ, st, m=member: _feature_batch(
                 np.atleast_2d(summ), np.atleast_2d(st), m)),
             family=family,
-            sampling="parametric",
         ))
     return out
 

@@ -44,6 +44,10 @@ _MIN_FLEX_ROWS = 50
 # epochs, so the linear predictor is capped and gradients are clipped
 _FLEX_EXP_CAP = 30.0
 _FLEX_GRAD_CLIP = 1.0
+# each flexible network: tanh units, full-batch epochs and learning rate
+_FLEX_HIDDEN = 16
+_FLEX_EPOCHS = 2000
+_FLEX_LR = 1e-2
 
 
 def _normalize_weights(w: np.ndarray, n: int) -> np.ndarray:
@@ -248,13 +252,11 @@ class _TinyNet:
     are scaled by their weighted mean so the network trains near exp(0).
     """
 
-    def __init__(self, hidden: int, positive: bool, rng: np.random.Generator):
-        self.hidden = hidden
+    def __init__(self, positive: bool, rng: np.random.Generator):
         self.positive = positive
         self._rng = rng
 
-    def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-            epochs: int, lr: float) -> None:
+    def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
         n, p = x.shape
         self.x_mean = w @ x
         self.x_std = np.maximum(np.sqrt(w @ (x - self.x_mean) ** 2), 1e-12)
@@ -271,7 +273,7 @@ class _TinyNet:
             ys = (y - self.y_shift) / self.y_scale
 
         rng = self._rng
-        h = self.hidden
+        h = _FLEX_HIDDEN
         self.w1 = rng.normal(0.0, 1.0 / np.sqrt(p), size=(p, h))
         self.b1 = np.zeros(h)
         self.w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
@@ -281,7 +283,7 @@ class _TinyNet:
         vel = [np.zeros_like(self.w1), np.zeros_like(self.b1),
                np.zeros_like(self.w2), 0.0]
         momentum = 0.9
-        for _ in range(epochs):
+        for _ in range(_FLEX_EPOCHS):
             z = np.tanh(xs @ self.w1 + self.b1)
             a = z @ self.w2 + self.b2
             if self.positive:
@@ -301,9 +303,9 @@ class _TinyNet:
                 peak = float(np.abs(grad).max()) if grad.size else 0.0
                 if peak > _FLEX_GRAD_CLIP:
                     grad = grad * (_FLEX_GRAD_CLIP / peak)
-                vel[vi] = momentum * vel[vi] - lr * grad
+                vel[vi] = momentum * vel[vi] - _FLEX_LR * grad
                 buf += vel[vi]
-            vel[3] = momentum * vel[3] - lr * gb2
+            vel[3] = momentum * vel[3] - _FLEX_LR * gb2
             self.b2 += vel[3]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -336,9 +338,6 @@ class FlexibleFit:
 def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
                                  weights: np.ndarray,
                                  positive_response: bool = False,
-                                 hidden: int = 16,
-                                 epochs: int = 2000,
-                                 lr: float = 1e-2,
                                  rng: Optional[np.random.Generator] = None) -> FlexibleFit:
     """Two-stage flexible fit: mean network, then variance network.
 
@@ -346,7 +345,8 @@ def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
     network (exp output link when the response is positive).  Stage two fits
     the squared stage-one residuals with the same architecture and an exp
     output link; the predicted variance is floored at 1e-8 before taking
-    square roots.  Needs at least 50 positive-weight rows.
+    square roots.  Each network trains for 2 000 full-batch epochs.  Needs
+    at least 50 positive-weight rows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -364,13 +364,13 @@ def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
     xa, ya = x[active], y[active]
     wa = w[active] / w[active].sum()
 
-    mean_net = _TinyNet(hidden, positive_response, rng)
-    mean_net.fit(xa, ya, wa, epochs, lr)
+    mean_net = _TinyNet(positive_response, rng)
+    mean_net.fit(xa, ya, wa)
     resid = ya - mean_net.predict(xa)
 
-    var_net = _TinyNet(hidden, True, rng)
+    var_net = _TinyNet(True, rng)
     sq = np.maximum(resid * resid, _VAR_FLOOR)
-    var_net.fit(xa, sq, wa, epochs, lr)
+    var_net.fit(xa, sq, wa)
     sd = np.sqrt(np.maximum(var_net.predict(xa), _VAR_FLOOR))
     zeta = resid / sd
     return FlexibleFit(mean_net=mean_net, var_net=var_net, zeta=zeta,

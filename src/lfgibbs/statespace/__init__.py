@@ -9,7 +9,7 @@ from .sampler import (ChainConfig, TrainingConfig, run_state_space_gibbs,
 from .system import (BLOCK_DIM, N_SERIES, STATE_DIM, DlmSpec, SeasonCalendar,
                      block_transition, build_system_matrices,
                      observation_block, trend_block, weekly_seasonal_block)
-from .training import (PhiContext, PhiHypercube, TrainingPair, TrainingSet,
+from .training import (PhiContext, PhiHypercube, TrainingSet,
                        generate_phi_training_set, linear_bayes_moments,
                        localized_covariance, sample_lambda_conditional)
 
@@ -23,7 +23,6 @@ __all__ = [
     "SeasonCalendar",
     "SweepOperator",
     "TrainingConfig",
-    "TrainingPair",
     "TrainingSet",
     "ChainConfig",
     "block_kalman_smoother",

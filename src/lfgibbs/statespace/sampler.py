@@ -27,6 +27,7 @@ from .system import (DlmSpec, SeasonCalendar, block_transition,
 from .training import (PhiContext, PhiHypercube, TrainingSet,
                        generate_phi_training_set, sample_lambda_conditional)
 
+_INIT_BLOCK_W = 1e-4  # innovation variance of the Kalman initial path
 LambdaSampler = Callable[[PhiContext, np.ndarray, np.random.Generator],
                          np.ndarray]
 
@@ -40,7 +41,6 @@ class TrainingConfig:
     kernel: KernelSpec = KernelSpec("epanechnikov")
     q_high: float = 1e-5
     hypercube: Optional[PhiHypercube] = None
-    max_failure_rate: float = 0.2
 
     def __post_init__(self):
         if not 1 <= self.m_neighbours <= self.n_pairs:
@@ -73,9 +73,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                           n_obs: Optional[np.ndarray] = None,
                           lambda_sampler: Optional[LambdaSampler] = None,
                           fix_tau=None,
-                          initial: Optional[np.ndarray] = None,
-                          init_block_w: float = 1e-4,
-                          init_obs_variance: Optional[float] = None
+                          initial: Optional[np.ndarray] = None
                           ) -> ChainOutput:
     """Run the sampler and return the retained chain.
 
@@ -85,11 +83,14 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     coordinates each) followed by the p innovation precisions.
     lambda_sampler overrides the training-table predictor draw (the
     exact-conditional special cases use this); fix_tau pins the
-    precisions and skips their updates.  A non-finite draw aborts with
-    the offending day and sweep.  With the training table, the
-    diagnostics report the fraction of sweep contexts outside its
-    hypercube (``phi_outside_fraction``) and the timings book the
-    table's localization in ``localize_seconds``.
+    precisions and skips their updates.  Without ``initial``, the path
+    starts at the Kalman smoother run with block variance 1e-4 and, as
+    observation variance, the midpoint of the hypercube's range (the
+    diagnostics ``init_block_w`` and ``init_obs_variance``).  A
+    non-finite draw aborts with the offending day and sweep.  With the
+    training table, the diagnostics report the fraction of sweep
+    contexts outside its hypercube (``phi_outside_fraction``) and the
+    timings book the table's localization in ``localize_seconds``.
     """
     if (observations is None) == (summaries is None):
         raise ValueError("supply either observations or summaries")
@@ -120,21 +121,18 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     timings = TimingBreakdown()
     training: Optional[TrainingSet] = None
     if lambda_sampler is None:
-        training = generate_phi_training_set(
-            training_config.n_pairs, cube, rng,
-            max_failure_rate=training_config.max_failure_rate)
+        training = generate_phi_training_set(training_config.n_pairs, cube, rng)
         timings.pre_sim_seconds = training.simulate_seconds
         timings.pre_sim_units = float(training_config.n_pairs
                                       + training.redraw_count)
         timings.pre_fit_count = training_config.n_pairs + training.redraw_count
         timings.pre_fit_seconds = training.estimate_seconds
 
-    if init_obs_variance is None:
-        init_obs_variance = 0.5 * (cube.q_low + cube.q_high)
+    init_obs_variance = 0.5 * (cube.q_low + cube.q_high)
     if initial is None:
         path0 = kalman_smoother_init(summaries, calendar, spec,
                                      obs_variance=init_obs_variance,
-                                     block_w=init_block_w)
+                                     block_w=_INIT_BLOCK_W)
     else:
         path0 = np.asarray(initial, dtype=float)
         if path0.shape == (n_days + 1, p):
@@ -168,7 +166,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         # no envelope constraint: start at the initializer's working
         # precision (the smoothed path itself has near-zero innovations,
         # so conditioning tau on it would start absurdly tight)
-        tau = np.full(p, 1.0 / init_block_w)
+        tau = np.full(p, 1.0 / _INIT_BLOCK_W)
 
     lam_running = np.zeros((n_days, spec.n_series))
     q_off_max = 0.0
@@ -187,8 +185,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             a = op.two_sided_mean(theta[t - 1], theta[t + 1])
             f_mean, q_diag = op.predictor_moments(a, flag)
             phi = PhiContext(mean=f_mean, variance=q_diag,
-                             n_obs=int(n_obs[t - 1]),
-                             off_diagonal_max=op.off_diagonal_max)
+                             n_obs=int(n_obs[t - 1]))
             if lambda_sampler is not None:
                 lam = lambda_sampler(phi, summaries[t - 1], rng)
             else:
@@ -221,7 +218,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     lam_hat = lam_running / (config.n_iterations - config.burn_in)
     diagnostics = {
         "q_off_diagonal_max": q_off_max,
-        "init_block_w": init_block_w,
+        "init_block_w": _INIT_BLOCK_W,
         "init_obs_variance": init_obs_variance,
         "n_days": n_days,
         "training_redraws": 0 if training is None else training.redraw_count,

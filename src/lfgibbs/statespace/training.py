@@ -13,7 +13,7 @@ so no Gaussian shape is assumed for the predictor.
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ import numpy as np
 # doing so until it wraps estimate_gk_batch instead
 from ..gk import (estimate_gk, estimate_gk_batch, estimation_target,
                   gk_sample, unlink_parameters)
-from ..gibbs import TimingBreakdown
+from ..gibbs import TimingBreakdown, _whole_number
 from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
                        knn_bandwidth, scaled_distance)
 
@@ -37,7 +37,9 @@ _RIDGE_EYE = 1e-10 * np.eye(N_PREDICTOR)
 _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
 _RATE_CHECK_MIN = 50
-_ROUND_MAX = 256       # attempts fitted together by the default summary
+# a sustained share of failed summary estimations above this aborts
+_MAX_FAILURE_RATE = 0.2
+_ROUND_MAX = 256       # attempts fitted together
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,12 @@ class PhiContext:
     """One-step context of a predictor update: prior moments and size.
 
     variance holds the diagonal of the predictor's one-step covariance;
-    any off-diagonal mass is discarded at construction and only its
-    largest magnitude is kept as a diagnostic.
+    n_obs is the day's sample size, a positive whole number.
     """
 
     mean: np.ndarray
     variance: np.ndarray
     n_obs: int
-    off_diagonal_max: float = 0.0
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -61,20 +61,11 @@ class PhiContext:
             raise ValueError(f"mean and variance must be length {N_PREDICTOR}")
         if (var <= 0).any() or not np.isfinite(var).all():
             raise ValueError("prior variances must be positive and finite")
-        if self.n_obs < 1:
+        n_obs = _whole_number(self.n_obs, "n_obs")
+        if n_obs < 1:
             raise ValueError("n_obs must be positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", var)
-
-    @classmethod
-    def from_projection(cls, mean: np.ndarray, cov: np.ndarray,
-                        n_obs: int) -> "PhiContext":
-        cov = np.asarray(cov, dtype=float)
-        diag = np.diag(cov).copy()
-        off = cov - np.diag(diag)
-        off_max = float(np.max(np.abs(off))) if off.size else 0.0
-        return cls(mean=mean, variance=diag, n_obs=n_obs,
-                   off_diagonal_max=off_max)
+        for attr, val in (("mean", mean), ("variance", var), ("n_obs", n_obs)):
+            object.__setattr__(self, attr, val)
 
     def embed(self) -> np.ndarray:
         """13-coordinate embedding used by the phi distance.
@@ -111,10 +102,13 @@ class PhiHypercube:
             raise ValueError("f_high must not be below f_low")
         if not 0 <= self.q_low < self.q_high:
             raise ValueError("need 0 <= q_low < q_high")
-        if not 2 <= self.n_low <= self.n_high:
+        n_low = _whole_number(self.n_low, "n_low")
+        n_high = _whole_number(self.n_high, "n_high")
+        if not 2 <= n_low <= n_high:
             raise ValueError("need 2 <= n_low <= n_high")
-        object.__setattr__(self, "f_low", lo)
-        object.__setattr__(self, "f_high", hi)
+        for attr, val in (("f_low", lo), ("f_high", hi),
+                          ("n_low", n_low), ("n_high", n_high)):
+            object.__setattr__(self, attr, val)
 
     def contains(self, means: np.ndarray, variances: np.ndarray,
                  n_obs: np.ndarray) -> np.ndarray:
@@ -134,15 +128,6 @@ class PhiHypercube:
             raise ValueError("summaries must be finite rows of length 4")
         return cls(f_low=s.min(axis=0), f_high=s.max(axis=0),
                    q_high=q_high, n_low=int(n.min()), n_high=int(n.max()))
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    """A single (context, predictor, summary) training triple."""
-
-    phi: PhiContext
-    predictor: np.ndarray
-    summary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,7 +168,6 @@ class TrainingSet:
                 raise ValueError(f"{name} must have shape ({rows}, 4)")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        # pair(i) reads a size back with int(), so it must be a whole number
         if (n.shape != (rows,) or not np.isfinite(n).all() or np.any(n < 1)
                 or np.any(n != np.floor(n))):
             raise ValueError("phi_n must hold one positive whole size per row")
@@ -204,28 +188,18 @@ class TrainingSet:
     def n_pairs(self) -> int:
         return self.phi_means.shape[0]
 
-    def pair(self, i: int) -> TrainingPair:
-        phi = PhiContext(mean=self.phi_means[i],
-                         variance=self.phi_variances[i],
-                         n_obs=int(self.phi_n[i]))
-        return TrainingPair(phi=phi, predictor=self.predictors[i],
-                            summary=self.summaries[i])
 
-
-def generate_phi_training_set(
-        n_pairs: int, cube: PhiHypercube, rng: np.random.Generator,
-        summarize: Optional[Callable[[np.ndarray, int, np.random.Generator],
-                                     np.ndarray]] = None,
-        max_failure_rate: float = 0.2) -> TrainingSet:
+def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
+                               rng: np.random.Generator) -> TrainingSet:
     """Draw contexts uniformly on the hypercube and pair each with a
     simulated summary.
 
     Pairs whose summary estimation fails (or comes back non-finite) are
-    redrawn and counted.  A sustained failure rate above
-    max_failure_rate aborts with advice, since it signals contexts the
-    observation model cannot support.
+    redrawn and counted.  A sustained failure rate above 0.2 aborts with
+    advice, since it signals contexts the observation model cannot
+    support.
 
-    The default summary simulates n observations at the predictor and
+    The summary simulates n observations at the predictor and
     re-estimates them on the link scale.  It runs in rounds of the
     missing count, at most 256 attempts: each attempt of a round draws
     its context and its g-and-k sample in the order of a one-at-a-time
@@ -239,8 +213,7 @@ def generate_phi_training_set(
     known before fitting (samples too small to fit) reach the abort
     rate, so an abort draws no further than the one-at-a-time loop
     would, and leaves the generator where it did unless an earlier fit
-    failed.  A custom summarize hook may draw from rng itself, so it
-    runs one attempt per round.
+    failed.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
@@ -252,10 +225,10 @@ def generate_phi_training_set(
     done = failures = attempts = 0
     sim_seconds = fit_seconds = 0.0
     while done < n_pairs:
-        size = min(n_pairs - done, _ROUND_MAX) if summarize is None else 1
+        size = min(n_pairs - done, _ROUND_MAX)
         draws = []
-        # per attempt: the hook's summary, or the L-moment target the
-        # batch fit replaces by its estimate; NaN marks a failure
+        # per attempt: the L-moment target the batch fit replaces by its
+        # estimate; NaN marks a failure
         rows = np.full((size, N_PREDICTOR), np.nan)
         known = failures
         for i in range(size):
@@ -267,15 +240,9 @@ def generate_phi_training_set(
             draws.append((f, q, n, lam))
             t1 = None
             try:
-                if summarize is None:
-                    data = gk_sample(n, unlink_parameters(lam), rng)
-                    t1 = time.perf_counter()
-                    rows[i] = estimation_target(data).as_array()
-                else:
-                    t1 = time.perf_counter()
-                    s = np.asarray(summarize(lam, n, rng), dtype=float)
-                    if s.shape == (N_PREDICTOR,):
-                        rows[i] = s
+                data = gk_sample(n, unlink_parameters(lam), rng)
+                t1 = time.perf_counter()
+                rows[i] = estimation_target(data).as_array()
             except (ValueError, ArithmeticError):
                 pass
             t2 = time.perf_counter()
@@ -286,18 +253,17 @@ def generate_phi_training_set(
             if not np.all(np.isfinite(rows[i])):
                 known += 1
                 tried = attempts + i + 1
-                if tried >= _RATE_CHECK_MIN and known > max_failure_rate * tried:
+                if tried >= _RATE_CHECK_MIN and known > _MAX_FAILURE_RATE * tried:
                     break               # the replay aborts here at the latest
-        if summarize is None:
-            t0 = time.perf_counter()
-            rows = estimate_gk_batch(rows[:len(draws)])
-            fit_seconds += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        rows = estimate_gk_batch(rows[:len(draws)])
+        fit_seconds += time.perf_counter() - t0
         for (f, q, n, lam), s in zip(draws, rows):
             attempts += 1
             if not np.all(np.isfinite(s)):
                 failures += 1
                 if (attempts >= _RATE_CHECK_MIN
-                        and failures > max_failure_rate * attempts):
+                        and failures > _MAX_FAILURE_RATE * attempts):
                     raise ValueError(
                         f"summary estimation failed for {failures} of "
                         f"{attempts} context draws; widen the sample-size "

@@ -91,6 +91,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="n_table"):
             small_hier_config(n_table=0)
 
+    @pytest.mark.parametrize("bad", [300.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["n_table", "m_neighbours", "workers",
+                                      "n_iterations", "burn_in", "thinning"])
+    def test_sizes_must_be_whole(self, name, bad):
+        payload = small_hier_config().to_dict()
+        payload[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            ExperimentConfig.from_dict(payload)
+
+    def test_sizes_take_numpy_integers(self):
+        config = small_hier_config(n_table=np.int64(300), workers=np.int32(1))
+        assert (config.n_table, config.workers) == (300, 1)
+
     def test_track_defaults_by_model(self):
         assert small_hier_config().track == ["mu", "tau_mu", "tau_x"]
         mix = ExperimentConfig(model="mixture", methods=["exact-gibbs"],

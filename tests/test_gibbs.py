@@ -52,11 +52,6 @@ class TestSpecValidation:
             ConditionalSpec(name="x", members=(0,), family="cubist",
                             exact=lambda t, m, r: 0.0)
 
-    def test_unknown_sampling(self):
-        with pytest.raises(ValueError, match="sampling"):
-            ConditionalSpec(name="x", members=(0,), sampling="rejection",
-                            exact=lambda t, m, r: 0.0)
-
     def test_duplicate_member_rejected(self):
         specs = [ConditionalSpec(name="a", members=(0,), exact=lambda t, m, r: 0.0),
                  ConditionalSpec(name="b", members=(0, 1), exact=lambda t, m, r: 0.0)]
@@ -75,6 +70,22 @@ class TestSpecValidation:
             GibbsConfig(n_iterations=10, initial=np.zeros(1), burn_in=10)
         with pytest.raises(ValueError):
             GibbsConfig(n_iterations=10, initial=np.zeros(1), thinning=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5])
+    @pytest.mark.parametrize("name", ["n_iterations", "burn_in", "thinning"])
+    def test_schedule_must_be_whole(self, name, bad):
+        sizes = dict(n_iterations=10, burn_in=1, thinning=1)
+        sizes[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            GibbsConfig(initial=np.zeros(1), **sizes)
+
+    def test_schedule_takes_numpy_integers(self):
+        config = GibbsConfig(n_iterations=np.int64(10), burn_in=np.int32(2),
+                             thinning=np.uint8(2), initial=np.zeros(1))
+        assert (config.n_iterations, config.burn_in, config.thinning) == (10, 2, 2)
+        specs = [ConditionalSpec(name="a", members=(0,), exact=lambda t, m, r: 1.0)]
+        out = run_exact_gibbs(specs, config, np.random.default_rng(0))
+        assert out.states.shape == (4, 1)
 
 
 class TestExactGibbs:
@@ -108,7 +119,7 @@ class TestExactGibbs:
 
     def test_requires_exact_samplers(self):
         specs = [ConditionalSpec(name="t", members=(0,),
-                                 feature_map=lambda s, th, m: np.array([1.0]))]
+                                 feature_map_batch=lambda s, th, m: np.ones((len(s), 1)))]
         config = GibbsConfig(n_iterations=5, initial=np.zeros(1))
         with pytest.raises(ValueError, match="exact"):
             run_exact_gibbs(specs, config, np.random.default_rng(0))
@@ -189,9 +200,11 @@ def linear_gaussian_setup(n_table=20000, seed=3):
     table = simulate_reference_table(model, n_table, seed=seed)
     specs = [
         ConditionalSpec(name="theta_1", members=(0,),
-                        feature_map=lambda s, th, m: np.array([1.0, s[0], th[1]])),
+                        feature_map_batch=lambda s, th, m: np.column_stack(
+                            (np.ones(len(s)), s[:, 0], th[:, 1]))),
         ConditionalSpec(name="theta_2", members=(1,),
-                        feature_map=lambda s, th, m: np.array([1.0, s[0], th[0]])),
+                        feature_map_batch=lambda s, th, m: np.column_stack(
+                            (np.ones(len(s)), s[:, 0], th[:, 0]))),
     ]
     return model, table, specs
 
