@@ -82,6 +82,11 @@ _OPTION_KEYS = {
                    "n_low", "n_high", "base_state", "summer_step",
                    "state_noise_sd", "q_high"},
 }
+# options read as counts or day numbers; the two that default to None may
+# also be given as None
+_WHOLE_OPTIONS = {"u_groups", "l_obs", "global_m", "prelocalize", "n_days",
+                  "summer_start", "summer_end", "first_dow", "n_low", "n_high"}
+_NONE_OPTIONS = {"global_m", "prelocalize"}
 _CONFIG_KEYS = {"schema", "model", "methods", "seeds", "n_table",
                 "n_iterations", "burn_in", "thinning", "m_neighbours",
                 "kernel", "nominal", "track", "workers", "out_dir",
@@ -137,6 +142,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(
                 f"unknown options for {self.model!r}: {sorted(unknown)}")
+        self.options = dict(self.options)
+        for key in _WHOLE_OPTIONS & set(self.options):
+            if not (self.options[key] is None and key in _NONE_OPTIONS):
+                self.options[key] = _whole_number(self.options[key], key)
         if self.track is None:
             self.track = list(_TRACK_DEFAULT[self.model])
 
@@ -310,8 +319,8 @@ def _table_seed(seed: int, method: str) -> int:
 
 
 def _hier_spec(config: ExperimentConfig) -> HierarchicalSpec:
-    return HierarchicalSpec(u_groups=int(config.option("u_groups", 10)),
-                            l_obs=int(config.option("l_obs", 10)))
+    return HierarchicalSpec(u_groups=config.option("u_groups", 10),
+                            l_obs=config.option("l_obs", 10))
 
 
 def _mixture_spec(config: ExperimentConfig) -> MixtureSpec:
@@ -327,17 +336,17 @@ def _statespace_setup(config: ExperimentConfig, seed: int):
     """Synthetic daily datasets from a drifting link-scale truth path."""
     opts = config.options
     calendar = SeasonCalendar(
-        n_days=int(opts.get("n_days", 14)),
-        summer_start=int(opts.get("summer_start", 1)),
-        summer_end=int(opts.get("summer_end", 0)),
-        first_dow=int(opts.get("first_dow", 0)))
+        n_days=opts.get("n_days", 14),
+        summer_start=opts.get("summer_start", 1),
+        summer_end=opts.get("summer_end", 0),
+        first_dow=opts.get("first_dow", 0))
     base = np.asarray(opts.get("base_state",
                                [1.0, math.log(0.25), 0.2, math.log(0.62)]),
                       dtype=float)
     step = float(opts.get("summer_step", 0.0))
     noise = float(opts.get("state_noise_sd", 1e-3))
-    n_low = int(opts.get("n_low", 200))
-    n_high = int(opts.get("n_high", 1000))
+    n_low = opts.get("n_low", 200)
+    n_high = opts.get("n_high", 1000)
     rng = _data_rng(seed)
     g = np.kron(block_transition(), np.eye(4))
     theta = np.zeros((calendar.n_days + 1, 36))
@@ -457,17 +466,16 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
         if prelocalize is not None:
             d = np.linalg.norm(table.summaries[:, sym] - s_obs[list(sym)],
                                axis=1)
-            table = table.subset(np.argsort(d, kind="stable")[:int(prelocalize)])
+            table = table.subset(np.argsort(d, kind="stable")[:prelocalize])
         out = run_local_gibbs(model, hierarchical_engine_specs(spec), table,
                               s_obs, _gibbs_config(config, initial), rng,
                               names=names)
     elif method in ("global-gibbs", "global-gibbs-flexible"):
         family = "flexible" if method.endswith("flexible") else "linear"
-        global_m = config.option("global_m", None)
         out = run_global_gibbs(
             model, hierarchical_engine_specs(spec, family), table, s_obs,
             _gibbs_config(config, initial,
-                          global_m=None if global_m is None else int(global_m),
+                          global_m=config.option("global_m", None),
                           global_weight_indices=sym,
                           global_scaling=DistanceScaling.identity(4)),
             rng, names=names)

@@ -41,6 +41,7 @@ from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
+    _pairwise_sum,
     kernel_weight,
     knn_bandwidth,
     scaled_distance,
@@ -332,30 +333,98 @@ def run_exact_gibbs(specs: Sequence[ConditionalSpec], config: GibbsConfig,
 
 
 class _SpecWorkspace:
-    """Precomputed per-member design matrices and distance scalings.
+    """Each distinct design column of a conditional, stored once.
 
-    Designs are stored column-major, so the per-sweep distance scan reads
-    each coordinate in one contiguous pass.
+    Member j's design is ``columns[k]`` for k in ``index[j]``, each column
+    a contiguous table-length array scaled by ``scales[k]``.  Column c of
+    member j is stored as column c of member 0 when the two columns and
+    their ``DistanceScaling`` scales are bitwise equal (the pooled group
+    means share their intercept and hyperparameter columns); designs are
+    built and scaled one member at a time, so a full set of per-member
+    designs is never held at once.
+
+    ``distances`` keeps each column's squared scaled term ((x - q) / s)^2
+    together with the query value q it was computed for, and recomputes a
+    term only when its query coordinate changes.
     """
 
     def __init__(self, spec: ConditionalSpec, table: ReferenceTable):
         self.spec = spec
-        self.designs: List[np.ndarray] = []
-        self.scalings: List[DistanceScaling] = []
+        self.columns: List[np.ndarray] = []
+        scales: List[float] = []
+        self.index: List[np.ndarray] = []
         self.responses: List[np.ndarray] = []
         for member in spec.members:
             x = _member_design(spec, table, member)
+            if self.index and x.shape[1] != self.index[0].size:
+                raise ValueError(
+                    f"feature map for {spec.name!r} returned {x.shape[1]} columns "
+                    f"for member {member}, {self.index[0].size} for member "
+                    f"{spec.members[0]}")
             # scaled on the design as built: the products inside round
             # differently on a column-major copy
-            self.scalings.append(DistanceScaling.from_samples(x, table.weights))
-            self.designs.append(np.asfortranarray(x))
+            s = DistanceScaling.from_samples(x, table.weights).scales
+            index = []
+            for c in range(x.shape[1]):
+                k = self.index[0][c] if self.index else None
+                if k is None or not (_same_bits(s[c], scales[k])
+                                     and _same_bits(x[:, c], self.columns[k])):
+                    k = len(self.columns)
+                    self.columns.append(np.ascontiguousarray(x[:, c]))
+                    scales.append(s[c])
+                index.append(k)
+            self.index.append(np.asarray(index))
             self.responses.append(table.theta[:, member].copy())
+        self.scales = np.asarray(scales)
+        self.terms: List[Optional[np.ndarray]] = [None] * len(self.columns)
+        self.term_query = np.full(len(self.columns), np.nan)
+        self.computed = self.reused = 0
 
     def query(self, s_obs: np.ndarray, theta: np.ndarray, j: int) -> np.ndarray:
         spec = self.spec
         return np.asarray(
             spec.feature_map_batch(s_obs[None, :], theta[None, :],
                                    spec.members[j]), dtype=float)[0]
+
+    def distances(self, j: int, query: np.ndarray) -> np.ndarray:
+        """Scaled distances of every table row to ``query`` in member j's design.
+
+        Bit-identical to ``scaled_distance(design_j, query, scaling_j)``:
+        the same elementwise terms, summed by ``_pairwise_sum`` in the
+        order numpy sums a C-ordered row.  A term is reused while its
+        query coordinate compares equal (0.0 and -0.0 square alike).
+        """
+        index = self.index[j]
+        if query.shape != index.shape:
+            raise ValueError(f"query has shape {query.shape}, expected {index.shape}")
+        stale = np.flatnonzero(query != self.term_query[index])
+        for c in stale:
+            k = index[c]
+            if self.terms[k] is None:
+                self.terms[k] = np.empty_like(self.columns[k])
+            z = np.subtract(self.columns[k], query[c], out=self.terms[k])
+            z /= self.scales[k]
+            z *= z
+            self.term_query[k] = query[c]
+        self.computed += stale.size
+        self.reused += index.size - stale.size
+        return np.sqrt(_pairwise_sum(lambda c: self.terms[index[c]], 0, index.size))
+
+    def design(self, j: int) -> np.ndarray:
+        """Member j's (N, p) design, column-major."""
+        return np.stack([self.columns[k] for k in self.index[j]]).T
+
+    def design_rows(self, j: int, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of member j's design, C-ordered."""
+        out = np.empty((rows.size, self.index[j].size))
+        for c, k in enumerate(self.index[j]):
+            out[:, c] = self.columns[k][rows]
+        return out
+
+
+def _same_bits(a, b) -> bool:
+    return bool(np.array_equal(np.asarray(a).view(np.uint64),
+                               np.asarray(b).view(np.uint64)))
 
 
 def _member_design(spec: ConditionalSpec, table: ReferenceTable,
@@ -368,17 +437,15 @@ def _member_design(spec: ConditionalSpec, table: ReferenceTable,
     return x
 
 
-def _localize(design: np.ndarray, scaling: DistanceScaling,
-              query: np.ndarray, kernel: KernelSpec, m: int
+def _localize(dist: np.ndarray, kernel: KernelSpec, m: int
               ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Positive-weight rows around the query, their weights and the bandwidth.
+    """Positive-weight rows at distances ``dist``, their weights and the bandwidth.
 
     The rows with positive kernel weight are exactly those closer than the
     kNN bandwidth h (for the Epanechnikov kernel d < h rounds d/h below 1),
     so the kernel is evaluated on those rows alone.  Rows come in table
     order, with the weights ``kernel_weight`` gives them over the full table.
     """
-    dist = scaled_distance(design, query, scaling)
     h = knn_bandwidth(dist, min(m, dist.size))
     rows = np.flatnonzero(dist < h)
     return rows, kernel_weight(dist[rows], kernel.with_bandwidth(h)), h
@@ -426,6 +493,11 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     the regression family is refitted on the rows with positive weight and
     the parameter is drawn from it.  ``model`` is unused; it keeps the
     calling convention of the table engines.
+
+    Distances come from ``_SpecWorkspace.distances``, which recomputes a
+    squared column term only when its query coordinate changed since the
+    sweep before; ``diagnostics["distance_terms"]`` counts, per estimated
+    conditional, the terms computed and reused over the chain.
     """
     s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
@@ -441,12 +513,10 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         for j, member in enumerate(spec.members):
             q = ws.query(s_obs, theta, j)
             t_loc = time.perf_counter()
-            rows, w, _ = _localize(ws.designs[j], ws.scalings[j], q,
-                                   config.kernel, config.m_neighbours)
+            rows, w, _ = _localize(ws.distances(j, q), config.kernel,
+                                   config.m_neighbours)
             timings.localize_seconds += time.perf_counter() - t_loc
-            # integer indexing gathers C-ordered rows from the column-major
-            # design
-            xs.append(ws.designs[j][rows])
+            xs.append(ws.design_rows(j, rows))
             ys.append(ws.responses[j][rows])
             wws.append(w)
             queries.append(q)
@@ -469,7 +539,11 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         for j, member in enumerate(spec.members):
             theta[member] = _draw_family(spec, fit, queries[j], rng)
 
-    return _gibbs_chain(specs, config, theta, rng, timings, names, update)
+    out = _gibbs_chain(specs, config, theta, rng, timings, names, update)
+    out.diagnostics["distance_terms"] = {
+        ws.spec.name: {"computed": ws.computed, "reused": ws.reused}
+        for ws in workspaces.values()}
+    return out
 
 
 def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
@@ -518,7 +592,8 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
         for spec in non_exact:
             ws = _SpecWorkspace(spec, table)
             workspaces[id(spec)] = ws
-            x = np.concatenate(ws.designs, axis=0)
+            x = np.concatenate([ws.design(j) for j in range(len(spec.members))],
+                               axis=0)
             y = np.concatenate(ws.responses)
             w = np.tile(weights, len(spec.members))
             pos = w > 0

@@ -139,14 +139,9 @@ def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> U
     Accepts a single vector or a matrix of row vectors for ``a``; ``b`` is a
     single vector.  Dimensions must match the scaling.
 
-    The squared terms of each row are summed in numpy's pairwise order for
-    a contiguous row: left to right below 8 terms; from 8 to 128 terms, 8
-    interleaved partial sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the remaining terms left to right; above 128 terms, halves split
-    at a multiple of 8 and summed recursively.  A C-ordered ``a`` gets this
-    order from ``np.sum`` itself.  Any other matrix layout (a column-major
-    design, say) is read one coordinate at a time over all rows and summed
-    in the same order, so the distances are bit-identical to
+    The squared terms of each row are summed by ``np.sum`` over the
+    C-ordered difference matrix, so a matrix of any other layout is first
+    copied to C order; the distances are then bit-identical to
     ``np.sqrt(np.sum(z * z, axis=-1))`` on a C-ordered ``z`` whatever the
     layout of ``a``.
     """
@@ -157,38 +152,36 @@ def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> U
         raise ValueError(f"b has shape {b.shape}, expected {s.shape}")
     if a.shape[-1] != s.size:
         raise ValueError(f"a has last dimension {a.shape[-1]}, expected {s.size}")
-    if a.ndim == 1 or a.flags.c_contiguous:
-        z = a - b
-        z /= s
-        z *= z
-        out = np.sqrt(z.sum(axis=-1))
-        return float(out) if a.ndim == 1 else out
-
-    def square(j: int) -> np.ndarray:
-        z = a[..., j] - b[j]
-        z /= s[j]
-        z *= z
-        return z
-
-    return np.sqrt(_pairwise_sum(square, 0, s.size))
+    z = np.ascontiguousarray(a) - b
+    z /= s
+    z *= z
+    out = np.sqrt(z.sum(axis=-1))
+    return float(out) if a.ndim == 1 else out
 
 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     """term(lo) + ... + term(hi - 1), associated as numpy's pairwise sum.
 
-    Each ``term(j)`` must return a fresh array: the partial sums are
-    accumulated in place.
+    numpy sums a contiguous row left to right below 8 terms; from 8 to 128
+    terms in 8 interleaved partial sums combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms left to
+    right; above 128 terms it sums halves split at a multiple of 8.  The
+    ``term(j)`` arrays are only read: every partial sum is a fresh array.
     """
     n = hi - lo
     if n < 8:
-        acc = term(lo)
-        for j in range(lo + 1, hi):
+        if n == 1:
+            return term(lo).copy()
+        acc = term(lo) + term(lo + 1)
+        for j in range(lo + 2, hi):
             acc += term(j)
         return acc
     if n <= 128:
         r = [term(lo + k) for k in range(8)]
         stop = hi - n % 8
-        for i in range(lo + 8, stop, 8):
+        if stop > lo + 8:
+            r = [r[k] + term(lo + 8 + k) for k in range(8)]
+        for i in range(lo + 16, stop, 8):
             for k in range(8):
                 r[k] += term(i + k)
         acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))

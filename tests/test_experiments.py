@@ -104,6 +104,28 @@ class TestExperimentConfig:
         config = small_hier_config(n_table=np.int64(300), workers=np.int32(1))
         assert (config.n_table, config.workers) == (300, 1)
 
+    @pytest.mark.parametrize("bad", [3.5, math.nan])
+    @pytest.mark.parametrize("model,name", [
+        ("hierarchical", "u_groups"), ("hierarchical", "l_obs"),
+        ("hierarchical", "global_m"), ("hierarchical", "prelocalize"),
+        ("statespace", "n_days"), ("statespace", "summer_start"),
+        ("statespace", "summer_end"), ("statespace", "first_dow"),
+        ("statespace", "n_low"), ("statespace", "n_high")])
+    def test_whole_number_options_reject_fractions(self, model, name, bad):
+        payload = {"model": model, "methods": ["local-gibbs"], "seeds": [1],
+                   "options": {name: bad}}
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            ExperimentConfig.from_dict(payload)
+
+    def test_whole_number_options_take_numpy_integers(self):
+        config = ExperimentConfig.from_dict(
+            {"model": "hierarchical", "methods": ["local-gibbs"], "seeds": [1],
+             "options": {"u_groups": np.int64(3), "l_obs": np.int32(4),
+                         "global_m": None, "pass_h_mu_u": 0.5}})
+        assert config.options == {"u_groups": 3, "l_obs": 4, "global_m": None,
+                                  "pass_h_mu_u": 0.5}
+        assert type(config.options["u_groups"]) is int
+
     def test_track_defaults_by_model(self):
         assert small_hier_config().track == ["mu", "tau_mu", "tau_x"]
         mix = ExperimentConfig(model="mixture", methods=["exact-gibbs"],

@@ -1,21 +1,32 @@
-"""Bit-identity of the column-wise localization in local Gibbs.
+"""Bit-identity of the localization in local Gibbs.
 
-``scaled_distance`` sums the squared terms of a column-major design one
-coordinate at a time, and ``run_local_gibbs`` evaluates kernel weights only on the rows inside the
+``_SpecWorkspace`` stores each distinct design column of a conditional
+once, keeps each column's squared scaled term with the query value it was
+computed for, and sums a member's terms in numpy's pairwise order;
+``run_local_gibbs`` evaluates kernel weights only on the rows inside the
 kNN bandwidth.  Both must reproduce the straightforward computation bit
-for bit: the full-table mask path is kept here as the oracle, and chain
-digests recorded before the change are pinned.
+for bit: distances on the full design and the full-table mask path are
+kept here as the oracle, and chain digests recorded before the change are
+pinned.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from lfgibbs import gibbs
-from lfgibbs.abc import simulate_reference_table
-from lfgibbs.gibbs import GibbsConfig, run_global_gibbs, run_local_gibbs
-from lfgibbs.kernels import DistanceScaling, KernelSpec, kernel_weight, knn_bandwidth, scaled_distance
+from lfgibbs.abc import ReferenceTable, simulate_reference_table
+from lfgibbs.gibbs import ConditionalSpec, GibbsConfig, run_global_gibbs, run_local_gibbs, save_chain
+from lfgibbs.kernels import (
+    DistanceScaling,
+    KernelSpec,
+    _pairwise_sum,
+    kernel_weight,
+    knn_bandwidth,
+    scaled_distance,
+)
 from lfgibbs.models.hierarchical import (
     HierarchicalSpec,
     hierarchical_engine_specs,
@@ -71,6 +82,17 @@ class TestScaledDistance:
                 bits(scaled_distance(a, b, scaling)),
                 bits(reference_distance(a, b, scaling)), err_msg=f"p={p}")
 
+    def test_pairwise_sum_of_columns_matches_the_row_sum_and_keeps_the_terms(self):
+        rng = np.random.default_rng(2)
+        for p in list(range(1, 41)) + [127, 128, 129, 130, 300]:
+            z = rng.normal(size=(50, p)) ** 2
+            terms = [np.ascontiguousarray(z[:, c]) for c in range(p)]
+            kept = [t.copy() for t in terms]
+            got = _pairwise_sum(lambda c: terms[c], 0, p)
+            np.testing.assert_array_equal(bits(got), bits(np.sum(z, axis=-1)), err_msg=f"p={p}")
+            for t, k in zip(terms, kept):
+                np.testing.assert_array_equal(bits(t), bits(k), err_msg=f"p={p}")
+
 
 def continuous_design(rng, n, p):
     x = rng.normal(size=(n, p)) * rng.lognormal(size=p)
@@ -83,6 +105,22 @@ def tie_heavy_design(rng, n):
     b = rng.integers(0, 2, size=(n, 3)).astype(float)
     return np.column_stack([np.ones(n), b, b[:, 0] * b[:, 1], b[:, 1] * b[:, 2],
                             b[:, 0] * b[:, 1] * b[:, 2]])
+
+
+def workspace(*designs):
+    """A workspace whose member j has the design ``designs[j]``."""
+    n = designs[0].shape[0]
+    spec = ConditionalSpec(name="x", members=tuple(range(len(designs))),
+                           feature_map_batch=lambda summ, states, member: designs[member])
+    table = ReferenceTable(theta=np.zeros((n, len(designs))), summaries=np.zeros((n, 1)),
+                           weights=np.ones(n))
+    return gibbs._SpecWorkspace(spec, table)
+
+
+def member_oracle(cond, table, j):
+    """Member j's full design, built on its own, and its distance scaling."""
+    x = gibbs._member_design(cond, table, cond.members[j])
+    return x, DistanceScaling.from_samples(x, table.weights)
 
 
 class TestLocalize:
@@ -103,7 +141,7 @@ class TestLocalize:
                 query = x[rng.integers(n)]
                 zero = np.flatnonzero(reference_distance(x, query, scaling) == 0)
                 m = int(rng.integers(1, zero.size + 1))
-            rows, w, h = gibbs._localize(np.asfortranarray(x), scaling, query, kernel, m)
+            rows, w, h = gibbs._localize(workspace(x).distances(0, query), kernel, m)
             want_rows, want_w, want_h = brute_force(x, scaling, query, kernel, m)
             assert h == want_h
             np.testing.assert_array_equal(rows, want_rows)
@@ -119,13 +157,16 @@ class TestLocalize:
         data, summaries = hierarchical_simulate(spec, model.prior_sample(rng), rng)
         s_obs = summaries.as_array()
         engine_specs = hierarchical_engine_specs(spec)
+        kernel, m = KernelSpec("epanechnikov"), 120
         seen = []
-        real_localize, real_fit = gibbs._localize, gibbs._fit_family
+        real_distances, real_fit = gibbs._SpecWorkspace.distances, gibbs._fit_family
 
-        def spy_localize(design, scaling, query, kernel, m):
-            seen.append(brute_force(design, scaling, query, kernel, m)
-                        + (np.ascontiguousarray(design),))
-            return real_localize(design, scaling, query, kernel, m)
+        def spy_distances(ws, j, query):
+            x, scaling = member_oracle(ws.spec, table, j)
+            seen.append(brute_force(x, scaling, query, kernel, m) + (x,))
+            dist = real_distances(ws, j, query)
+            np.testing.assert_array_equal(bits(dist), bits(reference_distance(x, query, scaling)))
+            return dist
 
         def spy_fit(cond, x, y, w, rng):
             members = len(cond.members)
@@ -137,12 +178,89 @@ class TestLocalize:
             assert x.flags.c_contiguous
             return real_fit(cond, x, y, w, rng)
 
-        monkeypatch.setattr(gibbs, "_localize", spy_localize)
+        monkeypatch.setattr(gibbs._SpecWorkspace, "distances", spy_distances)
         monkeypatch.setattr(gibbs, "_fit_family", spy_fit)
         config = GibbsConfig(n_iterations=5, initial=hierarchical_initial_state(spec, data),
-                             kernel=KernelSpec("epanechnikov"), m_neighbours=120)
+                             kernel=kernel, m_neighbours=m)
         run_local_gibbs(model, engine_specs, table, s_obs, config, np.random.default_rng(4))
         assert len(seen) == 5 * (1 + spec.u_groups)
+
+
+def query_run(rng, first, steps):
+    """Queries whose coordinates repeat, change, or flip 0.0 and -0.0."""
+    q = first.copy()
+    zero = rng.random(q.size) < 0.3
+    q[zero] = 0.0
+    yield q.copy()
+    for _ in range(steps):
+        move = rng.random(q.size)
+        flip = (move < 0.3) & (q == 0.0)
+        q[flip] = -q[flip]
+        change = (move > 0.7) & ~zero
+        q[change] = first[change] + rng.normal(size=int(change.sum()))
+        yield q.copy()
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("model_kind", ["hierarchy", "mixture"])
+    def test_distances_bit_identical_over_a_query_run(self, model_kind):
+        if model_kind == "hierarchy":
+            model = hierarchical_model(HierarchicalSpec())
+            cond = hierarchical_engine_specs(HierarchicalSpec())[3]  # the pooled mu_u block
+        else:
+            model = mixture_model(MixtureSpec())
+            cond = mixture_engine_specs(MixtureSpec())[0]  # 26 interaction columns
+        table = simulate_reference_table(model, 500, seed=12)
+        ws = gibbs._SpecWorkspace(cond, table)
+        oracles = [member_oracle(cond, table, j) for j in range(len(cond.members))]
+        rng = np.random.default_rng(13)
+        runs = [query_run(rng, x[rng.integers(len(table))], 12) for x, _ in oracles]
+        for queries in zip(*runs):
+            for j, (query, (x, scaling)) in enumerate(zip(queries, oracles)):
+                np.testing.assert_array_equal(
+                    bits(ws.distances(j, query)), bits(reference_distance(x, query, scaling)))
+        assert ws.reused > 0
+
+    def test_a_column_one_bit_apart_is_not_shared(self):
+        x0 = continuous_design(np.random.default_rng(5), 300, 5)
+        x1 = x0.copy()
+        x1[17, 3] = np.nextafter(x1[17, 3], np.inf)
+        ws = workspace(x0, x1)
+        assert [a == b for a, b in zip(ws.index[0], ws.index[1])] == [True] * 3 + [False, True]
+        assert len(ws.columns) == 6
+
+    def test_mismatched_widths_rejected(self):
+        x = continuous_design(np.random.default_rng(6), 50, 4)
+        with pytest.raises(ValueError, match="3 columns for member 1, 4 for member 0"):
+            workspace(x, x[:, :3])
+        with pytest.raises(ValueError, match="query has shape"):
+            workspace(x).distances(0, x[0, :3])
+
+    def test_the_hierarchy_stores_7_and_24_columns(self, hierarchy):
+        spec, model, table, data, s_obs = hierarchy
+        tau_x, mu_u = hierarchical_engine_specs(spec)[2:]
+        assert len(gibbs._SpecWorkspace(tau_x, table).columns) == 7
+        assert len(gibbs._SpecWorkspace(mu_u, table).columns) == 24
+
+    def test_terms_are_recomputed_only_where_the_query_moved(self, hierarchy, tmp_path):
+        spec, model, table, data, s_obs = hierarchy
+        n = 6
+        config = GibbsConfig(n_iterations=n, initial=hierarchical_initial_state(spec, data),
+                             m_neighbours=200)
+        out = run_local_gibbs(model, hierarchical_engine_specs(spec), table, s_obs,
+                              config, np.random.default_rng(6))
+        terms = out.diagnostics["distance_terms"]
+        # the intercepts, group pairs and symmetric statistics keep their
+        # query value; mu_bar, mu_prec, mu, tau_mu and tau_x move every sweep
+        assert terms == {"tau_x": {"computed": 7 + 2 * (n - 1), "reused": 5 * (n - 1)},
+                         "mu_u": {"computed": 24 + 3 * (n - 1),
+                                  "reused": 60 * n - 24 - 3 * (n - 1)}}
+        computed = sum(t["computed"] for t in terms.values())
+        assert computed == 31 + 5 * (n - 1)
+        assert sum(t["reused"] for t in terms.values()) == 67 * n - computed
+        save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
+        with open(tmp_path / "chain.json") as fh:
+            assert json.load(fh)["diagnostics"]["distance_terms"] == terms
 
 
 @pytest.fixture(scope="module")
