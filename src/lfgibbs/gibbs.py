@@ -41,6 +41,7 @@ from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
+    _inflate,
     _pairwise_sum,
     kernel_weight,
     knn_bandwidth,
@@ -341,11 +342,16 @@ class _SpecWorkspace:
     their ``DistanceScaling`` scales are bitwise equal (the pooled group
     means share their intercept and hyperparameter columns); designs are
     built and scaled one member at a time, so a full set of per-member
-    designs is never held at once.
+    designs is never held at once.  Member j's response ``responses[j]``
+    is a view of its column of the table's theta, not a copy.
 
-    ``distances`` keeps each column's squared scaled term ((x - q) / s)^2
-    together with the query value q it was computed for, and recomputes a
-    term only when its query coordinate changes.
+    ``squared_distances`` keeps each column's squared scaled term
+    ((x - q) / s)^2 together with the query value q it was computed for,
+    and recomputes a term only when its query coordinate changes.  When
+    every member of a pooled group of fewer than 8 columns reads the same
+    stored columns in its first ``n_shared`` (at least 2) positions, the
+    sum of those terms is kept in ``prefix`` and reused until one of them
+    is recomputed; other workspaces hold no prefix.
     """
 
     def __init__(self, spec: ConditionalSpec, table: ReferenceTable):
@@ -374,11 +380,20 @@ class _SpecWorkspace:
                     scales.append(s[c])
                 index.append(k)
             self.index.append(np.asarray(index))
-            self.responses.append(table.theta[:, member].copy())
+            self.responses.append(table.theta[:, member])
         self.scales = np.asarray(scales)
         self.terms: List[Optional[np.ndarray]] = [None] * len(self.columns)
         self.term_query = np.full(len(self.columns), np.nan)
         self.computed = self.reused = 0
+        # every member adds at least one term of its own to the prefix
+        p = self.index[0].size
+        shared = 0
+        while shared < p - 1 and all(ix[shared] == self.index[0][shared]
+                                     for ix in self.index[1:]):
+            shared += 1
+        self.n_shared = shared if len(self.index) > 1 and shared >= 2 and p < 8 else 0
+        self.prefix = np.empty(len(table)) if self.n_shared else None
+        self.prefix_fresh = False
 
     def query(self, s_obs: np.ndarray, theta: np.ndarray, j: int) -> np.ndarray:
         spec = self.spec
@@ -386,13 +401,16 @@ class _SpecWorkspace:
             spec.feature_map_batch(s_obs[None, :], theta[None, :],
                                    spec.members[j]), dtype=float)[0]
 
-    def distances(self, j: int, query: np.ndarray) -> np.ndarray:
-        """Scaled distances of every table row to ``query`` in member j's design.
+    def squared_distances(self, j: int, query: np.ndarray) -> np.ndarray:
+        """Squared scaled distances of every table row to ``query`` in member j's design.
 
-        Bit-identical to ``scaled_distance(design_j, query, scaling_j)``:
-        the same elementwise terms, summed by ``_pairwise_sum`` in the
-        order numpy sums a C-ordered row.  A term is reused while its
-        query coordinate compares equal (0.0 and -0.0 square alike).
+        Bit-identical to the sum that ``scaled_distance(design_j, query,
+        scaling_j)`` takes the root of: the same elementwise terms, summed
+        in the order numpy sums a C-ordered row.  A term is reused while its
+        query coordinate compares equal (0.0 and -0.0 square alike).  Below
+        8 terms numpy sums left to right, so the shared prefix, itself
+        summed left to right, starts every member's sum; 8 terms or more
+        go through ``_pairwise_sum``.
         """
         index = self.index[j]
         if query.shape != index.shape:
@@ -408,18 +426,49 @@ class _SpecWorkspace:
             self.term_query[k] = query[c]
         self.computed += stale.size
         self.reused += index.size - stale.size
-        return np.sqrt(_pairwise_sum(lambda c: self.terms[index[c]], 0, index.size))
+        s = self.n_shared
+        if not s:
+            return _pairwise_sum(lambda c: self.terms[index[c]], 0, index.size)
+        if stale.size and stale[0] < s:
+            self.prefix_fresh = False
+        if not self.prefix_fresh:
+            np.add(self.terms[index[0]], self.terms[index[1]], out=self.prefix)
+            for c in range(2, s):
+                self.prefix += self.terms[index[c]]
+            self.prefix_fresh = True
+        acc = self.prefix + self.terms[index[s]]
+        for c in range(s + 1, index.size):
+            acc += self.terms[index[c]]
+        return acc
 
     def design(self, j: int) -> np.ndarray:
         """Member j's (N, p) design, column-major."""
         return np.stack([self.columns[k] for k in self.index[j]]).T
 
-    def design_rows(self, j: int, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of member j's design, C-ordered."""
-        out = np.empty((rows.size, self.index[j].size))
-        for c, k in enumerate(self.index[j]):
-            out[:, c] = self.columns[k][rows]
-        return out
+    def pooled(self, kept: Sequence[Tuple[np.ndarray, np.ndarray]]
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pooled fit's design, response and weights.
+
+        ``kept[j]`` is member j's (rows, weights).  The members' rows are
+        stacked in member order, as concatenating their design rows,
+        responses and weights would stack them, into one C-ordered buffer:
+        the (n, p) design, then the n responses, then the n weights.
+        """
+        n = sum(rows.size for rows, _ in kept)
+        p = self.index[0].size
+        buf = np.empty(n * (p + 2))
+        x = buf[:n * p].reshape(n, p)
+        y = buf[n * p:n * (p + 1)]
+        w = buf[n * (p + 1):]
+        lo = 0
+        for j, (rows, wj) in enumerate(kept):
+            hi = lo + rows.size
+            for c, k in enumerate(self.index[j]):
+                x[lo:hi, c] = self.columns[k][rows]
+            y[lo:hi] = self.responses[j][rows]
+            w[lo:hi] = wj
+            lo = hi
+        return x, y, w
 
 
 def _same_bits(a, b) -> bool:
@@ -437,18 +486,43 @@ def _member_design(spec: ConditionalSpec, table: ReferenceTable,
     return x
 
 
-def _localize(dist: np.ndarray, kernel: KernelSpec, m: int
-              ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Positive-weight rows at distances ``dist``, their weights and the bandwidth.
+def _root_threshold(h: float) -> float:
+    """The smallest double t with sqrt(t) >= h.
 
-    The rows with positive kernel weight are exactly those closer than the
-    kNN bandwidth h (for the Epanechnikov kernel d < h rounds d/h below 1),
-    so the kernel is evaluated on those rows alone.  Rows come in table
-    order, with the weights ``kernel_weight`` gives them over the full table.
+    sqrt is correctly rounded and monotone, so a double d2 >= 0 has
+    d2 < t exactly when sqrt(d2) < h.  h * h lies within a step or two of
+    t; an h * h that underflows to 0 or overflows to inf is stepped from
+    there the same way.
     """
-    h = knn_bandwidth(dist, min(m, dist.size))
-    rows = np.flatnonzero(dist < h)
-    return rows, kernel_weight(dist[rows], kernel.with_bandwidth(h)), h
+    t = h * h
+    while math.sqrt(t) < h:
+        t = math.nextafter(t, math.inf)
+    while t > 0 and math.sqrt(math.nextafter(t, 0.0)) >= h:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def _localize_squared(d2: np.ndarray, kernel: KernelSpec, m: int
+                      ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Positive-weight rows at squared distances ``d2``, their weights and the bandwidth.
+
+    Bit-identical to localizing the distances sqrt(d2) with ``knn_bandwidth``
+    and ``kernel_weight``, with no root taken outside the kept rows.  The
+    bandwidth h is the root of the m-th smallest d2, inflated as
+    ``knn_bandwidth`` inflates it: sqrt is monotone, so that root is the
+    m-th smallest distance.  The rows with positive kernel weight are
+    exactly those closer than h (for the Epanechnikov kernel d < h rounds
+    d/h below 1), which are those with d2 below ``_root_threshold(h)``.
+    Rows come in table order, with the weights ``kernel_weight`` gives
+    their distances over the full table.
+    """
+    if m < 1:
+        raise ValueError(f"m must be in [1, {d2.size}], got {m}")
+    m = min(m, d2.size)
+    h = _inflate(math.sqrt(np.partition(d2, m - 1)[m - 1]))
+    spec = kernel.with_bandwidth(h)
+    rows = np.flatnonzero(d2 < _root_threshold(h))
+    return rows, kernel_weight(np.sqrt(d2[rows]), spec), h
 
 
 def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
@@ -494,10 +568,17 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     the parameter is drawn from it.  ``model`` is unused; it keeps the
     calling convention of the table engines.
 
-    Distances come from ``_SpecWorkspace.distances``, which recomputes a
+    Each member is localized by ``_localize_squared`` on the squared
+    distances of ``_SpecWorkspace.squared_distances``, which recomputes a
     squared column term only when its query coordinate changed since the
-    sweep before; ``diagnostics["distance_terms"]`` counts, per estimated
-    conditional, the terms computed and reused over the chain.
+    sweep before; roots are taken only on the rows inside the bandwidth.
+    A pooled group's kept rows are written straight into one buffer by
+    ``_SpecWorkspace.pooled``.  Per estimated conditional,
+    ``diagnostics["distance_terms"]`` counts the terms computed and reused
+    over the chain, and ``diagnostics["localization"]`` gives the min,
+    median and max over all sweeps and members of the bandwidth and of
+    the Kish effective sample size (sum w)^2 / sum w^2 of the kept kernel
+    weights.
     """
     s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
@@ -505,29 +586,33 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
 
     workspaces = {id(spec): _SpecWorkspace(spec, table)
                   for spec in specs if not spec.is_exact}
+    # per workspace, the bandwidth and Kish ESS of member j at sweep m in
+    # column (m - 1) * members + j
+    health = {key: np.empty((2, config.n_iterations * len(ws.spec.members)))
+              for key, ws in workspaces.items()}
     timings = TimingBreakdown()
 
     def update(spec: ConditionalSpec, m: int) -> None:
         ws = workspaces[id(spec)]
-        xs, ys, wws, queries = [], [], [], []
-        for j, member in enumerate(spec.members):
+        members = len(spec.members)
+        kept, queries = [], []
+        for j in range(members):
             q = ws.query(s_obs, theta, j)
             t_loc = time.perf_counter()
-            rows, w, _ = _localize(ws.distances(j, q), config.kernel,
-                                   config.m_neighbours)
+            rows, w, h = _localize_squared(ws.squared_distances(j, q), config.kernel,
+                                           config.m_neighbours)
             timings.localize_seconds += time.perf_counter() - t_loc
-            xs.append(ws.design_rows(j, rows))
-            ys.append(ws.responses[j][rows])
-            wws.append(w)
+            total = w.sum()
+            health[id(spec)][:, (m - 1) * members + j] = h, total * total / (w @ w)
+            kept.append((rows, w))
             queries.append(q)
-        x = np.concatenate(xs, axis=0)
-        y = np.concatenate(ys)
-        w = np.concatenate(wws)
-        if x.shape[0] < _min_rows(spec, x.shape[1]):
+        n = sum(rows.size for rows, _ in kept)
+        if n < _min_rows(spec, ws.index[0].size):
             raise ArithmeticError(
                 f"conditional {spec.name!r} at iteration {m}: only "
-                f"{x.shape[0]} positive-weight rows among "
+                f"{n} positive-weight rows among "
                 f"{config.m_neighbours} neighbours")
+        x, y, w = ws.pooled(kept)
         t_fit = time.perf_counter()
         try:
             fit = _fit_family(spec, x, y, w, rng)
@@ -543,7 +628,16 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     out.diagnostics["distance_terms"] = {
         ws.spec.name: {"computed": ws.computed, "reused": ws.reused}
         for ws in workspaces.values()}
+    out.diagnostics["localization"] = {
+        workspaces[key].spec.name: {"bandwidth": _spread(bandwidths),
+                                    "kish_ess": _spread(kish)}
+        for key, (bandwidths, kish) in health.items()}
     return out
+
+
+def _spread(values: np.ndarray) -> Dict[str, float]:
+    return {"min": float(np.min(values)), "median": float(np.median(values)),
+            "max": float(np.max(values))}
 
 
 def _global_weights(table: ReferenceTable, s_obs: np.ndarray,

@@ -88,7 +88,11 @@ def knn_bandwidth(distances: np.ndarray, m: int) -> float:
         raise ValueError("distances must be a non-empty 1-d array")
     if not 1 <= m <= d.size:
         raise ValueError(f"m must be in [1, {d.size}], got {m}")
-    kth = np.partition(d, m - 1)[m - 1]
+    return _inflate(np.partition(d, m - 1)[m - 1])
+
+
+def _inflate(kth: float) -> float:
+    """``kth`` times 1 + 1e-9, or the smallest normal float when ``kth`` is 0."""
     return float(kth) * (1.0 + _TIE_MARGIN) or float(np.finfo(float).tiny)
 
 

@@ -300,11 +300,12 @@ def hierarchical_model(spec: HierarchicalSpec) -> SimulatorModel:
     """Prior-predictive view: the 'parameter' is the full state vector."""
 
     def prior_sample(rng: np.random.Generator) -> np.ndarray:
-        mu = rng.normal()
-        tau_mu = rng.gamma(spec.alpha_mu, 1.0 / spec.nu_mu)
-        tau_x = rng.gamma(spec.alpha_x, 1.0 / spec.nu_x)
-        mu_u = rng.normal(mu, 1.0 / math.sqrt(tau_mu), size=spec.u_groups)
-        return np.concatenate([[mu, tau_mu, tau_x], mu_u])
+        state = np.empty(spec.dim_theta)
+        state[0] = mu = rng.normal()
+        state[1] = tau_mu = rng.gamma(spec.alpha_mu, 1.0 / spec.nu_mu)
+        state[2] = rng.gamma(spec.alpha_x, 1.0 / spec.nu_x)
+        state[3:] = rng.normal(mu, 1.0 / math.sqrt(tau_mu), size=spec.u_groups)
+        return state
 
     def prior_logpdf(state: np.ndarray) -> float:
         mu, tau_mu, tau_x = state[0], state[1], state[2]

@@ -80,8 +80,11 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     """Solve the weighted normal equations with a ridge jitter of 1e-10.
 
     sigma2 is the weighted mean squared residual under the normalized
-    weights.  A design that is rank deficient even after the jitter raises
-    an error naming the offending columns.
+    weights.  Rows of zero weight are dropped before the normal equations
+    are formed; when no weight is zero, x and y are used without a copy
+    (a C-ordered copy of a design in another layout), which gives the same
+    bits as the masked copies.  A design that is rank deficient even after
+    the jitter raises an error naming the offending columns.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -91,7 +94,10 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     w = _normalize_weights(weights, n)
 
     active = w > 0
-    xa, ya, wa = x[active], y[active], w[active]
+    # with every weight positive the masked copies would equal x and y in
+    # values and C layout, so the fit reads them as given
+    xa, ya, wa = ((np.ascontiguousarray(x), np.ascontiguousarray(y), w) if active.all()
+                  else (x[active], y[active], w[active]))
     xw = xa * wa[:, None]
     gram = xa.T @ xw
     # the jitter stabilizes borderline conditioning but cannot repair exact

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -403,9 +404,16 @@ class TestStatespaceCell:
         assert len(truth["theta_path"]) == 5
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    # the package is imported from this checkout's src, whether or not
+    # the caller's PYTHONPATH names it
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run([sys.executable, "-m", "lfgibbs.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
 
 
 class TestCli:

@@ -261,7 +261,28 @@ class TestExactGibbs:
         np.testing.assert_array_equal(out.states, again.states)
 
 
+def concatenated_prior_sample(spec, rng):
+    """The prior draw as it was written before, one concatenation per row."""
+    mu = rng.normal()
+    tau_mu = rng.gamma(spec.alpha_mu, 1.0 / spec.nu_mu)
+    tau_x = rng.gamma(spec.alpha_x, 1.0 / spec.nu_x)
+    mu_u = rng.normal(mu, 1.0 / math.sqrt(tau_mu), size=spec.u_groups)
+    return np.concatenate([[mu, tau_mu, tau_x], mu_u])
+
+
 class TestModelInterface:
+    @pytest.mark.parametrize("spec", [SPEC, HierarchicalSpec(u_groups=3, l_obs=2, alpha_mu=2.5,
+                                                             nu_mu=0.5, alpha_x=0.7, nu_x=3.0)])
+    def test_prior_sample_fills_the_row_the_concatenation_gave(self, spec):
+        model = hierarchical_model(spec)
+        for seed in range(1000):
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = model.prior_sample(rng)
+            assert state.dtype == np.float64 and state.shape == (spec.dim_theta,)
+            np.testing.assert_array_equal(state.view(np.uint64),
+                                          concatenated_prior_sample(spec, old).view(np.uint64))
+            assert rng.bit_generator.state == old.bit_generator.state
+
     def test_prior_sample_shape_and_support(self):
         model = hierarchical_model(SPEC)
         rng = np.random.default_rng(12)

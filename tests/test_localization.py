@@ -2,16 +2,20 @@
 
 ``_SpecWorkspace`` stores each distinct design column of a conditional
 once, keeps each column's squared scaled term with the query value it was
-computed for, and sums a member's terms in numpy's pairwise order;
-``run_local_gibbs`` evaluates kernel weights only on the rows inside the
-kNN bandwidth.  Both must reproduce the straightforward computation bit
-for bit: distances on the full design and the full-table mask path are
-kept here as the oracle, and chain digests recorded before the change are
-pinned.
+computed for, and sums a member's terms in numpy's order, starting from
+the kept sum of the terms a pooled group's members share;
+``_localize_squared`` finds the kNN bandwidth and the kept rows on those
+squared distances and takes roots and kernel weights only on the rows
+inside the bandwidth; ``_SpecWorkspace.pooled`` writes the kept rows of
+all members into one buffer.  All of it must reproduce the
+straightforward computation bit for bit: distances on the full design,
+the full-table mask path and the concatenated member rows are kept here
+as the oracle, and chain digests recorded before the change are pinned.
 """
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,10 +43,14 @@ from lfgibbs.models.mixture import MixtureSpec, mixture_engine_specs, mixture_mo
 KERNELS = (KernelSpec(), KernelSpec("epanechnikov"))
 
 
-def reference_distance(a, b, scaling):
-    """The plain formula on a C-ordered difference matrix."""
+def reference_squared(a, b, scaling):
+    """The plain formula on a C-ordered difference matrix, before its root."""
     z = np.ascontiguousarray((a - b) / scaling.scales)
-    return np.sqrt(np.sum(z * z, axis=-1))
+    return np.sum(z * z, axis=-1)
+
+
+def reference_distance(a, b, scaling):
+    return np.sqrt(reference_squared(a, b, scaling))
 
 
 def brute_force(design, scaling, query, kernel, m):
@@ -107,14 +115,22 @@ def tie_heavy_design(rng, n):
                             b[:, 0] * b[:, 1] * b[:, 2]])
 
 
-def workspace(*designs):
-    """A workspace whose member j has the design ``designs[j]``."""
+def workspace(*designs, theta=None):
+    """A workspace whose member j has the design ``designs[j]`` and response ``theta[:, j]``."""
     n = designs[0].shape[0]
     spec = ConditionalSpec(name="x", members=tuple(range(len(designs))),
                            feature_map_batch=lambda summ, states, member: designs[member])
-    table = ReferenceTable(theta=np.zeros((n, len(designs))), summaries=np.zeros((n, 1)),
-                           weights=np.ones(n))
+    if theta is None:
+        theta = np.zeros((n, len(designs)))
+    table = ReferenceTable(theta=theta, summaries=np.zeros((n, 1)), weights=np.ones(n))
     return gibbs._SpecWorkspace(spec, table)
+
+
+def pooled_designs(rng, n, members, shared=4, own=2):
+    """Member designs whose first ``shared`` columns are the same arrays."""
+    base = continuous_design(rng, n, shared)
+    return [np.column_stack([base, rng.normal(size=(n, own)) * rng.lognormal(size=own)])
+            for _ in range(members)]
 
 
 def member_oracle(cond, table, j):
@@ -141,7 +157,8 @@ class TestLocalize:
                 query = x[rng.integers(n)]
                 zero = np.flatnonzero(reference_distance(x, query, scaling) == 0)
                 m = int(rng.integers(1, zero.size + 1))
-            rows, w, h = gibbs._localize(workspace(x).distances(0, query), kernel, m)
+            rows, w, h = gibbs._localize_squared(workspace(x).squared_distances(0, query),
+                                                 kernel, m)
             want_rows, want_w, want_h = brute_force(x, scaling, query, kernel, m)
             assert h == want_h
             np.testing.assert_array_equal(rows, want_rows)
@@ -159,31 +176,84 @@ class TestLocalize:
         engine_specs = hierarchical_engine_specs(spec)
         kernel, m = KernelSpec("epanechnikov"), 120
         seen = []
-        real_distances, real_fit = gibbs._SpecWorkspace.distances, gibbs._fit_family
+        real_squared, real_fit = gibbs._SpecWorkspace.squared_distances, gibbs._fit_family
 
-        def spy_distances(ws, j, query):
+        def spy_squared(ws, j, query):
             x, scaling = member_oracle(ws.spec, table, j)
             seen.append(brute_force(x, scaling, query, kernel, m) + (x,))
-            dist = real_distances(ws, j, query)
-            np.testing.assert_array_equal(bits(dist), bits(reference_distance(x, query, scaling)))
-            return dist
+            d2 = real_squared(ws, j, query)
+            np.testing.assert_array_equal(bits(d2), bits(reference_squared(x, query, scaling)))
+            return d2
 
         def spy_fit(cond, x, y, w, rng):
             members = len(cond.members)
             expected = seen[-members:]
             np.testing.assert_array_equal(
                 x, np.concatenate([d[r] for r, _, _, d in expected]))
+            np.testing.assert_array_equal(bits(y), bits(np.concatenate(
+                [table.theta[r, member] for (r, _, _, _), member in zip(expected, cond.members)])))
             np.testing.assert_array_equal(bits(w), bits(np.concatenate(
                 [wt for _, wt, _, _ in expected])))
             assert x.flags.c_contiguous
             return real_fit(cond, x, y, w, rng)
 
-        monkeypatch.setattr(gibbs._SpecWorkspace, "distances", spy_distances)
+        monkeypatch.setattr(gibbs._SpecWorkspace, "squared_distances", spy_squared)
         monkeypatch.setattr(gibbs, "_fit_family", spy_fit)
         config = GibbsConfig(n_iterations=5, initial=hierarchical_initial_state(spec, data),
                              kernel=kernel, m_neighbours=m)
         run_local_gibbs(model, engine_specs, table, s_obs, config, np.random.default_rng(4))
         assert len(seen) == 5 * (1 + spec.u_groups)
+
+
+TINY = float(np.finfo(float).tiny)
+HUGE = float(np.finfo(float).max)
+
+
+class TestSquaredThreshold:
+    """d2 < _root_threshold(h) must hold exactly when sqrt(d2) < h."""
+
+    # the smallest-normal h of a zero m-th distance, the h of the smallest
+    # positive squared distance, ordinary h, and h whose square overflows
+    BANDWIDTHS = [TINY, 1e-200, math.sqrt(5e-324) * (1 + 1e-9), 1e-160, 1e-5, 0.3, 1.0,
+                  2.0, 7.123, 1e100, 1e154, math.sqrt(HUGE), math.nextafter(math.sqrt(HUGE), 0),
+                  math.nextafter(math.sqrt(HUGE), math.inf), 1e300, math.inf]
+
+    @pytest.mark.parametrize("h", BANDWIDTHS)
+    def test_the_threshold_and_the_double_below_it(self, h):
+        t = gibbs._root_threshold(h)
+        below = math.nextafter(t, 0.0)
+        assert math.sqrt(t) >= h > math.sqrt(below)
+        d2 = np.array([t, below])
+        np.testing.assert_array_equal(d2 < t, np.sqrt(d2) < h)
+        np.testing.assert_array_equal(d2 < t, [False, True])
+
+    def test_random_bandwidths(self):
+        rng = np.random.default_rng(21)
+        for h in 10.0 ** rng.uniform(-307, 154, size=20000):
+            t = gibbs._root_threshold(h)
+            assert math.sqrt(t) >= h > math.sqrt(math.nextafter(t, 0.0)), h
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("kth", [0.0, 5e-324, 1e-300, 1.0, 2.0, 3.7e5, 1e300, HUGE])
+    def test_rows_at_the_threshold_match_the_mask_path(self, kernel, kth):
+        # the bandwidth the m-th squared distance kth gives, and rows at its
+        # threshold, one double below it and one above
+        h = knn_bandwidth(np.array([math.sqrt(kth)]), 1)
+        t = gibbs._root_threshold(h)
+        d2 = np.array([math.nextafter(t, math.inf), kth / 4, t, kth, math.nextafter(t, 0.0),
+                       kth / 2, 4 * t])
+        rows, w, got_h = gibbs._localize_squared(d2, kernel, 3)
+        dist = np.sqrt(d2)
+        assert got_h == h == knn_bandwidth(dist, 3)
+        with np.errstate(over="ignore"):  # d / h overflows for a zero-distance h
+            full = kernel_weight(dist, kernel.with_bandwidth(h))
+        np.testing.assert_array_equal(rows, np.flatnonzero(full > 0))
+        np.testing.assert_array_equal(bits(w), bits(full[rows]))
+        assert 2 not in rows and 4 in rows
+
+    def test_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match="m must be in"):
+            gibbs._localize_squared(np.ones(5), KernelSpec(), 0)
 
 
 def query_run(rng, first, steps):
@@ -218,7 +288,8 @@ class TestWorkspace:
         for queries in zip(*runs):
             for j, (query, (x, scaling)) in enumerate(zip(queries, oracles)):
                 np.testing.assert_array_equal(
-                    bits(ws.distances(j, query)), bits(reference_distance(x, query, scaling)))
+                    bits(ws.squared_distances(j, query)),
+                    bits(reference_squared(x, query, scaling)))
         assert ws.reused > 0
 
     def test_a_column_one_bit_apart_is_not_shared(self):
@@ -234,7 +305,53 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="3 columns for member 1, 4 for member 0"):
             workspace(x, x[:, :3])
         with pytest.raises(ValueError, match="query has shape"):
-            workspace(x).distances(0, x[0, :3])
+            workspace(x).squared_distances(0, x[0, :3])
+
+    def test_the_shared_prefix_is_recomputed_when_a_shared_coordinate_moves(self):
+        rng = np.random.default_rng(22)
+        designs = pooled_designs(rng, 300, 3)
+        ws = workspace(*designs)
+        assert ws.n_shared == 4
+        oracles = [DistanceScaling.from_samples(x) for x in designs]
+        shared = designs[0][5, :4].copy()
+        for sweep in range(8):
+            if sweep in (2, 3, 6):  # move a shared coordinate, a different one each time
+                shared[sweep % 3 + 1] += rng.normal()
+            for j, (x, scaling) in enumerate(zip(designs, oracles)):
+                query = np.concatenate([shared, x[rng.integers(300), 4:]])
+                np.testing.assert_array_equal(
+                    bits(ws.squared_distances(j, query)),
+                    bits(reference_squared(x, query, scaling)), err_msg=f"sweep {sweep}")
+                assert ws.prefix_fresh
+
+    def test_only_pooled_groups_of_fewer_than_8_columns_keep_a_prefix(self, hierarchy):
+        spec, model, table, data, s_obs = hierarchy
+        tau_x, mu_u = hierarchical_engine_specs(spec)[2:]
+        assert gibbs._SpecWorkspace(tau_x, table).prefix is None
+        assert gibbs._SpecWorkspace(mu_u, table).n_shared == 4
+        rng = np.random.default_rng(23)
+        assert workspace(*pooled_designs(rng, 50, 2, shared=1)).prefix is None
+        assert workspace(*pooled_designs(rng, 50, 2, shared=4, own=4)).prefix is None
+        # every member adds a term of its own
+        x = continuous_design(rng, 50, 3)
+        assert workspace(x, x).n_shared == 2
+
+    def test_pooled_buffer_equals_the_concatenation(self):
+        rng = np.random.default_rng(24)
+        n = 400
+        designs = pooled_designs(rng, n, 4)
+        theta = rng.normal(size=(n, 4))
+        ws = workspace(*designs, theta=theta)
+        for sizes in [(17, 40, 1, 250), (0, 5, 0, 9), (n, n, n, n)]:
+            kept = [(np.sort(rng.choice(n, size=k, replace=False)), rng.random(k))
+                    for k in sizes]
+            x, y, w = ws.pooled(kept)
+            assert x.flags.c_contiguous
+            np.testing.assert_array_equal(
+                bits(x), bits(np.concatenate([d[r] for d, (r, _) in zip(designs, kept)])))
+            np.testing.assert_array_equal(
+                bits(y), bits(np.concatenate([theta[r, j] for j, (r, _) in enumerate(kept)])))
+            np.testing.assert_array_equal(bits(w), bits(np.concatenate([wj for _, wj in kept])))
 
     def test_the_hierarchy_stores_7_and_24_columns(self, hierarchy):
         spec, model, table, data, s_obs = hierarchy
@@ -261,6 +378,70 @@ class TestWorkspace:
         save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
         with open(tmp_path / "chain.json") as fh:
             assert json.load(fh)["diagnostics"]["distance_terms"] == terms
+
+
+def leaves(obj):
+    """The JSON tree with every number replaced by 0."""
+    if isinstance(obj, dict):
+        return {k: leaves(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [leaves(v) for v in obj]
+    return 0 if isinstance(obj, (int, float)) else obj
+
+
+class TestLocalizationHealth:
+    def test_matches_a_brute_force_recomputation(self, hierarchy, monkeypatch):
+        spec, model, table, data, s_obs = hierarchy
+        kernel, m = KernelSpec("epanechnikov"), 200
+        seen = {}
+        real_squared = gibbs._SpecWorkspace.squared_distances
+
+        def spy_squared(ws, j, query):
+            x, scaling = member_oracle(ws.spec, table, j)
+            _, w, h = brute_force(x, scaling, query, kernel, m)
+            seen.setdefault(ws.spec.name, []).append((h, w.sum() ** 2 / np.sum(w * w)))
+            return real_squared(ws, j, query)
+
+        monkeypatch.setattr(gibbs._SpecWorkspace, "squared_distances", spy_squared)
+        config = GibbsConfig(n_iterations=5, initial=hierarchical_initial_state(spec, data),
+                             kernel=kernel, m_neighbours=m)
+        out = run_local_gibbs(model, hierarchical_engine_specs(spec), table, s_obs, config,
+                              np.random.default_rng(25))
+        health = out.diagnostics["localization"]
+        assert sorted(health) == sorted(seen) == ["mu_u", "tau_x"]
+        assert [len(seen["tau_x"]), len(seen["mu_u"])] == [5, 5 * spec.u_groups]
+        for name, values in seen.items():
+            h, kish = np.array(values).T
+            assert health[name]["bandwidth"] == {
+                "min": h.min(), "median": np.median(h), "max": h.max()}
+            got = health[name]["kish_ess"]
+            np.testing.assert_allclose([got["min"], got["median"], got["max"]],
+                                       [kish.min(), np.median(kish), kish.max()], rtol=1e-12)
+            assert 1.0 <= got["min"] <= got["max"] <= m
+
+    def test_the_chain_json_does_not_grow_with_the_sweeps(self, hierarchy, tmp_path):
+        spec, model, table, data, s_obs = hierarchy
+        saved = []
+        for n in (5, 50):
+            config = GibbsConfig(n_iterations=n, initial=hierarchical_initial_state(spec, data),
+                                 m_neighbours=200)
+            out = run_local_gibbs(model, hierarchical_engine_specs(spec), table, s_obs,
+                                  config, np.random.default_rng(26))
+            path = tmp_path / f"chain{n}.json"
+            save_chain(out, str(tmp_path / f"chain{n}.csv"), str(path))
+            with open(path) as fh:
+                saved.append(json.load(fh))
+        # the same entries, whatever the digits of the numbers in them
+        assert leaves(saved[0]) == leaves(saved[1])
+        for payload in saved:
+            health = payload["diagnostics"]["localization"]
+            assert set(health) == {"tau_x", "mu_u"}
+            for entry in health.values():
+                assert {k: set(v) for k, v in entry.items()} == {
+                    "bandwidth": {"min", "median", "max"},
+                    "kish_ess": {"min", "median", "max"}}
+            # the uniform kernel weighs every kept row 1
+            assert health["tau_x"]["kish_ess"]["min"] >= 200
 
 
 @pytest.fixture(scope="module")

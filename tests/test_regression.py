@@ -82,6 +82,53 @@ class TestWeightedLinear:
             fit_weighted_linear(x, np.zeros(5), np.zeros(5))
 
 
+def masked_linear_fit(x, y, weights):
+    """The masked computation: zero-weight rows dropped by copies, always."""
+    w = weights / weights.sum()
+    active = w > 0
+    xa, ya, wa = x[active], y[active], w[active]
+    xw = xa * wa[:, None]
+    beta = np.linalg.solve(xa.T @ xw + 1e-10 * np.eye(x.shape[1]), xw.T @ ya)
+    fitted = x @ beta
+    resid = y - fitted
+    return beta, float(np.sum(w * resid * resid)), fitted, resid, w
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestUnmaskedLinearFit:
+    """With every weight positive the fit reads x and y without a masked copy."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_all_positive_weights_match_the_masked_path(self, layout):
+        rng = np.random.default_rng(30)
+        for n, p in [(7, 2), (60, 4), (500, 6), (2001, 7)]:
+            values = rng.normal(size=(n, 2 * p)) * rng.lognormal(size=2 * p)
+            x = values[:, ::2] if layout == "strided" else np.asarray(values[:, :p], order=layout)
+            y = np.asfortranarray(rng.normal(size=(n, 2)))[:, 1]  # a strided column
+            w = rng.uniform(0.01, 2.0, size=n)
+            fit = fit_weighted_linear(x, y, w)
+            for got, want in zip((fit.beta, fit.sigma2, fit.fitted, fit.residuals, fit.weights),
+                                 masked_linear_fit(x, y, w)):
+                np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"n={n}")
+
+    def test_a_zero_weight_row_is_still_dropped(self):
+        rng = np.random.default_rng(31)
+        x = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
+        y = rng.normal(size=50)
+        w = rng.uniform(0.5, 1.5, size=50)
+        x[17], y[17], w[17] = [1.0, 1e150, -1e150], 1e150, 0.0
+        fit = fit_weighted_linear(x, y, w)
+        for got, want in zip((fit.beta, fit.sigma2, fit.fitted, fit.residuals, fit.weights),
+                             masked_linear_fit(x, y, w)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        keep = np.arange(50) != 17
+        clean = fit_weighted_linear(x[keep], y[keep], w[keep])
+        np.testing.assert_allclose(fit.beta, clean.beta, rtol=1e-12)
+
+
 class TestLinearSampling:
     @staticmethod
     def _fit(seed=5, n=200):

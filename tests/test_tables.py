@@ -7,6 +7,7 @@ summarizing a table in blocks leaves every row's bits unchanged.  Neither
 1 027 nor 1 500 rows is a whole number of blocks.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -91,6 +92,29 @@ class TestPinnedTables:
     def test_mixture(self, n):
         table = simulate_reference_table(mixture_model(MixtureSpec()), n, seed=SEED)
         assert (digest(table), table.retries) == MIXTURE_PINS[n]
+
+
+def test_the_benchmark_hierarchy_table_keeps_its_bits():
+    # the 20 000-row table of the benchmark's hier-local workload at its
+    # seed 51, against the same table drawn with the prior row built by a
+    # concatenation, as it was before
+    spec = HierarchicalSpec(u_groups=10, l_obs=10)
+    model = hierarchical_model(spec)
+
+    def concatenated(rng):
+        mu = rng.normal()
+        tau_mu = rng.gamma(spec.alpha_mu, 1.0 / spec.nu_mu)
+        tau_x = rng.gamma(spec.alpha_x, 1.0 / spec.nu_x)
+        mu_u = rng.normal(mu, 1.0 / np.sqrt(tau_mu), size=spec.u_groups)
+        return np.concatenate([[mu, tau_mu, tau_x], mu_u])
+
+    seed = int(np.random.SeedSequence((51, 1)).generate_state(1)[0])
+    table = simulate_reference_table(model, 20_000, seed)
+    old = simulate_reference_table(dataclasses.replace(model, prior_sample=concatenated),
+                                   20_000, seed)
+    for a, b in ((table.theta, old.theta), (table.summaries, old.summaries)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert table.retries == old.retries
 
 
 # two of the benchmark's table seeds (those of its seeds 1 and 7), and
