@@ -221,13 +221,11 @@ class ChainOutput:
 
 
 def _chain_ess(states: np.ndarray) -> np.ndarray:
-    out = np.full(states.shape[1], np.nan)
-    if states.shape[0] >= 100:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for j in range(states.shape[1]):
-                out[j] = effective_sample_size(states[:, j])
-    return out
+    if states.shape[0] < 100:
+        return np.full(states.shape[1], np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return effective_sample_size(states)
 
 
 def save_chain(output: ChainOutput, csv_path: str, json_path: Optional[str] = None) -> None:

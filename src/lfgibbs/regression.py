@@ -83,8 +83,11 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     weights.  Rows of zero weight are dropped before the normal equations
     are formed; when no weight is zero, x and y are used without a copy
     (a C-ordered copy of a design in another layout), which gives the same
-    bits as the masked copies.  A design that is rank deficient even after
-    the jitter raises an error naming the offending columns.
+    bits as the masked copies.  A design whose weighted Gram matrix is
+    rank deficient even after the jitter raises an error naming the
+    columns pivoted QR drops; when QR drops none, the design is full rank
+    but ill-conditioned, and the error gives the Gram condition number
+    and the column with the smallest QR pivot instead.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -103,9 +106,14 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     # the jitter stabilizes borderline conditioning but cannot repair exact
     # linear dependence, so deficiency is checked on the Gram itself
     if np.linalg.matrix_rank(gram, hermitian=True) < p:
-        bad = _deficient_columns(xa, wa)
+        bad, weakest = _deficient_columns(xa, wa)
+        if bad:
+            raise ArithmeticError(
+                f"design is rank deficient after ridge jitter; offending columns {bad}")
         raise ArithmeticError(
-            f"design is rank deficient after ridge jitter; offending columns {bad}")
+            "design is ill-conditioned after ridge jitter: Gram condition number "
+            f"{np.linalg.cond(gram):.3g}; pivoted QR drops no column, and its "
+            f"smallest pivot is column {weakest}")
     gram_j = gram + _RIDGE * np.eye(p)
     rhs = xw.T @ ya
     beta = np.linalg.solve(gram_j, rhs)
@@ -118,8 +126,9 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
                      residuals=resid, weights=w)
 
 
-def _deficient_columns(x: np.ndarray, w: np.ndarray) -> List[int]:
-    """Columns that do not add rank, identified by pivoted QR."""
+def _deficient_columns(x: np.ndarray, w: np.ndarray) -> Tuple[List[int], int]:
+    """Columns that do not add rank, identified by pivoted QR, and the
+    column with the smallest pivot."""
     from scipy.linalg import qr
 
     xs = x * np.sqrt(w)[:, None]
@@ -127,7 +136,7 @@ def _deficient_columns(x: np.ndarray, w: np.ndarray) -> List[int]:
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(xs.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
-    return sorted(int(c) for c in piv[rank:])
+    return sorted(int(c) for c in piv[rank:]), int(piv[np.argmin(diag)])
 
 
 def sample_linear_parametric(fit: LinearFit, x: np.ndarray,

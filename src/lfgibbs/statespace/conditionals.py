@@ -41,6 +41,19 @@ def _inverse_cov(w, p: int) -> np.ndarray:
     return np.diag(1.0 / d)
 
 
+def initial_prior_terms(m0: Optional[np.ndarray], c0, p: int
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """The N(m0, C0) initial-state prior as information: C0^-1 and
+    C0^-1 m0 (m0=None is the zero mean).
+
+    They do not change over a run, so a sampler builds them once and
+    hands them to every :meth:`SweepOperator.draw_initial`.
+    """
+    c0_inv = _inverse_cov(c0, p)
+    return c0_inv, c0_inv @ (np.zeros(p) if m0 is None
+                             else np.asarray(m0, dtype=float))
+
+
 def initial_state_conditional(theta_next: np.ndarray, w,
                               g_mat: np.ndarray,
                               m0: Optional[np.ndarray] = None,
@@ -52,16 +65,25 @@ def initial_state_conditional(theta_next: np.ndarray, w,
     drops out entirely and m0 is ignored).
     """
     theta_next = np.asarray(theta_next, dtype=float)
+    prior = (None if c0 is None
+             else initial_prior_terms(m0, c0, theta_next.size))
+    return _initial_moments(theta_next, w, g_mat, prior)
+
+
+def _initial_moments(theta_next: np.ndarray, w, g_mat: np.ndarray,
+                     prior: Optional[Tuple[np.ndarray, np.ndarray]]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """initial_state_conditional with the prior given by
+    :func:`initial_prior_terms`, or None for the diffuse limit."""
+    theta_next = np.asarray(theta_next, dtype=float)
     p = theta_next.size
     g = np.asarray(g_mat, dtype=float).reshape(p, p)
     w_inv = _inverse_cov(w, p)
     info = g.T @ w_inv @ g
     shift = g.T @ (w_inv @ theta_next)
-    if c0 is not None:
-        c0_inv = _inverse_cov(c0, p)
-        info = info + c0_inv
-        shift = shift + c0_inv @ (np.zeros(p) if m0 is None
-                                  else np.asarray(m0, dtype=float))
+    if prior is not None:
+        info = info + prior[0]
+        shift = shift + prior[1]
     cov = np.linalg.inv(info)
     cov = 0.5 * (cov + cov.T)
     return cov @ shift, cov
@@ -113,14 +135,15 @@ class SweepOperator:
         if g.shape != (p, p):
             raise ValueError("transition matrix does not match w_var")
         w_inv = 1.0 / w
-        info = g.T @ (w_inv[:, None] * g) + np.diag(w_inv)
+        w_inv_g = w_inv[:, None] * g
+        info = g.T @ w_inv_g + np.diag(w_inv)
         r_cov = np.linalg.inv(info)
         self.p = p
         self.g_mat = g
         self.w_var = w
         self.r_cov = 0.5 * (r_cov + r_cov.T)
         self.chol_r = np.linalg.cholesky(self.r_cov)
-        self._m_prev = self.r_cov @ (w_inv[:, None] * g)
+        self._m_prev = self.r_cov @ w_inv_g
         self._m_next = self.r_cov @ (g.T * w_inv[None, :])
         self._season: Dict[bool, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.off_diagonal_max = 0.0
@@ -147,18 +170,22 @@ class SweepOperator:
         f, _, q_diag = self._season[season]
         return f.T @ a, q_diag
 
-    def draw_state(self, a: np.ndarray, predictor: np.ndarray,
-                   season: bool, rng: np.random.Generator) -> np.ndarray:
+    def draw_state(self, a: np.ndarray, fa: np.ndarray,
+                   predictor: np.ndarray, season: bool,
+                   rng: np.random.Generator) -> np.ndarray:
+        """State draw given its predictor; fa is F'a, the predictor mean
+        that :meth:`predictor_moments` returns for this a and season."""
         f, gain, _ = self._season[season]
-        mean = a + gain @ (predictor - f.T @ a)
+        mean = a + gain @ (predictor - fa)
         z = self.chol_r @ rng.standard_normal(self.p)
         return mean + z - gain @ (f.T @ z)
 
-    def draw_initial(self, theta_next: np.ndarray, m0: np.ndarray,
-                     c0_diag: np.ndarray,
+    def draw_initial(self, theta_next: np.ndarray,
+                     prior: Tuple[np.ndarray, np.ndarray],
                      rng: np.random.Generator) -> np.ndarray:
-        mean, cov = initial_state_conditional(
-            theta_next, self.w_var, self.g_mat, m0, c0_diag)
+        """Pre-sample state draw; prior is :func:`initial_prior_terms`."""
+        mean, cov = _initial_moments(theta_next, self.w_var, self.g_mat,
+                                     prior)
         return mean + np.linalg.cholesky(cov) @ rng.standard_normal(self.p)
 
     def draw_terminal(self, theta_prev: np.ndarray,

@@ -20,7 +20,8 @@ from ..gibbs import ChainConfig, ChainOutput, TimingBreakdown, _run_sweeps
 # attribute and count the observation fits
 from ..gk import estimate_gk, link_parameters
 from ..kernels import KernelSpec
-from .conditionals import SweepOperator, innovation_precision_conditional
+from .conditionals import (SweepOperator, initial_prior_terms,
+                           innovation_precision_conditional)
 from .kalman import kalman_smoother_init
 from .system import (DlmSpec, SeasonCalendar, block_transition,
                      observation_block)
@@ -107,7 +108,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         raise ValueError("data do not match the calendar length")
     if summaries.shape[1] != spec.n_series or not np.all(np.isfinite(summaries)):
         raise ValueError("summaries must be finite rows, one per day")
-    # the sweep reads each size back with int(), so it must be a whole number
+    # each size is converted to an int once per run, so it must be a whole number
     if (n_obs.shape != (n_days,) or not np.isfinite(n_obs).all() or np.any(n_obs < 1)
             or np.any(n_obs != np.floor(n_obs))):
         raise ValueError("n_obs must hold one positive whole size per day")
@@ -147,6 +148,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                    for flag in (False, True)}
     g_mat = np.kron(block_transition(), eye)
     summer = [calendar.is_summer(t) for t in range(1, n_days + 1)]
+    day_sizes = [int(n) for n in n_obs]
+    prior = initial_prior_terms(spec.m0, spec.c0_diag, p)
 
     theta = np.empty((n_days + 2, p))
     theta[:n_days + 1] = path0
@@ -179,22 +182,22 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         nonlocal tau, q_off_max, outside
         op = SweepOperator(g_mat, 1.0 / tau, f_by_season)
         q_off_max = max(q_off_max, op.off_diagonal_max)
-        theta[0] = op.draw_initial(theta[1], spec.m0, spec.c0_diag, rng)
+        theta[0] = op.draw_initial(theta[1], prior, rng)
         for t in range(1, n_days + 1):
             flag = summer[t - 1]
             a = op.two_sided_mean(theta[t - 1], theta[t + 1])
             f_mean, q_diag = op.predictor_moments(a, flag)
             phi = PhiContext(mean=f_mean, variance=q_diag,
-                             n_obs=int(n_obs[t - 1]))
+                             n_obs=day_sizes[t - 1])
             if lambda_sampler is not None:
-                lam = lambda_sampler(phi, summaries[t - 1], rng)
+                lam = np.asarray(lambda_sampler(phi, summaries[t - 1], rng),
+                                 dtype=float)
             else:
                 f_days[t - 1], q_days[t - 1] = f_mean, q_diag
                 lam = sample_lambda_conditional(
                     phi, summaries[t - 1], training, training_config.kernel,
                     training_config.m_neighbours, rng, timings)
-            lam = np.asarray(lam, dtype=float)
-            theta[t] = op.draw_state(a, lam, flag, rng)
+            theta[t] = op.draw_state(a, f_mean, lam, flag, rng)
             # messages number the sweeps from 0
             if not np.isfinite(theta[t]).all():
                 raise FloatingPointError(

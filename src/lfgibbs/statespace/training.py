@@ -59,7 +59,10 @@ class PhiContext:
         var = np.asarray(self.variance, dtype=float)
         if mean.shape != (N_PREDICTOR,) or var.shape != (N_PREDICTOR,):
             raise ValueError(f"mean and variance must be length {N_PREDICTOR}")
-        if (var <= 0).any() or not np.isfinite(var).all():
+        # one context per day and sweep: four scalar tests beat the
+        # numpy reductions at this size, and NaN fails them as it fails
+        # the positive-and-finite rule
+        if not all(0.0 < v < math.inf for v in var.tolist()):
             raise ValueError("prior variances must be positive and finite")
         n_obs = _whole_number(self.n_obs, "n_obs")
         if n_obs < 1:

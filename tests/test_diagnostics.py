@@ -1,5 +1,8 @@
 """Tests for the effective sample size estimator."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,3 +48,123 @@ def test_ess_not_above_length():
     chain = np.repeat(base, 2) * np.tile([1.0, -1.0], 2000)
     ess = effective_sample_size(chain)
     assert 1.0 <= ess <= chain.size
+
+
+def reference_ess(chain):
+    """The one-column estimator as a loop over lag pairs: the oracle the
+    blocked two-dimensional form must reproduce bit for bit."""
+    x = np.asarray(chain, dtype=float)
+    n = x.size
+    x = x - x.mean()
+    if float(x @ x) / n <= 0:
+        return 1.0
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:n] / n
+    rho = acov / acov[0]
+    total = 0.0
+    k = 1
+    while k + 1 < n:
+        pair = rho[k] + rho[k + 1]
+        if pair <= 0:
+            break
+        total += pair
+        k += 2
+    return float(min(max(n / (1.0 + 2.0 * total), 1.0), n))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def ar1_columns(rng, n, width, low=0.5, high=0.99):
+    phi = rng.uniform(low, high, size=width)
+    x = rng.standard_normal((n, width))
+    for t in range(1, n):
+        x[t] += phi * x[t - 1]
+    return x
+
+
+def assert_matches_columns(chain):
+    """The 2-D ESS equals, bit for bit, the oracle and the 1-D call on
+    every column."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = effective_sample_size(chain)
+        one_d = np.array([effective_sample_size(chain[:, j])
+                          for j in range(chain.shape[1])])
+        want = np.array([reference_ess(chain[:, j]) for j in range(chain.shape[1])])
+    assert got.shape == (chain.shape[1],)
+    np.testing.assert_array_equal(bits(got), bits(want))
+    np.testing.assert_array_equal(bits(one_d), bits(want))
+    return got
+
+
+class TestTwoDimensional:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    def test_iid_and_ar1_columns_bit_for_bit(self, width):
+        rng = np.random.default_rng(width)
+        n = 280
+        chain = rng.standard_normal((n, width))
+        chain[:, ::2] = ar1_columns(rng, n, width)[:, ::2]
+        ess = assert_matches_columns(chain)
+        if width > 1:
+            # the AR(1) columns mix slowly, the iid ones do not
+            assert np.median(ess[::2]) < 0.2 * n < np.median(ess[1::2])
+
+    @pytest.mark.parametrize("n", [100, 101, 128, 129, 1000])
+    def test_lengths_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        chain = 5.0 + 1e-3 * ar1_columns(rng, n, 70, 0.0, 0.999)
+        assert_matches_columns(chain)
+
+    def test_short_chain_rejected(self):
+        with pytest.raises(ValueError, match="100"):
+            effective_sample_size(np.zeros((99, 3)))
+        with pytest.raises(ValueError):
+            effective_sample_size(np.zeros((200, 2, 2)))
+
+    def test_constant_nan_and_inf_columns(self):
+        rng = np.random.default_rng(5)
+        chain = ar1_columns(rng, 300, 66)
+        chain[:, 3] = 2.5
+        chain[7, 10] = np.nan
+        chain[9, 64] = np.inf
+        chain[9, 65] = -np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ess = effective_sample_size(chain)
+        constant = [w for w in caught if "constant" in str(w.message)]
+        assert len(constant) == 1 and "[3]" in str(constant[0].message)
+        assert ess[3] == 1.0
+        assert np.isnan(ess[[10, 64, 65]]).all()
+        assert np.isfinite(np.delete(ess, [10, 64, 65])).all()
+        assert_matches_columns(chain)
+
+    def test_strided_and_integer_input(self):
+        rng = np.random.default_rng(6)
+        chain = ar1_columns(rng, 200, 140)
+        np.testing.assert_array_equal(
+            bits(effective_sample_size(chain[:, ::2])),
+            bits(effective_sample_size(np.ascontiguousarray(chain[:, ::2]))))
+        counts = rng.integers(0, 5, size=(150, 4))
+        np.testing.assert_array_equal(
+            bits(effective_sample_size(counts)),
+            bits(effective_sample_size(counts.astype(float))))
+
+    def test_memory_does_not_grow_with_width(self):
+        # columns are transformed in blocks, so the working memory is that
+        # of one block: about 2 MB at 280 states, where all 5 000 columns
+        # at once would hold 41 MB of spectra
+        rng = np.random.default_rng(7)
+        peaks = []
+        for width in (64, 5_000):
+            chain = rng.standard_normal((280, width))
+            tracemalloc.start()
+            try:
+                effective_sample_size(chain)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * 2 ** 20
+        assert peaks[1] < peaks[0] + 8 * 5_000 + 2 ** 16

@@ -1,5 +1,7 @@
 """Tests for the weighted regression families."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,40 @@ class TestWeightedLinear:
         x = np.column_stack([np.ones(20), base, base[:, 0]])  # col 3 = col 1
         with pytest.raises(ArithmeticError, match="columns"):
             fit_weighted_linear(x, rng.normal(size=20), np.ones(20))
+
+    def test_ill_conditioned_full_rank_says_so(self):
+        # full rank, but the Gram eigenvalue test flags it: pivoted QR
+        # drops no column, so the error gives the Gram condition number
+        # and the weakest pivot instead of an empty column list
+        rng = np.random.default_rng(0)
+        n = 500
+        t, u = rng.uniform(size=n), rng.normal(size=n)
+        x = np.column_stack([np.ones(n), t, t + 1e-9 * u])
+        assert np.linalg.cond(x) == pytest.approx(2e9, rel=0.1)
+        with pytest.raises(ArithmeticError, match="ill-conditioned") as err:
+            fit_weighted_linear(x, rng.normal(size=n), np.ones(n))
+        cond = float(re.search(r"Gram condition number (\S+);", str(err.value)).group(1))
+        want = np.linalg.cond(x.T @ (x / n))
+        assert cond == pytest.approx(want, rel=1e-2)
+        assert re.search(r"smallest pivot is column [12]$", str(err.value))
+        assert "offending" not in str(err.value)
+
+    def test_raises_where_the_gram_rank_test_fails(self):
+        # the message changed, the cases did not: it raises exactly when
+        # the eigenvalue rank of the weighted Gram falls short
+        rng = np.random.default_rng(1)
+        n = 500
+        t, u = rng.uniform(size=n), rng.normal(size=n)
+        for eps in 10.0 ** -np.arange(4.0, 12.0, 0.5):
+            x = np.column_stack([np.ones(n), t, t + eps * u])
+            gram = x.T @ (x * np.full(n, 1.0 / n)[:, None])
+            short = np.linalg.matrix_rank(gram, hermitian=True) < 3
+            try:
+                fit_weighted_linear(x, u, np.ones(n))
+                raised = False
+            except ArithmeticError:
+                raised = True
+            assert raised == short, eps
 
     def test_zero_weights_rejected(self):
         x = np.ones((5, 1))

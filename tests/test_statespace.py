@@ -4,12 +4,15 @@ import copy
 import hashlib
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.gibbs import save_chain
 from lfgibbs.gk import GKParams, gk_sample, link_parameters, unlink_parameters
 from lfgibbs.kernels import KernelSpec
@@ -439,7 +442,7 @@ class TestSweepOperator:
         f_mean, q_diag = self.op.predictor_moments(a, True)
         np.testing.assert_allclose(f_mean, upd.predictor_mean, atol=1e-12)
         np.testing.assert_allclose(q_diag, upd.predictor_var, atol=1e-12)
-        draws = np.array([self.op.draw_state(a, lam, True,
+        draws = np.array([self.op.draw_state(a, f_mean, lam, True,
                                              np.random.default_rng(i))
                           for i in range(400)])
         # with an exactly diagonal q the draw lies in the conditioned
@@ -456,8 +459,9 @@ class TestSweepOperator:
         tp, tn, lam = np.array([0.4, -0.2]), np.array([1.0, 0.3]), np.array([0.8])
         upd = state_given_predictor_conditional(tp, tn, w, g, f_mat, lam)
         a = op.two_sided_mean(tp, tn)
+        fa = op.predictor_moments(a, False)[0]
         rng = np.random.default_rng(8)
-        draws = np.array([op.draw_state(a, lam, False, rng)
+        draws = np.array([op.draw_state(a, fa, lam, False, rng)
                           for _ in range(20000)])
         se = np.sqrt(np.diag(upd.cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - upd.mean) < 4 * se + 1e-12)
@@ -473,7 +477,8 @@ class TestSweepOperator:
         m0, c0 = np.array([0.2, 0.1]), np.array([2.0, 3.0])
         mean, cov = initial_state_conditional(theta1, np.array([0.5, 0.8]),
                                               trend_block(), m0, c0)
-        draws = np.array([op.draw_initial(theta1, m0, c0, rng)
+        prior = conditionals.initial_prior_terms(m0, c0, 2)
+        draws = np.array([op.draw_initial(theta1, prior, rng)
                           for _ in range(20000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
@@ -532,11 +537,28 @@ class TestPhiContext:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 20.5])
     def test_n_obs_must_be_whole(self, bad):
-        with pytest.raises(ValueError, match="n_obs"):
+        with pytest.raises(ValueError,
+                           match=rf"^n_obs must be a whole number, got {re.escape(repr(bad))}$"):
             PhiContext(np.zeros(4), np.ones(4), bad)
 
     def test_n_obs_takes_numpy_integers(self):
         assert PhiContext(np.zeros(4), np.ones(4), np.int64(20)).n_obs == 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300])
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_variances_positive_and_finite(self, bad, slot):
+        var = np.full(4, 1e-6)
+        var[slot] = bad
+        with pytest.raises(ValueError,
+                           match=r"^prior variances must be positive and finite$"):
+            PhiContext(np.zeros(4), var, 20)
+
+    def test_accepted_fields(self):
+        # the smallest positive double and the largest finite one pass;
+        # lists are taken as float arrays
+        phi = PhiContext([0, 1, 2, 3], [5e-324, 1.0, 2.0, np.finfo(float).max], 20)
+        assert phi.mean.dtype == float and phi.variance.dtype == float
+        assert phi.variance[0] == 5e-324 and phi.n_obs == 20
 
     def test_embed_layout(self):
         phi = PhiContext(np.array([1.0, 2.0, 3.0, 4.0]),
@@ -1175,8 +1197,8 @@ class TestSamplerTrainingPath:
         assert out.timings.pre_fit_count == units
         assert out.timings.in_sim_units == 0.0
 
-    def _short_chain(self, kernel=KernelSpec("epanechnikov")):
-        """A 6-day chain on an 80-pair training table, 20 sweeps."""
+    def _short_chain(self, kernel=KernelSpec("epanechnikov"), config=ChainConfig(20, 5)):
+        """A 6-day chain on an 80-pair training table, by default 20 sweeps."""
         rng = np.random.default_rng(33)
         cal = SeasonCalendar(n_days=6, summer_start=3, summer_end=5)
         g = np.kron(block_transition(), np.eye(4))
@@ -1191,7 +1213,7 @@ class TestSamplerTrainingPath:
         return run_state_space_gibbs(DlmSpec(), cal,
                                      TrainingConfig(n_pairs=80, m_neighbours=40,
                                                     kernel=kernel),
-                                     ChainConfig(20, 5), np.random.default_rng(34),
+                                     config, np.random.default_rng(34),
                                      observations=observations)
 
     def test_short_chain_pinned(self):
@@ -1203,6 +1225,20 @@ class TestSamplerTrainingPath:
         t = out.timings
         assert t.pre_sim_seconds > 0 and t.pre_fit_seconds > 0
         assert t.pre_sim_seconds != t.pre_fit_seconds
+
+    def test_retained_chain_ess_pinned(self):
+        # 100 kept sweeps, the fewest the closing ESS pass takes: the
+        # chain and every column's ESS are pinned, and each ESS is the
+        # one-column estimator's, bit for bit
+        out = self._short_chain(config=ChainConfig(110, 10))
+        assert out.states.shape == (100, 324)
+        assert digest(out.states) == "03bb1441e3ba3fe6"
+        assert digest(out.ess) == "317657a66e69d796"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            one_d = [effective_sample_size(out.states[:, j]) for j in range(324)]
+        np.testing.assert_array_equal(out.ess.view(np.uint64),
+                                      np.array(one_d).view(np.uint64))
 
     def test_short_chain_uniform_kernel_pinned(self):
         # the uniform kernel gives every kept pair weight 1, so the
