@@ -10,7 +10,12 @@ pass per block, replaying SeedSequence's hashing and PCG64's seeding, and
 the rows are drawn on one reused Generator.  A failed row is retried from
 ``spawn(1)[0]`` of the seq that failed.  A model with a batch summary then
 has its rows summarized in blocks, one call per block, which leaves every
-row bit for bit as drawing and summarizing it alone would.
+row bit for bit as drawing and summarizing it alone would.  The blocks are
+the unit of parallel work: one process per CPU the process may use claims
+them in turn from a shared counter, the parent among them and the others
+forked for the call, and writes its rows into one shared buffer.  A
+block's rows depend on the row indices alone, never on which process drew
+them or in what order, so every split gives the same table bit for bit.
 ``abc_importance`` turns a table into a kernel-weighted posterior sample and
 ``regression_adjust`` applies the standard linear post-adjustment.
 """
@@ -19,7 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import multiprocessing
+import os
+import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
@@ -62,6 +72,13 @@ class SimulatorModel:
     summarizes such rows again through ``summary`` (see
     ``simulate_reference_table``).  It stacks the data sets of a block, so
     with a batch summary ``simulate_data`` must return arrays of one shape.
+
+    Table generation may call these callables in child processes forked
+    for the purpose (the ``fork`` start method only, so they need not
+    pickle).  A side effect on a Python object during a draw, such as a
+    counter or a list of calls, is then made in the child and not seen by
+    the caller.  Python 3.12 and later warn when a process that runs
+    threads forks.
     """
 
     name: str
@@ -328,41 +345,17 @@ def _first_draw(model: SimulatorModel, i: int, rng: np.random.Generator,
         return _draw_row(model, i, _row_seq(entropy, i).spawn(1)[0], 1, summarize)
 
 
-def simulate_reference_table(model: SimulatorModel, n: int,
-                             seed: int) -> ReferenceTable:
-    """Draw n (theta, summary) pairs from the prior and simulator.
-
-    Row i is drawn on ``PCG64`` seeded by the i-th child of
-    ``SeedSequence(seed)``, as ``SeedSequence(seed).spawn(n)[i]`` would
-    seed it, so the table is reproducible row by row regardless of
-    execution order.  The rows' PCG64 states are computed in one pass per
-    block of ``_BLOCK_ROWS`` rows, and each row is drawn on one reused
-    Generator set to its state.  A row whose draw or summary raises
-    ArithmeticError is drawn again from ``seq.spawn(1)[0]`` of the seq that
-    failed, starting from the row's child seq, up to 10 times per row.
-    Tables of up to 2**32 rows are supported.
-
-    With ``model.batch_summary`` each block's stacked data is summarized in
-    one call.  A row whose batch summary is not finite is drawn again from
-    the seq that drew it, which repeats its data, and summarized through
-    ``model.summary``; if that raises, the row is redrawn as above, and its
-    failures at both stages share the one budget.  Row streams are
-    independent, so the table and its retry count are those of drawing and
-    summarizing one row at a time.
-    """
-    if n < 1:
-        raise ValueError("table size must be positive")
-    if n > 2 ** 32:
-        raise ValueError("table size must be at most 2**32")
-    root = np.random.SeedSequence(seed)
-    prefix = _spawn_prefix(root)
+def _draw_blocks(model: SimulatorModel, root: np.random.SeedSequence, prefix,
+                 theta: np.ndarray, summ: np.ndarray, claim: Callable[[], int]) -> int:
+    """Draw into theta and summ every block whose first row ``claim()``
+    hands out, until it hands out the table's length; return the retries
+    of the rows drawn."""
+    n = len(theta)
     # one Generator for every row; its state is set before each draw
     rng = np.random.Generator(np.random.PCG64(root))
-    theta = np.empty((n, model.dim_theta))
-    summ = np.empty((n, model.dim_summary))
     retries = 0
     batched = model.batch_summary is not None
-    for start in range(0, n, _BLOCK_ROWS):
+    while (start := claim()) < n:
         stop = min(start + _BLOCK_ROWS, n)
         rows = []
         for i, state in enumerate(_row_states(prefix, start, stop), start):
@@ -387,6 +380,165 @@ def simulate_reference_table(model: SimulatorModel, n: int,
         for i, row in enumerate(rows, start):
             theta[i] = row.theta
             retries += row.failures
+    return retries
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+class _Blocks:
+    """Table blocks handed out in row order to a fixed set of processes.
+
+    Slot 0 of the shared array holds the first row of the next block; slot
+    1 + w holds the first row of the block worker w claimed last, which it
+    draws until it claims again.
+    """
+
+    def __init__(self, ctx, n: int, workers: int):
+        self.n = n
+        self._slots = ctx.Array("q", 1 + workers)
+
+    def claim(self, worker: int) -> int:
+        with self._slots.get_lock():
+            start = self._slots[0]
+            self._slots[0] = min(start + _BLOCK_ROWS, self.n)
+            self._slots[1 + worker] = start
+        return start
+
+    def stop(self) -> None:
+        """Hand out no further block; those claimed are still drawn."""
+        with self._slots.get_lock():
+            self._slots[0] = self.n
+
+    def drawing(self, worker: int) -> int:
+        return self._slots[1 + worker]
+
+
+def _run(draw, blocks: _Blocks, worker: int):
+    """The retries of ``draw`` as worker ``worker``, or the exception that
+    ended it, after which no worker claims another block."""
+    try:
+        return draw(partial(blocks.claim, worker))
+    except Exception as exc:
+        blocks.stop()
+        return exc
+
+
+def _child(draw, blocks: _Blocks, worker: int, conn) -> None:
+    """Body of a forked worker: send back its retries or (exception, cause)."""
+    outcome = _run(draw, blocks, worker)
+    if isinstance(outcome, Exception):
+        outcome = (outcome, outcome.__cause__)
+        try:
+            pickle.loads(pickle.dumps(outcome))
+        except Exception:
+            outcome = (RuntimeError(f"table worker failed with {outcome[0]!r}"), None)
+    conn.send(outcome)
+    conn.close()
+
+
+def _receive(child, conn, blocks: _Blocks, worker: int):
+    """The retries or the exception a forked worker sent back."""
+    try:
+        outcome = conn.recv()
+    except EOFError:
+        child.join()
+        start = blocks.drawing(worker)
+        where = (f"drawing table rows {start}..{min(start + _BLOCK_ROWS, blocks.n) - 1}"
+                 if start < blocks.n else "after its last block")
+        return RuntimeError(f"table worker {child.pid} exited with code "
+                            f"{child.exitcode} without reporting, {where}")
+    if isinstance(outcome, tuple):
+        exc, cause = outcome
+        exc.__cause__ = cause
+        return exc
+    return outcome
+
+
+def _draw_in_processes(draw, n: int, workers: int) -> int:
+    """Run ``draw`` in this process and in workers - 1 forked children,
+    which claim the table's blocks from one shared counter; return the
+    summed retries or raise the error of the lowest failed block."""
+    ctx = multiprocessing.get_context("fork")
+    blocks = _Blocks(ctx, n, workers)
+    children = []
+    finished = False
+    try:
+        for worker in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(draw, blocks, worker, send),
+                                daemon=True)
+            child.start()
+            send.close()
+            children.append((child, recv))
+        outcomes = [_run(draw, blocks, 0)]
+        outcomes += [_receive(child, recv, blocks, worker)
+                     for worker, (child, recv) in enumerate(children, 1)]
+        finished = True
+    finally:
+        for child, recv in children:
+            if not finished:
+                child.terminate()
+            child.join()
+            recv.close()
+    failed = [(blocks.drawing(worker), exc) for worker, exc in enumerate(outcomes)
+              if isinstance(exc, Exception)]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return sum(outcomes)
+
+
+def simulate_reference_table(model: SimulatorModel, n: int,
+                             seed: int) -> ReferenceTable:
+    """Draw n (theta, summary) pairs from the prior and simulator.
+
+    Row i is drawn on ``PCG64`` seeded by the i-th child of
+    ``SeedSequence(seed)``, as ``SeedSequence(seed).spawn(n)[i]`` would
+    seed it, so the table is reproducible row by row regardless of
+    execution order.  The rows' PCG64 states are computed in one pass per
+    block of ``_BLOCK_ROWS`` rows, and each row is drawn on one reused
+    Generator set to its state.  A row whose draw or summary raises
+    ArithmeticError is drawn again from ``seq.spawn(1)[0]`` of the seq that
+    failed, starting from the row's child seq, up to 10 times per row.
+    Tables of up to 2**32 rows are supported.
+
+    With ``model.batch_summary`` each block's stacked data is summarized in
+    one call.  A row whose batch summary is not finite is drawn again from
+    the seq that drew it, which repeats its data, and summarized through
+    ``model.summary``; if that raises, the row is redrawn as above, and its
+    failures at both stages share the one budget.  Row streams are
+    independent, so the table and its retry count are those of drawing and
+    summarizing one row at a time.
+
+    The blocks are drawn by k = min(CPUs this process may use, blocks)
+    processes: this one and k - 1 children forked for the call, each
+    claiming the next undrawn block from a shared counter as it finishes
+    one.  A block's rows depend on their row indices alone, so any split
+    gives the same table and retry count, bit for bit.  The rows go into
+    one shared anonymous mmap, on which the table's theta and summaries
+    are views.  A failure raises the error of the lowest failed block,
+    which is the serial draw's error, after every child has been joined.
+    With k = 1, and in a process that ``multiprocessing`` started (a grid
+    worker, say), the blocks are drawn in this process alone.
+    """
+    if n < 1:
+        raise ValueError("table size must be positive")
+    if n > 2 ** 32:
+        raise ValueError("table size must be at most 2**32")
+    root = np.random.SeedSequence(seed)
+    prefix = _spawn_prefix(root)
+    d, q = model.dim_theta, model.dim_summary
+    shared = np.frombuffer(mmap.mmap(-1, 8 * n * (d + q)), dtype=float)
+    theta, summ = shared[:n * d].reshape(n, d), shared[n * d:].reshape(n, q)
+    draw = partial(_draw_blocks, model, root, prefix, theta, summ)
+    workers = min(_cpu_count(), -(-n // _BLOCK_ROWS))
+    if workers == 1 or multiprocessing.parent_process() is not None:
+        starts = iter(range(0, n, _BLOCK_ROWS))
+        retries = draw(lambda: next(starts, n))
+    else:
+        retries = _draw_in_processes(draw, n, workers)
     return ReferenceTable(theta, summ, np.ones(n), seed=seed,
                           fingerprint=model.fingerprint(), retries=retries,
                           theta_names=list(model.theta_names))

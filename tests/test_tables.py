@@ -9,12 +9,20 @@ summarizing a table in blocks leaves every row's bits unchanged.  Neither
 
 import dataclasses
 import hashlib
+import mmap
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from lfgibbs import abc
 from lfgibbs.abc import (
     _BLOCK_ROWS,
+    _MAX_RETRIES,
     SimulatorModel,
     _row_states,
     _spawn_prefix,
@@ -253,3 +261,279 @@ class TestBatchSummaries:
                          for _ in range(5)])
         np.testing.assert_array_equal(model.batch_summary(data), data)
         np.testing.assert_array_equal(model.summary(data[0]), data[0])
+
+
+# --- blocks drawn in forked children ----------------------------------------
+
+
+def drawn(model, n, cpus, monkeypatch, timeout=120):
+    """The table drawn as if ``cpus`` CPUs were visible; a draw that takes
+    over ``timeout`` seconds raises TimeoutError, and no child process
+    outlives the call, whether it returns or raises."""
+    def expire(signum, frame):
+        raise TimeoutError(f"table not drawn in {timeout} s")
+
+    monkeypatch.setattr(abc, "_cpu_count", lambda: cpus)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(timeout)
+    try:
+        return simulate_reference_table(model, n, seed=SEED)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+
+def attempt_states(row):
+    """The PCG64 state integers of a table row's first draw and its retries."""
+    seq, states = np.random.SeedSequence(SEED, spawn_key=(row,)), set()
+    for _ in range(_MAX_RETRIES + 1):
+        states.add(np.random.PCG64(seq).state["state"]["state"])
+        seq = seq.spawn(1)[0]
+    return states
+
+
+def wait_for(flags, slot):
+    """Wait up to 30 s until flags[slot], set by another process, is nonzero."""
+    deadline = time.monotonic() + 30.0
+    while not flags[slot] and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def rigged_model(fail=(), fail_late=(), wide=(), exit_in_child=(), hang_in_child=(),
+                 mark=(), hold=False, interrupt=False, error=ArithmeticError):
+    """A model rigged at chosen rows, and a record shared with forked children.
+
+    Theta is (id of the process that drew the row, a normal draw x), and
+    the data and summary are x.  Every attempt at a row in ``fail`` raises
+    ``error``; a row in ``fail_late`` does too, but while the table is
+    drawn in parallel it first waits until another rigged row has fired.
+    A row in ``wide`` has a two-wide summary, one in ``exit_in_child`` ends
+    a forked child with ``os._exit(7)``, one in ``hang_in_child`` holds a
+    forked child for ten minutes and one in ``mark`` is drawn as usual.  A
+    rigged row that fires writes its process id to ``record[0]``.
+
+    While a table is drawn in parallel, forked children wait to draw until
+    this process has begun its first block, so that it claims one of the
+    first blocks, one per process.  With ``hold`` it then waits until a
+    rigged row has fired, so that the rigged rows past those first blocks
+    are drawn by children; with ``interrupt`` it then raises
+    KeyboardInterrupt.
+    """
+    # [pid of the last rigged row to fire, 1 once this process draws]
+    record = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    parent = os.getpid()
+    rows = {name: set().union(*map(attempt_states, r)) if r else set()
+            for name, r in (("fail", fail), ("late", fail_late), ("wide", wide),
+                            ("exit", exit_in_child), ("hang", hang_in_child),
+                            ("mark", mark))}
+
+    def prior_sample(rng):
+        in_child = os.getpid() != parent
+        if in_child:
+            wait_for(record, 1)
+        elif not record[1] and multiprocessing.active_children():
+            record[1] = 1
+            if hold:
+                wait_for(record, 0)
+            if interrupt:
+                raise KeyboardInterrupt
+        state = rng.bit_generator.state["state"]["state"]
+        if state in rows["late"] and (in_child or record[1]):
+            wait_for(record, 0)
+        if state in rows["fail"] | rows["late"]:
+            record[0] = os.getpid()
+            raise error("rigged failure")
+        if state in rows["exit"] | rows["hang"] and in_child:
+            record[0] = os.getpid()
+            if state in rows["exit"]:
+                os._exit(7)
+            time.sleep(600.0)
+        if state in rows["wide"] | rows["mark"]:
+            record[0] = os.getpid()
+        x = np.inf if state in rows["wide"] else rng.normal()
+        return np.array([os.getpid(), x])
+
+    model = SimulatorModel(
+        name="rigged", dim_theta=2, dim_summary=1, prior_sample=prior_sample,
+        prior_logpdf=lambda th: 0.0, simulate_data=lambda th, rng: th[1:],
+        summary=lambda data: np.repeat(data, 2) if np.isinf(data[0]) else data)
+    return model, record
+
+
+class UnpicklableError(Exception):
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+# the 5-block table of the failure tests; with ``hold``, rows past block 2
+# are drawn by children at 2 or 3 workers
+FIVE_BLOCKS = 5 * _BLOCK_ROWS
+CHILD_ROW = 3 * _BLOCK_ROWS + 10
+
+
+class TestWorkerCounts:
+    """Any number of workers gives the table of the serial draw, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("model,n,pin", [
+        (lambda: hierarchical_model(SPEC), 1027, HIERARCHY_PINS[1027]),
+        (lambda: mixture_model(MixtureSpec()), 20_000, MIXTURE_PINS[20_000]),
+        (lambda: flaky_hierarchy(0.3), 1500, ("82020c974ce15d35", 625)),
+    ], ids=["hierarchy", "mixture", "forced-retries"])
+    def test_pinned_tables(self, model, n, pin, cpus, monkeypatch):
+        table = drawn(model(), n, cpus, monkeypatch)
+        assert (digest(table), table.retries) == pin
+
+    def test_children_draw_blocks(self, monkeypatch):
+        # this process holds its first block until a child has drawn the
+        # marked row, so two processes surely draw
+        serial = drawn(rigged_model()[0], FIVE_BLOCKS, 1, monkeypatch)
+        model, record = rigged_model(mark=[4 * _BLOCK_ROWS], hold=True)
+        table = drawn(model, FIVE_BLOCKS, 2, monkeypatch)
+        assert set(serial.theta[:, 0]) == {os.getpid()}
+        assert record[0] != os.getpid()
+        assert set(table.theta[:, 0]) == {os.getpid(), record[0]}
+        for a, b in ((table.theta[:, 1], serial.theta[:, 1]),
+                     (table.summaries, serial.summaries)):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_table_is_a_view_on_one_buffer(self, monkeypatch):
+        table = drawn(hierarchical_model(SPEC), 600, 2, monkeypatch)
+        assert table.theta.base is table.summaries.base
+        assert isinstance(table.theta.base.base.obj, mmap.mmap)
+
+    def test_nested_worker_draws_in_process(self, monkeypatch):
+        monkeypatch.setattr(abc, "_cpu_count", lambda: 3)
+        with ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("fork")) as pool:
+            worker, pids, pinned = pool.submit(_draw_in_a_worker).result(timeout=120)
+        assert worker != os.getpid()
+        assert pids == {worker}
+        assert pinned == HIERARCHY_PINS[1027]
+
+
+def _draw_in_a_worker():
+    """In a pool worker: its pid, the pids that drew a 3-block table, and
+    the 1 027-row hierarchy table's digest and retries."""
+    model = rigged_model()[0]
+    pids = set(simulate_reference_table(model, 3 * _BLOCK_ROWS, SEED).theta[:, 0])
+    table = simulate_reference_table(hierarchical_model(SPEC), 1027, SEED)
+    return os.getpid(), pids, (digest(table), table.retries)
+
+
+class TestFailuresInChildren:
+    """A row drawn by a child fails as it does in the serial draw."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_retries_exhausted(self, cpus, monkeypatch):
+        message = f"simulation failed {_MAX_RETRIES + 1} times for table row {CHILD_ROW}$"
+        with pytest.raises(ArithmeticError, match=message) as serial:
+            drawn(rigged_model(fail=[CHILD_ROW])[0], FIVE_BLOCKS, 1, monkeypatch)
+        model, record = rigged_model(fail=[CHILD_ROW], hold=True)
+        with pytest.raises(ArithmeticError, match=message) as got:
+            drawn(model, FIVE_BLOCKS, cpus, monkeypatch)
+        assert record[0] not in (0, os.getpid())
+        for exc in (serial.value, got.value):
+            assert type(exc.__cause__) is ArithmeticError
+            assert str(exc.__cause__) == "rigged failure"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_summary_shape(self, cpus, monkeypatch):
+        message = r"^summary has shape \(2,\), expected \(1,\)$"
+        with pytest.raises(ValueError, match=message):
+            drawn(rigged_model(wide=[CHILD_ROW])[0], FIVE_BLOCKS, 1, monkeypatch)
+        model, record = rigged_model(wide=[CHILD_ROW], hold=True)
+        with pytest.raises(ValueError, match=message):
+            drawn(model, FIVE_BLOCKS, cpus, monkeypatch)
+        assert record[0] not in (0, os.getpid())
+
+    def test_lowest_failed_row_wins(self, monkeypatch):
+        # row 5 fails only after row 261 has, in whichever of the two
+        # processes draws each
+        rows = dict(fail=[_BLOCK_ROWS + 5], fail_late=[5])
+        message = "for table row 5$"
+        with pytest.raises(ArithmeticError, match=message):
+            drawn(rigged_model(**rows)[0], FIVE_BLOCKS, 1, monkeypatch)
+        model, record = rigged_model(**rows)
+        with pytest.raises(ArithmeticError, match=message):
+            drawn(model, FIVE_BLOCKS, 2, monkeypatch)
+        assert record[0] != 0
+
+    def test_other_errors_pass_through(self, monkeypatch):
+        model, _ = rigged_model(fail=[CHILD_ROW], hold=True, error=KeyError)
+        with pytest.raises(KeyError, match="rigged failure"):
+            drawn(model, FIVE_BLOCKS, 2, monkeypatch)
+
+    def test_unpicklable_error_is_reported(self, monkeypatch):
+        model, _ = rigged_model(fail=[CHILD_ROW], hold=True,
+                                error=lambda msg: UnpicklableError(msg, None))
+        with pytest.raises(RuntimeError, match="table worker failed with UnpicklableError"):
+            drawn(model, FIVE_BLOCKS, 2, monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_child_that_exits_names_its_block(self, cpus, monkeypatch):
+        model, record = rigged_model(exit_in_child=[CHILD_ROW], hold=True)
+        start = CHILD_ROW - CHILD_ROW % _BLOCK_ROWS
+        message = (rf"exited with code 7 without reporting, drawing table rows "
+                   rf"{start}\.\.{start + _BLOCK_ROWS - 1}$")
+        with pytest.raises(RuntimeError, match=message):
+            drawn(model, FIVE_BLOCKS, cpus, monkeypatch)
+        assert record[0] not in (0, os.getpid())
+
+    def test_interrupt_stops_every_child(self, monkeypatch):
+        model, _ = rigged_model(fail=[CHILD_ROW], hold=True, interrupt=True)
+        with pytest.raises(KeyboardInterrupt):
+            drawn(model, FIVE_BLOCKS, 3, monkeypatch)
+
+    def test_error_while_waiting_stops_every_child(self, monkeypatch):
+        # the timeout's TimeoutError reaches this process while it waits
+        # for the child that hangs
+        model, record = rigged_model(hang_in_child=[CHILD_ROW], hold=True)
+        with pytest.raises(TimeoutError):
+            drawn(model, FIVE_BLOCKS, 2, monkeypatch, timeout=3)
+        assert record[0] not in (0, os.getpid())
+
+
+class TestBlockClaims:
+    """The coordinator of the parallel draw, with a stand-in block drawer."""
+
+    def test_every_block_drawn_once(self):
+        n = 40 * _BLOCK_ROWS + 7
+        drawn_by = np.frombuffer(mmap.mmap(-1, 8 * 41), dtype=np.int64)
+
+        def draw(claim):
+            blocks = 0
+            while (start := claim()) < n:
+                drawn_by[start // _BLOCK_ROWS] += 1
+                blocks += 1
+            return blocks
+
+        assert abc._draw_in_processes(draw, n, 3) == 41
+        assert multiprocessing.active_children() == []
+        assert drawn_by.tolist() == [1] * 41
+
+    def test_a_later_lower_failure_wins(self):
+        # a child claims block 0 before this process claims block 1, and
+        # block 1 fails first: [child claimed, block 0 claimed, block 1 failed]
+        flags = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
+        parent = os.getpid()
+
+        def draw(claim):
+            if os.getpid() == parent:
+                wait_for(flags, 0)
+            while (start := claim()) < 3 * _BLOCK_ROWS:
+                flags[0] |= os.getpid() != parent
+                if start == 0:
+                    flags[1] = 1
+                    wait_for(flags, 2)
+                    raise ValueError("block 0")
+                if start == _BLOCK_ROWS:
+                    wait_for(flags, 1)
+                    flags[2] = 1
+                    raise ValueError("block 1")
+            return 0
+
+        with pytest.raises(ValueError, match="^block 0$"):
+            abc._draw_in_processes(draw, 3 * _BLOCK_ROWS, 2)
+        assert multiprocessing.active_children() == []
