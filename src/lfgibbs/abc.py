@@ -34,7 +34,7 @@ from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from lfgibbs.kernels import DistanceScaling, KernelSpec, kernel_weight, scaled_distance
+from lfgibbs.kernels import DistanceScaling, KernelSpec, localize, squared_scaled_distance
 from lfgibbs.regression import fit_weighted_linear
 
 __all__ = [
@@ -128,12 +128,6 @@ class ReferenceTable:
 
     def __len__(self) -> int:
         return self.theta.shape[0]
-
-    def normalized_weights(self) -> np.ndarray:
-        total = self.weights.sum()
-        if total <= 0:
-            raise ValueError("all weights are zero")
-        return self.weights / total
 
     def subset(self, idx: np.ndarray) -> "ReferenceTable":
         return ReferenceTable(self.theta[idx], self.summaries[idx],
@@ -579,20 +573,22 @@ def abc_importance(model: Optional[SimulatorModel], table: ReferenceTable,
     """Kernel-weighted sample of a prior-drawn table targeting the ABC
     posterior.
 
-    Weights are K_h(||s_i - s_obs||), normalized to sum to one.  All-zero
-    weights indicate a bandwidth too small for the observed summary and
-    raise an error.  ``model`` is unused; it keeps the calling convention
-    of the table engines.
+    Weights are K_h(||s_i - s_obs||) on the rows ``kernels.localize``
+    keeps, 0 elsewhere (a NaN distance too, at a finite bandwidth),
+    normalized to sum to one.  All-zero weights indicate a bandwidth too
+    small for the observed summary and raise an error.  ``model`` is
+    unused; it keeps the calling convention of the table engines.
     """
     s_obs = _observed_summary(s_obs, table)
-    if scaling is None:
-        scaling = DistanceScaling.from_samples(table.summaries)
-    dist = scaled_distance(table.summaries, s_obs, scaling)
-    w = kernel_weight(dist, kernel)
-    if not np.any(w > 0):
+    scaling = scaling or DistanceScaling.from_samples(table.summaries)
+    rows, kept, _ = localize(squared_scaled_distance(table.summaries, s_obs, scaling),
+                             kernel)
+    if not rows.size:
         raise ArithmeticError(
             "all ABC weights are zero; increase the kernel bandwidth")
-    w = w / w.sum()
+    w = np.zeros(len(table))
+    w[rows] = kept
+    w /= w.sum()
     ess, entropy = _weight_diagnostics(w)
     out = ReferenceTable(table.theta, table.summaries, w, seed=table.seed,
                          fingerprint=table.fingerprint, retries=table.retries,
@@ -607,8 +603,8 @@ def regression_adjust(output: AbcOutput, s_obs: np.ndarray) -> AbcOutput:
     solves the weighted least squares of that coordinate on the summaries
     (with intercept).  Weights are unchanged.
     """
-    s_obs = np.asarray(s_obs, dtype=float)
     table = output.samples
+    s_obs = _observed_summary(s_obs, table)
     if np.all(table.summaries == s_obs):
         # nothing to correct, and the summary design would be collinear
         return output

@@ -41,11 +41,12 @@ from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
-    _inflate,
     _pairwise_sum,
     kernel_weight,
-    knn_bandwidth,
+    knn_bandwidth,  # unused; the benchmark trace wraps gibbs.knn_bandwidth
+    localize,
     scaled_distance,
+    squared_scaled_distance,
 )
 from lfgibbs.regression import (
     fit_flexible_heteroscedastic,
@@ -439,10 +440,6 @@ class _SpecWorkspace:
             acc += self.terms[index[c]]
         return acc
 
-    def design(self, j: int) -> np.ndarray:
-        """Member j's (N, p) design, column-major."""
-        return np.stack([self.columns[k] for k in self.index[j]]).T
-
     def pooled(self, kept: Sequence[Tuple[np.ndarray, np.ndarray]]
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pooled fit's design, response and weights.
@@ -482,45 +479,6 @@ def _member_design(spec: ConditionalSpec, table: ReferenceTable,
         raise ValueError(f"batch feature map for {spec.name!r} returned "
                          f"{x.shape[0]} rows for {len(table)} samples")
     return x
-
-
-def _root_threshold(h: float) -> float:
-    """The smallest double t with sqrt(t) >= h.
-
-    sqrt is correctly rounded and monotone, so a double d2 >= 0 has
-    d2 < t exactly when sqrt(d2) < h.  h * h lies within a step or two of
-    t; an h * h that underflows to 0 or overflows to inf is stepped from
-    there the same way.
-    """
-    t = h * h
-    while math.sqrt(t) < h:
-        t = math.nextafter(t, math.inf)
-    while t > 0 and math.sqrt(math.nextafter(t, 0.0)) >= h:
-        t = math.nextafter(t, 0.0)
-    return t
-
-
-def _localize_squared(d2: np.ndarray, kernel: KernelSpec, m: int
-                      ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Positive-weight rows at squared distances ``d2``, their weights and the bandwidth.
-
-    Bit-identical to localizing the distances sqrt(d2) with ``knn_bandwidth``
-    and ``kernel_weight``, with no root taken outside the kept rows.  The
-    bandwidth h is the root of the m-th smallest d2, inflated as
-    ``knn_bandwidth`` inflates it: sqrt is monotone, so that root is the
-    m-th smallest distance.  The rows with positive kernel weight are
-    exactly those closer than h (for the Epanechnikov kernel d < h rounds
-    d/h below 1), which are those with d2 below ``_root_threshold(h)``.
-    Rows come in table order, with the weights ``kernel_weight`` gives
-    their distances over the full table.
-    """
-    if m < 1:
-        raise ValueError(f"m must be in [1, {d2.size}], got {m}")
-    m = min(m, d2.size)
-    h = _inflate(math.sqrt(np.partition(d2, m - 1)[m - 1]))
-    spec = kernel.with_bandwidth(h)
-    rows = np.flatnonzero(d2 < _root_threshold(h))
-    return rows, kernel_weight(np.sqrt(d2[rows]), spec), h
 
 
 def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
@@ -566,7 +524,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     the parameter is drawn from it.  ``model`` is unused; it keeps the
     calling convention of the table engines.
 
-    Each member is localized by ``_localize_squared`` on the squared
+    Each member is localized by ``kernels.localize`` at the kNN bandwidth
+    of ``m_neighbours`` rows (all rows of a shorter table) on the squared
     distances of ``_SpecWorkspace.squared_distances``, which recomputes a
     squared column term only when its query coordinate changed since the
     sweep before; roots are taken only on the rows inside the bandwidth.
@@ -589,6 +548,7 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     health = {key: np.empty((2, config.n_iterations * len(ws.spec.members)))
               for key, ws in workspaces.items()}
     timings = TimingBreakdown()
+    neighbours = min(config.m_neighbours, len(table))
 
     def update(spec: ConditionalSpec, m: int) -> None:
         ws = workspaces[id(spec)]
@@ -597,20 +557,17 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         for j in range(members):
             q = ws.query(s_obs, theta, j)
             t_loc = time.perf_counter()
-            rows, w, h = _localize_squared(ws.squared_distances(j, q), config.kernel,
-                                           config.m_neighbours)
+            rows, w, h = localize(ws.squared_distances(j, q), config.kernel, neighbours)
             timings.localize_seconds += time.perf_counter() - t_loc
             total = w.sum()
             health[id(spec)][:, (m - 1) * members + j] = h, total * total / (w @ w)
             kept.append((rows, w))
             queries.append(q)
-        n = sum(rows.size for rows, _ in kept)
-        if n < _min_rows(spec, ws.index[0].size):
+        x, y, w = ws.pooled(kept)
+        if y.size < _min_rows(spec, x.shape[1]):
             raise ArithmeticError(
                 f"conditional {spec.name!r} at iteration {m}: only "
-                f"{n} positive-weight rows among "
-                f"{config.m_neighbours} neighbours")
-        x, y, w = ws.pooled(kept)
+                f"{y.size} positive-weight rows among {neighbours} neighbours")
         t_fit = time.perf_counter()
         try:
             fit = _fit_family(spec, x, y, w, rng)
@@ -639,22 +596,18 @@ def _spread(values: np.ndarray) -> Dict[str, float]:
 
 
 def _global_weights(table: ReferenceTable, s_obs: np.ndarray,
-                    config: GibbsConfig) -> np.ndarray:
+                    config: GibbsConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The table rows the global kernel keeps and their weights."""
     idx = config.global_weight_indices
     cols = np.asarray(idx, dtype=int) if idx is not None else None
     summ = table.summaries if cols is None else table.summaries[:, cols]
     target = s_obs if cols is None else s_obs[cols]
-    scaling = config.global_scaling
-    if scaling is None:
-        scaling = DistanceScaling.from_samples(summ, table.weights)
-    dist = scaled_distance(summ, target, scaling)
-    kernel = config.kernel
-    if config.global_m is not None:
-        kernel = kernel.with_bandwidth(knn_bandwidth(dist, config.global_m))
-    w = kernel_weight(dist, kernel)
-    if not np.any(w > 0):
+    scaling = config.global_scaling or DistanceScaling.from_samples(summ, table.weights)
+    rows, w, _ = localize(squared_scaled_distance(summ, target, scaling),
+                          config.kernel, config.global_m)
+    if not rows.size:
         raise ArithmeticError("all global weights are zero; widen the kernel")
-    return w
+    return rows, w
 
 
 def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[ConditionalSpec],
@@ -665,10 +618,12 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
 
     Weights compare each table row's summary against the observed summary
     (optionally on a subset of coordinates, see
-    ``GibbsConfig.global_weight_indices``); each non-exact conditional is
-    fitted a single time before the chain starts, and the sweep evaluates
-    the fitted conditionals at the current state.  ``model`` is unused; it
-    keeps the calling convention of the table engines.
+    ``GibbsConfig.global_weight_indices``) at the kNN bandwidth of
+    ``global_m`` rows, or the kernel's own; each non-exact conditional is
+    fitted a single time before the chain starts, on every member's rows
+    that ``kernels.localize`` keeps, and the sweep evaluates the fitted
+    conditionals at the current state.  ``model`` is unused; it keeps the
+    calling convention of the table engines.
     """
     s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
@@ -680,22 +635,17 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
 
     non_exact = [spec for spec in specs if not spec.is_exact]
     if non_exact:
-        weights = _global_weights(table, s_obs, config)
+        kept = _global_weights(table, s_obs, config)
         for spec in non_exact:
             ws = _SpecWorkspace(spec, table)
             workspaces[id(spec)] = ws
-            x = np.concatenate([ws.design(j) for j in range(len(spec.members))],
-                               axis=0)
-            y = np.concatenate(ws.responses)
-            w = np.tile(weights, len(spec.members))
-            pos = w > 0
-            if int(pos.sum()) < _min_rows(spec, x.shape[1]):
+            x, y, w = ws.pooled([kept] * len(spec.members))
+            if y.size < _min_rows(spec, x.shape[1]):
                 raise ArithmeticError(
-                    f"conditional {spec.name!r}: only {int(pos.sum())} "
-                    "positive-weight rows")
+                    f"conditional {spec.name!r}: only {y.size} positive-weight rows")
             t_fit = time.perf_counter()
             try:
-                fit = _fit_family(spec, x[pos], y[pos], w[pos], rng)
+                fit = _fit_family(spec, x, y, w, rng)
             except (ValueError, ArithmeticError) as exc:
                 raise ArithmeticError(
                     f"conditional {spec.name!r} failed to fit: {exc}") from exc
@@ -787,6 +737,8 @@ def run_abc_pass(model: SimulatorModel, specs: Sequence[PassParamSpec],
     equivalents for the timing breakdown.
     """
     s_obs = np.asarray(s_obs, dtype=float)
+    if not np.isfinite(s_obs).all():
+        raise ValueError("s_obs must be finite")
     theta = config.initial.copy()
     _validate_members(specs, theta.size)
 
@@ -800,6 +752,8 @@ def run_abc_pass(model: SimulatorModel, specs: Sequence[PassParamSpec],
     mh_specs = [s for s in specs if not s.is_exact]
     for spec in mh_specs:
         for member in spec.members:
+            if spec.indices_for(member).max(initial=-1) >= s_obs.size:
+                raise ValueError(f"parameter class {spec.name!r}: stat_indices reach past s_obs")
             current_stats[member] = np.asarray(
                 spec.simulate_stats(theta, member, rng), dtype=float)
             setup_obs += spec.obs_cost

@@ -1,16 +1,17 @@
-"""Smoothing kernels and scaled distances.
+"""Smoothing kernels, scaled distances and the one table localizer.
 
 Conventions used throughout the package:
   - distances are non-negative scalars produced by ``scaled_distance``,
   - kernels are unnormalized (only weight ratios matter downstream),
-  - an infinite bandwidth is legal and makes every sample weight equal.
+  - an infinite bandwidth is legal and makes every sample weight equal,
+  - ``localize`` weights a table from squared distances, roots on kept rows only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +20,9 @@ __all__ = [
     "DistanceScaling",
     "kernel_weight",
     "knn_bandwidth",
+    "localize",
     "scaled_distance",
+    "squared_scaled_distance",
 ]
 
 _TIE_MARGIN = 1e-9
@@ -137,17 +140,18 @@ class DistanceScaling:
         return cls(np.maximum(np.sqrt(var), _SCALE_FLOOR))
 
 
-def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> Union[float, np.ndarray]:
-    """Diagonally scaled Euclidean distance sqrt(sum ((a_j-b_j)/s_j)^2).
+def squared_scaled_distance(a: np.ndarray, b: np.ndarray,
+                            scaling: DistanceScaling) -> Union[float, np.ndarray]:
+    """Diagonally scaled squared Euclidean distance sum ((a_j-b_j)/s_j)^2.
 
     Accepts a single vector or a matrix of row vectors for ``a``; ``b`` is a
     single vector.  Dimensions must match the scaling.
 
     The squared terms of each row are summed by ``np.sum`` over the
     C-ordered difference matrix, so a matrix of any other layout is first
-    copied to C order; the distances are then bit-identical to
-    ``np.sqrt(np.sum(z * z, axis=-1))`` on a C-ordered ``z`` whatever the
-    layout of ``a``.
+    copied to C order; the sums are then bit-identical to
+    ``np.sum(z * z, axis=-1)`` on a C-ordered ``z`` whatever the layout of
+    ``a``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -159,8 +163,54 @@ def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> U
     z = np.ascontiguousarray(a) - b
     z /= s
     z *= z
-    out = np.sqrt(z.sum(axis=-1))
+    out = z.sum(axis=-1)
     return float(out) if a.ndim == 1 else out
+
+
+def scaled_distance(a: np.ndarray, b: np.ndarray, scaling: DistanceScaling) -> Union[float, np.ndarray]:
+    """Diagonally scaled Euclidean distance, the root of ``squared_scaled_distance``."""
+    d2 = squared_scaled_distance(a, b, scaling)
+    return math.sqrt(d2) if isinstance(d2, float) else np.sqrt(d2)
+
+
+def _root_threshold(h: float) -> float:
+    """The smallest double t with sqrt(t) >= h.
+
+    sqrt is correctly rounded and monotone, so a double d2 >= 0 has
+    d2 < t exactly when sqrt(d2) < h.  h * h lies within a step or two of
+    t; an h * h that underflows to 0 or overflows to inf is stepped from
+    there the same way.
+    """
+    t = h * h
+    while math.sqrt(t) < h:
+        t = math.nextafter(t, math.inf)
+    while t > 0 and math.sqrt(math.nextafter(t, 0.0)) >= h:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+def localize(d2: np.ndarray, kernel: KernelSpec, m: Optional[int] = None
+             ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Positive-weight rows at squared distances ``d2``, their weights and the bandwidth.
+
+    The bandwidth h is the kernel's own, or with ``m`` the root of the m-th
+    smallest d2 (sqrt is monotone, so the m-th smallest distance) inflated
+    as ``knn_bandwidth`` inflates it.  The kernel's own infinite bandwidth
+    keeps every row at weight 1.  Otherwise the rows of positive kernel
+    weight are those closer than h (for the Epanechnikov kernel d < h
+    rounds d/h below 1), which are those with d2 below
+    ``_root_threshold(h)``; a NaN distance is never kept.  Rows come in
+    table order with the weights ``kernel_weight`` gives their distances.
+    """
+    h = kernel.bandwidth
+    if m is not None:
+        if not 1 <= m <= d2.size:
+            raise ValueError(f"m must be in [1, {d2.size}], got {m}")
+        h = _inflate(math.sqrt(np.partition(d2, m - 1)[m - 1]))
+    elif math.isinf(h):
+        return np.arange(d2.size), np.ones(d2.size), h
+    rows = np.flatnonzero(d2 < _root_threshold(h))
+    return rows, kernel_weight(np.sqrt(d2[rows]), kernel.with_bandwidth(h)), h
 
 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:

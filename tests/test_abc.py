@@ -151,6 +151,26 @@ class TestAbcImportance:
             with pytest.raises(ValueError, match="s_obs"):
                 abc_importance(model, table, np.array(s_obs), KernelSpec())
 
+    @staticmethod
+    def _nan_table():
+        summaries = np.array([[0.0], [0.1], [np.nan], [0.2], [5.0], [0.3]])
+        return ReferenceTable(np.arange(6.0)[:, None], summaries, np.ones(6))
+
+    def test_a_nan_summary_gets_weight_zero(self):
+        # Epanechnikov weighs a NaN distance 1 - NaN^2 over the whole table
+        out = abc_importance(None, self._nan_table(), np.zeros(1),
+                             KernelSpec("epanechnikov", 1.0), DistanceScaling.identity(1))
+        np.testing.assert_allclose(out.weights, [0.2591, 0.2565, 0.0, 0.2487, 0.0, 0.2358],
+                                   atol=5e-5)
+        assert out.weights[2] == 0.0
+        assert np.isfinite(out.ess)
+
+    @pytest.mark.parametrize("kind", ["uniform", "epanechnikov"])
+    def test_a_nan_summary_keeps_its_weight_at_an_infinite_bandwidth(self, kind):
+        out = abc_importance(None, self._nan_table(), np.zeros(1), KernelSpec(kind),
+                             DistanceScaling.identity(1))
+        np.testing.assert_array_equal(out.weights, np.full(6, 1.0 / 6.0))
+
     def test_discrepancy_shrinks_with_bandwidth(self):
         model = gaussian_mean_model()
         table = simulate_reference_table(model, 5000, seed=29)
@@ -244,3 +264,10 @@ class TestRegressionAdjust:
         out = self._output(theta, summaries)
         with pytest.raises(ArithmeticError):
             regression_adjust(out, np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("s_obs", [[0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, 0.5, 0.5]])
+    def test_bad_observed_summary_rejected(self, s_obs):
+        rng = np.random.default_rng(43)
+        out = self._output(rng.normal(size=(30, 1)), rng.normal(size=(30, 2)))
+        with pytest.raises(ValueError, match="s_obs"):
+            regression_adjust(out, np.array(s_obs))

@@ -350,6 +350,33 @@ class TestAbcPass:
         assert out.timings.extra_sim_units == 20.0
         assert out.acceptance_rates["stuck"] == 0.0
 
+    @staticmethod
+    def _random_walk(name, member, stat_indices):
+        return PassParamSpec(
+            name=name, members=(member,), stat_indices=stat_indices,
+            simulate_stats=lambda th, m, rng: np.array([th[m] + rng.standard_normal()]),
+            obs_cost=1,
+            proposal_sample=lambda th, m, rng: th[m] + rng.standard_normal(),
+            proposal_logpdf=lambda th, m, v: float(-0.5 * (v - th[m]) ** 2),
+            kernel=KernelSpec("uniform", 1.0))
+
+    @pytest.mark.parametrize("s_obs", [[0.0, np.nan], [np.inf, 0.0]])
+    def test_non_finite_observed_summary_rejected(self, s_obs):
+        # a NaN statistic would weigh every move 0 and reject them all
+        specs = [self._random_walk(f"theta_{d + 1}", d, (d,)) for d in range(2)]
+        config = GibbsConfig(n_iterations=5, initial=np.zeros(2))
+        with pytest.raises(ValueError, match="s_obs"):
+            run_abc_pass(self._gaussian_model(), specs, np.array(s_obs), config,
+                         np.random.default_rng(31))
+
+    def test_statistics_past_the_observed_summary_rejected(self):
+        specs = [self._random_walk("theta_1", 0, (0,)),
+                 self._random_walk("far", 1, {1: (1, 6)})]
+        config = GibbsConfig(n_iterations=5, initial=np.zeros(2))
+        with pytest.raises(ValueError, match="'far'.*s_obs"):
+            run_abc_pass(self._gaussian_model(), specs, np.zeros(3), config,
+                         np.random.default_rng(37))
+
     def test_acceptance_rate_between_zero_and_one(self):
         model = self._gaussian_model()
         specs = [

@@ -1,16 +1,18 @@
-"""Bit-identity of the localization in local Gibbs.
+"""Bit-identity of the localization in local Gibbs, global Gibbs and ABC.
 
 ``_SpecWorkspace`` stores each distinct design column of a conditional
 once, keeps each column's squared scaled term with the query value it was
 computed for, and sums a member's terms in numpy's order, starting from
-the kept sum of the terms a pooled group's members share;
-``_localize_squared`` finds the kNN bandwidth and the kept rows on those
-squared distances and takes roots and kernel weights only on the rows
-inside the bandwidth; ``_SpecWorkspace.pooled`` writes the kept rows of
-all members into one buffer.  All of it must reproduce the
-straightforward computation bit for bit: distances on the full design,
-the full-table mask path and the concatenated member rows are kept here
-as the oracle, and chain digests recorded before the change are pinned.
+the kept sum of the terms a pooled group's members share.
+``kernels.localize`` finds the bandwidth (the kernel's own, or the kNN
+one) and the kept rows on squared distances and takes roots and kernel
+weights only on the rows inside the bandwidth; local Gibbs, global Gibbs
+and ``abc_importance`` all weight their table through it.
+``_SpecWorkspace.pooled`` writes the kept rows of all members into one
+buffer.  All of it must reproduce the straightforward computation bit for
+bit: distances on the full design, the full-table mask path and the
+concatenated member rows are kept here as the oracle, and chain and
+weight digests recorded before the change are pinned.
 """
 
 import hashlib
@@ -21,14 +23,16 @@ import numpy as np
 import pytest
 
 from lfgibbs import gibbs
-from lfgibbs.abc import ReferenceTable, simulate_reference_table
+from lfgibbs.abc import ReferenceTable, abc_importance, simulate_reference_table
 from lfgibbs.gibbs import ConditionalSpec, GibbsConfig, run_global_gibbs, run_local_gibbs, save_chain
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
     _pairwise_sum,
+    _root_threshold,
     kernel_weight,
     knn_bandwidth,
+    localize,
     scaled_distance,
 )
 from lfgibbs.models.hierarchical import (
@@ -53,14 +57,18 @@ def reference_distance(a, b, scaling):
     return np.sqrt(reference_squared(a, b, scaling))
 
 
-def brute_force(design, scaling, query, kernel, m):
-    """Kernel weights over the whole table, then the positive-weight mask."""
+def brute_force(design, scaling, query, kernel, m=None):
+    """Kernel weights over the whole table, then the positive-weight mask.
+
+    The bandwidth is the kNN one of ``m`` rows, or the kernel's own.
+    """
     dist = reference_distance(design, query, scaling)
-    h = knn_bandwidth(dist, min(m, dist.size))
+    if m is not None:
+        kernel = kernel.with_bandwidth(knn_bandwidth(dist, min(m, dist.size)))
     with np.errstate(over="ignore"):  # d / h overflows for a zero-distance h
-        w = kernel_weight(dist, kernel.with_bandwidth(h))
+        w = kernel_weight(dist, kernel)
     pos = w > 0
-    return np.flatnonzero(pos), w[pos], h
+    return np.flatnonzero(pos), w[pos], kernel.bandwidth
 
 
 def bits(x):
@@ -157,8 +165,7 @@ class TestLocalize:
                 query = x[rng.integers(n)]
                 zero = np.flatnonzero(reference_distance(x, query, scaling) == 0)
                 m = int(rng.integers(1, zero.size + 1))
-            rows, w, h = gibbs._localize_squared(workspace(x).squared_distances(0, query),
-                                                 kernel, m)
+            rows, w, h = localize(workspace(x).squared_distances(0, query), kernel, m)
             want_rows, want_w, want_h = brute_force(x, scaling, query, kernel, m)
             assert h == want_h
             np.testing.assert_array_equal(rows, want_rows)
@@ -220,7 +227,7 @@ class TestSquaredThreshold:
 
     @pytest.mark.parametrize("h", BANDWIDTHS)
     def test_the_threshold_and_the_double_below_it(self, h):
-        t = gibbs._root_threshold(h)
+        t = _root_threshold(h)
         below = math.nextafter(t, 0.0)
         assert math.sqrt(t) >= h > math.sqrt(below)
         d2 = np.array([t, below])
@@ -230,7 +237,7 @@ class TestSquaredThreshold:
     def test_random_bandwidths(self):
         rng = np.random.default_rng(21)
         for h in 10.0 ** rng.uniform(-307, 154, size=20000):
-            t = gibbs._root_threshold(h)
+            t = _root_threshold(h)
             assert math.sqrt(t) >= h > math.sqrt(math.nextafter(t, 0.0)), h
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
@@ -239,10 +246,10 @@ class TestSquaredThreshold:
         # the bandwidth the m-th squared distance kth gives, and rows at its
         # threshold, one double below it and one above
         h = knn_bandwidth(np.array([math.sqrt(kth)]), 1)
-        t = gibbs._root_threshold(h)
+        t = _root_threshold(h)
         d2 = np.array([math.nextafter(t, math.inf), kth / 4, t, kth, math.nextafter(t, 0.0),
                        kth / 2, 4 * t])
-        rows, w, got_h = gibbs._localize_squared(d2, kernel, 3)
+        rows, w, got_h = localize(d2, kernel, 3)
         dist = np.sqrt(d2)
         assert got_h == h == knn_bandwidth(dist, 3)
         with np.errstate(over="ignore"):  # d / h overflows for a zero-distance h
@@ -253,7 +260,105 @@ class TestSquaredThreshold:
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError, match="m must be in"):
-            gibbs._localize_squared(np.ones(5), KernelSpec(), 0)
+            localize(np.ones(5), KernelSpec(), 0)
+
+
+# the kernel's own bandwidth (fixed or infinite), or the kNN one of 600 rows
+BANDWIDTHS = {"fixed": (3.2, None), "knn": (math.inf, 600), "infinite": (math.inf, None)}
+
+
+class TestOneLocalizer:
+    """Global Gibbs and ``abc_importance`` keep the mask path's rows and weights."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
+    def test_global_gibbs_fits_the_mask_path_rows(self, hierarchy, monkeypatch, kernel,
+                                                  bandwidth):
+        spec, model, table, data, s_obs = hierarchy
+        h, m = BANDWIDTHS[bandwidth]
+        kernel = kernel.with_bandwidth(h)
+        scaling = DistanceScaling.from_samples(table.summaries, table.weights)
+        want_rows, want_w, _ = brute_force(table.summaries, scaling, s_obs, kernel, m)
+        # only the infinite bandwidth keeps the whole table
+        assert 0 < want_rows.size and (want_rows.size == len(table)) == (bandwidth == "infinite")
+        seen = []
+        real_pooled = gibbs._SpecWorkspace.pooled
+
+        def spy_pooled(ws, kept):
+            seen.append((len(ws.spec.members), kept))
+            return real_pooled(ws, kept)
+
+        monkeypatch.setattr(gibbs._SpecWorkspace, "pooled", spy_pooled)
+        config = GibbsConfig(n_iterations=2, initial=hierarchical_initial_state(spec, data),
+                             kernel=kernel, global_m=m)
+        run_global_gibbs(model, hierarchical_engine_specs(spec), table, s_obs, config,
+                         np.random.default_rng(27))
+        assert [members for members, _ in seen] == [1, spec.u_groups]
+        for members, kept in seen:
+            assert len(kept) == members
+            for rows, w in kept:
+                np.testing.assert_array_equal(rows, want_rows)
+                np.testing.assert_array_equal(bits(w), bits(want_w))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("bandwidth", sorted(BANDWIDTHS))
+    def test_abc_importance_weights_the_mask_path_rows(self, hierarchy, kernel, bandwidth):
+        spec, model, table, data, s_obs = hierarchy
+        h, m = BANDWIDTHS[bandwidth]
+        dist = reference_distance(table.summaries, s_obs,
+                                  DistanceScaling.from_samples(table.summaries))
+        if m is not None:  # a kNN bandwidth passed as the kernel's own
+            h = knn_bandwidth(dist, m)
+        kernel = kernel.with_bandwidth(h)
+        full = kernel_weight(dist, kernel)
+        out = abc_importance(model, table, s_obs, kernel)
+        np.testing.assert_array_equal(bits(out.weights), bits(full / full.sum()))
+
+    @pytest.mark.parametrize("kernel,expected", [
+        (KernelSpec("uniform", 2.0), "2c064870baa0a20e"),
+        (KernelSpec("epanechnikov", 2.0), "ce5503fde6eca6fe"),
+        (KernelSpec("epanechnikov", 0.7), "77be9c472d9cece8"),
+        (KernelSpec("uniform", math.inf), "bbf67be7b356fd59"),
+    ], ids=["uniform", "epanechnikov", "epanechnikov-narrow", "infinite"])
+    def test_abc_weights_pinned(self, kernel, expected):
+        # recorded while abc_importance weighted the whole table itself
+        model = hierarchical_model(HierarchicalSpec(u_groups=4, l_obs=5))
+        table = simulate_reference_table(model, 3000, seed=5)
+        out = abc_importance(model, table, table.summaries[7] + 0.01, kernel)
+        assert digest(out.weights) == expected
+
+    def test_global_m_past_the_table_rejected(self, hierarchy):
+        spec, model, table, data, s_obs = hierarchy
+        config = GibbsConfig(n_iterations=2, initial=hierarchical_initial_state(spec, data),
+                             global_m=len(table) + 1)
+        with pytest.raises(ValueError, match="m must be in"):
+            run_global_gibbs(model, hierarchical_engine_specs(spec), table, s_obs, config,
+                             np.random.default_rng(28))
+
+    def test_too_few_kept_rows_named(self, hierarchy):
+        spec, model, table, data, s_obs = hierarchy
+        initial = hierarchical_initial_state(spec, data)
+        with pytest.raises(ArithmeticError, match="'tau_x': only 2 positive-weight rows"):
+            run_global_gibbs(model, hierarchical_engine_specs(spec), table, s_obs,
+                             GibbsConfig(n_iterations=2, initial=initial, global_m=2),
+                             np.random.default_rng(30))
+        with pytest.raises(ArithmeticError,
+                           match="'tau_x' at iteration 1: only 3 positive-weight rows among 3"):
+            run_local_gibbs(model, hierarchical_engine_specs(spec), table, s_obs,
+                            GibbsConfig(n_iterations=2, initial=initial, m_neighbours=3),
+                            np.random.default_rng(30))
+
+    def test_local_m_past_the_table_localizes_on_the_whole_table(self, hierarchy):
+        spec, model, table, data, s_obs = hierarchy
+        small = table.subset(np.arange(300))
+        states = []
+        for m in (300, 500):
+            config = GibbsConfig(n_iterations=4, initial=hierarchical_initial_state(spec, data),
+                                 m_neighbours=m)
+            out = run_local_gibbs(model, hierarchical_engine_specs(spec), small, s_obs,
+                                  config, np.random.default_rng(29))
+            states.append(digest(out.states))
+        assert states[0] == states[1]
 
 
 def query_run(rng, first, steps):
