@@ -47,7 +47,7 @@ from lfgibbs.abc import (
     regression_adjust,
     simulate_reference_table,
 )
-from lfgibbs.diagnostics import effective_sample_size
+from lfgibbs.diagnostics import effective_sample_size, split_rhat
 from lfgibbs.gibbs import (
     ChainConfig,
     ChainOutput,
@@ -114,6 +114,7 @@ __all__ = [
     "sample_lmoments",
     "scaled_distance",
     "simulate_reference_table",
+    "split_rhat",
     "summarize_directory",
     "theoretical_lmoments",
     "timing_table",

@@ -580,7 +580,7 @@ def abc_importance(model: Optional[SimulatorModel], table: ReferenceTable,
     unused; it keeps the calling convention of the table engines.
     """
     s_obs = _observed_summary(s_obs, table)
-    scaling = scaling or DistanceScaling.from_samples(table.summaries)
+    scaling = scaling or _default_scaling(table)
     rows, kept, _ = localize(squared_scaled_distance(table.summaries, s_obs, scaling),
                              kernel)
     if not rows.size:
@@ -594,6 +594,18 @@ def abc_importance(model: Optional[SimulatorModel], table: ReferenceTable,
                          fingerprint=table.fingerprint, retries=table.retries,
                          theta_names=list(table.theta_names))
     return AbcOutput(samples=out, ess=ess, entropy=entropy)
+
+
+def _default_scaling(table: ReferenceTable) -> DistanceScaling:
+    """Standard deviations of the summaries over the rows whose summaries
+    are all finite; the others get weight 0 at a finite bandwidth."""
+    finite = np.isfinite(table.summaries).all(axis=1)
+    if not finite.any():
+        raise ValueError("no row of the reference table has all its summaries "
+                         "finite; the default distance scaling needs one")
+    # an all-finite table passes its own array, so its scales keep their bits
+    rows = table.summaries if finite.all() else table.summaries[finite]
+    return DistanceScaling.from_samples(rows)
 
 
 def regression_adjust(output: AbcOutput, s_obs: np.ndarray) -> AbcOutput:

@@ -7,7 +7,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-__all__ = ["effective_sample_size"]
+__all__ = ["effective_sample_size", "split_rhat"]
 
 _MIN_STATES = 100
 # columns transformed together: enough to leave the per-column Python
@@ -55,6 +55,44 @@ def effective_sample_size(chain: np.ndarray) -> Union[float, np.ndarray]:
         warnings.warn(f"degenerate (constant) chain in columns {constant}; "
                       "ESS is 1 by convention")
     return out
+
+
+def split_rhat(chain: np.ndarray) -> Union[float, np.ndarray]:
+    """Single-chain split R-hat (Gelman et al. 2013, BDA3 sec. 11.4).
+
+    The retained states are split into a first and a last half of
+    h = floor(n/2) rows each (the middle row is dropped when n is odd).
+    With W the mean of the two within-half variances and B = h times the
+    variance of the two half means (both with ddof 1),
+    R-hat = sqrt(((h - 1)/h W + B/h) / W).  Values well above 1 say the
+    two halves have not found the same distribution.
+
+    A one-dimensional chain gives a float, a two-dimensional chain (one
+    state per row) an array with one entry per column, each bit for bit
+    what that column gives on its own.  The entry is NaN when the chain
+    has fewer than 100 retained states (as the ESS needs), when the
+    column is constant or holds a NaN or infinite state, and wherever W
+    is zero.
+    """
+    x = np.asarray(chain, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("chain must be one- or two-dimensional")
+    n = x.shape[0]
+    cols = np.array(x.reshape(n, -1).T, order="C")
+    rhat = np.full(cols.shape[0], np.nan)
+    if n >= _MIN_STATES:
+        h = n // 2
+        # each row of ``cols`` is one column of the chain, reduced along
+        # the row as a one-dimensional array would be
+        halves = (cols[:, :h], cols[:, n - h:])
+        with np.errstate(invalid="ignore", divide="ignore"):   # inf - inf, 0/0
+            w = np.mean([a.var(axis=1, ddof=1) for a in halves], axis=0)
+            b = h * np.var(np.column_stack([a.mean(axis=1) for a in halves]),
+                           axis=1, ddof=1)
+            ratio = np.sqrt(((h - 1) / h * w + b / h) / w)
+        ok = (w > 0) & np.isfinite(ratio)
+        rhat[ok] = ratio[ok]
+    return float(rhat[0]) if x.ndim == 1 else rhat
 
 
 def _block_ess(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,13 @@
 
 A JSON config names a model, the methods to compare, and the replicate
 seeds.  Each (method, replicate) cell simulates its data, runs its
-sampler, and writes one CSV chain plus a JSON sidecar into the output
-directory; a failed cell is recorded and never aborts the rest of the
-grid.  The summary is recomputed from the stored files alone, so a
-results directory is self-describing and the summary is reproducible
-byte for byte from disk.
+sampler, and writes its chain as one ``.npy`` array (exact binary
+floats, as ``numpy.save`` writes them) plus a JSON sidecar holding the
+column names and diagnostics into the output directory; a failed cell
+is recorded and never aborts the rest of the grid.  The summary is
+recomputed from the stored files alone, so a results directory is
+self-describing and the summary is reproducible byte for byte from
+disk.
 
 Seeding: everything a cell does is derived from (seed, stream) seed
 sequences, so duplicate seeds give bit-identical chains and cells can
@@ -23,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from lfgibbs.abc import abc_importance, regression_adjust, simulate_reference_table
-from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, _whole_number,
-                           run_abc_pass, run_exact_gibbs, run_global_gibbs,
+from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, _jsonable,
+                           _whole_number, run_abc_pass, run_exact_gibbs, run_global_gibbs,
                            run_local_gibbs, save_chain)
 from lfgibbs.kernels import DistanceScaling, KernelSpec
 from lfgibbs.models.hierarchical import (HierarchicalSpec,
@@ -224,21 +226,6 @@ def _dump_json(payload) -> str:
                       allow_nan=False) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if not math.isfinite(value) else value
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 # --- metrics ----------------------------------------------------------------
 
 
@@ -390,7 +377,7 @@ def _make_dataset(config: ExperimentConfig, seed: int):
 
 def _cell_paths(out_dir: Path, method: str, replicate: int, seed: int):
     stem = f"{method}__r{replicate}_seed{seed}"
-    return (out_dir / "chains" / f"{stem}.csv",
+    return (out_dir / "chains" / f"{stem}.npy",
             out_dir / "chains" / f"{stem}.json")
 
 
@@ -404,11 +391,11 @@ def _gibbs_config(config: ExperimentConfig, initial: np.ndarray,
 
 
 def _save_weighted(table, names: List[str], timings: TimingBreakdown,
-                   diagnostics: Dict[str, object], csv_path, json_path):
+                   diagnostics: Dict[str, object], chain_path, json_path):
     """Weighted-sample analogue of save_chain: theta columns plus weight."""
-    header = ",".join(names + ["weight"])
-    body = np.column_stack([table.theta, table.weights])
-    np.savetxt(csv_path, body, delimiter=",", header=header, comments="")
+    with open(chain_path, "wb") as fh:
+        np.save(fh, np.column_stack([table.theta, table.weights]),
+                allow_pickle=False)
     payload = {"names": names, "weighted": True,
                "timings": timings.as_dict(),
                "diagnostics": _jsonable(diagnostics)}
@@ -416,7 +403,7 @@ def _save_weighted(table, names: List[str], timings: TimingBreakdown,
 
 
 def _run_abc_cell(config: ExperimentConfig, method: str, model, table, s_obs,
-                  names: List[str], csv_path, json_path) -> None:
+                  names: List[str], chain_path, json_path) -> None:
     """Importance-sampling ABC on the table, regression-adjusted if asked."""
     out = abc_importance(model, table, s_obs, config.kernel)
     fits = 0
@@ -426,12 +413,12 @@ def _run_abc_cell(config: ExperimentConfig, method: str, model, table, s_obs,
     timings = TimingBreakdown(pre_sim_units=float(config.n_table + table.retries),
                               pre_fit_count=fits)
     _save_weighted(out.samples, names, timings,
-                   {"ess": out.ess, "entropy": out.entropy}, csv_path, json_path)
+                   {"ess": out.ess, "entropy": out.entropy}, chain_path, json_path)
 
 
 def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
                            dataset, rng: np.random.Generator,
-                           csv_path, json_path) -> None:
+                           chain_path, json_path) -> None:
     spec = _hier_spec(config)
     data, s_obs = dataset["data"], dataset["s_obs"]
     names = hierarchical_state_names(spec)
@@ -443,7 +430,7 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
     if method == "exact-gibbs":
         out = run_exact_gibbs(hierarchical_exact_specs(spec, data),
                               _gibbs_config(config, initial), rng, names=names)
-        save_chain(out, csv_path, json_path)
+        save_chain(out, chain_path, json_path)
         return
     if method == "abc-pass":
         specs, dataset_obs = hierarchical_pass_specs(
@@ -453,13 +440,13 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
         out = run_abc_pass(model, specs, s_obs,
                            _gibbs_config(config, initial), rng,
                            dataset_obs=dataset_obs, names=names)
-        save_chain(out, csv_path, json_path)
+        save_chain(out, chain_path, json_path)
         return
 
     table = simulate_reference_table(model, config.n_table,
                                      seed=_table_seed(seed, method))
     if method in ("abc-importance", "abc-adjusted"):
-        _run_abc_cell(config, method, model, table, s_obs, names, csv_path, json_path)
+        _run_abc_cell(config, method, model, table, s_obs, names, chain_path, json_path)
         return
     if method == "local-gibbs":
         prelocalize = config.option("prelocalize", None)
@@ -482,12 +469,12 @@ def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,
     else:
         raise ValueError(f"unsupported method {method!r}")
     out.timings.pre_sim_units += float(config.n_table + table.retries)
-    save_chain(out, csv_path, json_path)
+    save_chain(out, chain_path, json_path)
 
 
 def _run_mixture_cell(config: ExperimentConfig, method: str, seed: int,
                       dataset, rng: np.random.Generator,
-                      csv_path, json_path) -> None:
+                      chain_path, json_path) -> None:
     spec = _mixture_spec(config)
     s_obs = dataset["s_obs"]
     names = list(MIXTURE_STATE_NAMES)
@@ -497,23 +484,23 @@ def _run_mixture_cell(config: ExperimentConfig, method: str, seed: int,
     if method == "exact-gibbs":
         out = run_exact_gibbs(mixture_exact_specs(spec),
                               _gibbs_config(config, initial), rng, names=names)
-        save_chain(out, csv_path, json_path)
+        save_chain(out, chain_path, json_path)
         return
     table = simulate_reference_table(model, config.n_table,
                                      seed=_table_seed(seed, method))
     if method in ("abc-importance", "abc-adjusted"):
-        _run_abc_cell(config, method, model, table, s_obs, names, csv_path, json_path)
+        _run_abc_cell(config, method, model, table, s_obs, names, chain_path, json_path)
         return
     engine = run_local_gibbs if method == "local-gibbs" else run_global_gibbs
     out = engine(model, mixture_engine_specs(spec), table, s_obs,
                  _gibbs_config(config, initial), rng, names=names)
     out.timings.pre_sim_units += float(config.n_table + table.retries)
-    save_chain(out, csv_path, json_path)
+    save_chain(out, chain_path, json_path)
 
 
 def _run_statespace_cell(config: ExperimentConfig, method: str, seed: int,
                          dataset, rng: np.random.Generator,
-                         csv_path, json_path) -> None:
+                         chain_path, json_path) -> None:
     if method != "local-gibbs":
         raise ValueError(f"unsupported method {method!r}")
     training = TrainingConfig(n_pairs=config.n_table,
@@ -525,7 +512,7 @@ def _run_statespace_cell(config: ExperimentConfig, method: str, seed: int,
     out = run_state_space_gibbs(DlmSpec(), dataset["calendar"], training,
                                 chain, rng,
                                 observations=dataset["observations"])
-    save_chain(out, csv_path, json_path)
+    save_chain(out, chain_path, json_path)
 
 
 _CELL_RUNNERS = {
@@ -541,15 +528,15 @@ def _run_cell(payload: Dict[str, object]) -> Dict[str, object]:
     method, seed = payload["method"], int(payload["seed"])
     replicate = int(payload["replicate"])
     out_dir = Path(payload["out_dir"])
-    csv_path, json_path = _cell_paths(out_dir, method, replicate, seed)
+    chain_path, json_path = _cell_paths(out_dir, method, replicate, seed)
     cell = {"method": method, "seed": seed, "replicate": replicate,
-            "chain": str(csv_path.relative_to(out_dir)),
+            "chain": str(chain_path.relative_to(out_dir)),
             "meta": str(json_path.relative_to(out_dir))}
     try:
         dataset = _make_dataset(config, seed)
         _CELL_RUNNERS[config.model](config, method, seed, dataset,
                                     _chain_rng(seed, method),
-                                    csv_path, json_path)
+                                    chain_path, json_path)
     except Exception as exc:
         return {**cell, "status": "failed",
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -605,9 +592,8 @@ def _load_cell_stats(out_dir: Path, cell: Dict[str, object],
                      track: List[str], nominal: float) -> Dict[str, object]:
     meta = json.loads((out_dir / cell["meta"]).read_text())
     names = meta["names"]
-    body = np.loadtxt(out_dir / cell["chain"], delimiter=",", skiprows=1,
-                      ndmin=2)
     weighted = bool(meta.get("weighted", False))
+    body = _load_chain(out_dir / cell["chain"], len(names) + weighted)
     weights = body[:, -1] if weighted else None
     states = body[:, :-1] if weighted else body
     means, intervals, ess = {}, {}, {}
@@ -631,6 +617,22 @@ def _load_cell_stats(out_dir: Path, cell: Dict[str, object],
         "timings": meta.get("timings", {}),
         "acceptance_rates": meta.get("acceptance_rates", {}),
     }
+
+
+def _load_chain(path: Path, width: int) -> np.ndarray:
+    """The 2-D float array of ``width`` columns stored at ``path``; a
+    ValueError naming the file for anything else, such as a text chain."""
+    try:
+        with open(path, "rb") as fh:
+            body = np.load(fh, allow_pickle=False)
+    except ValueError:
+        body = None
+    if not (isinstance(body, np.ndarray) and body.ndim == 2
+            and body.dtype.kind == "f" and body.shape[1] == width):
+        raise ValueError(f"{path} is not a 2-D float array of {width} "
+                         "columns; chains are .npy files written by "
+                         "numpy.save")
+    return body
 
 
 def _aggregates(config: ExperimentConfig, rows: List[Dict[str, object]],
@@ -677,7 +679,14 @@ def _aggregates(config: ExperimentConfig, rows: List[Dict[str, object]],
 
 
 def summarize_directory(out_dir) -> Dict[str, object]:
-    """Rebuild summary.json purely from the files in a results directory."""
+    """Rebuild summary.json purely from the files in a results directory.
+
+    Each ok cell's chain is read from its ``.npy`` file and its names and
+    diagnostics from its JSON sidecar.  A chain that is not a 2-D float
+    array of the sidecar's width (one column more for a weighted cell),
+    such as a text chain from an older results directory, raises a
+    ValueError naming the file.
+    """
     out = Path(out_dir)
     config = ExperimentConfig.load(out / "config.json")
     cells = json.loads((out / "cells.json").read_text())

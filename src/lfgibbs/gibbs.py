@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from lfgibbs.abc import ReferenceTable, SimulatorModel, _observed_summary
-from lfgibbs.diagnostics import effective_sample_size
+from lfgibbs.diagnostics import effective_sample_size, split_rhat
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
@@ -229,21 +229,46 @@ def _chain_ess(states: np.ndarray) -> np.ndarray:
         return effective_sample_size(states)
 
 
-def save_chain(output: ChainOutput, csv_path: str, json_path: Optional[str] = None) -> None:
-    """CSV of retained states plus a JSON diagnostics sidecar."""
-    header = ",".join(output.names)
-    np.savetxt(csv_path, output.states, delimiter=",", header=header, comments="")
-    if json_path is not None:
-        payload = {
-            "ess": [None if not np.isfinite(e) else float(e) for e in output.ess],
-            "names": output.names,
-            "timings": output.timings.as_dict(),
-            "acceptance_rates": output.acceptance_rates,
-            "diagnostics": {k: v for k, v in output.diagnostics.items()
-                            if isinstance(v, (int, float, str, list, dict))},
-        }
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+def save_chain(output: ChainOutput, path: str, json_path: str) -> None:
+    """Retained states as a ``.npy`` array plus a JSON diagnostics sidecar.
+
+    The states are written with ``np.save`` to a file opened at exactly
+    ``path``, whatever its suffix, so they load back bit for bit.  The
+    column names live in the sidecar, beside the ESS and split R-hat of
+    each column (aligned with ``names``; null where undefined), the
+    timings, the acceptance rates and the engine's diagnostics.  Arrays
+    in the diagnostics are written as nested lists, and a NaN or
+    infinite number as null.
+    """
+    with open(path, "wb") as fh:
+        np.save(fh, output.states, allow_pickle=False)
+    payload = {
+        "ess": output.ess,
+        "split_rhat": split_rhat(output.states),
+        "names": output.names,
+        "timings": output.timings.as_dict(),
+        "acceptance_rates": output.acceptance_rates,
+        "diagnostics": output.diagnostics,
+    }
+    with open(json_path, "w") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
+
+
+def _jsonable(value):
+    """``value`` with numpy scalars and arrays made plain JSON values; a
+    NaN or infinite float becomes None."""
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        return None if not math.isfinite(value) else value
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
 
 
 def _default_names(dim: int) -> List[str]:

@@ -165,6 +165,25 @@ class TestAbcImportance:
         assert out.weights[2] == 0.0
         assert np.isfinite(out.ess)
 
+    def test_default_scaling_skips_a_nan_row(self):
+        # the scale comes from the five finite rows, and the NaN row gets
+        # weight 0 as under an explicit scaling
+        table = self._nan_table()
+        out = abc_importance(None, table, np.zeros(1), KernelSpec("epanechnikov", 1.0))
+        finite = np.delete(np.arange(6), 2)
+        scaling = DistanceScaling.from_samples(table.summaries[finite])
+        expected = abc_importance(None, table, np.zeros(1),
+                                  KernelSpec("epanechnikov", 1.0), scaling)
+        np.testing.assert_array_equal(out.weights, expected.weights)
+        assert out.weights[2] == 0.0
+        assert np.count_nonzero(out.weights) == 4
+
+    def test_default_scaling_needs_a_finite_row(self):
+        table = ReferenceTable(np.zeros((3, 1)), [[np.nan, 0.0], [1.0, np.inf], [np.nan] * 2],
+                               np.ones(3))
+        with pytest.raises(ValueError, match="no row of the reference table"):
+            abc_importance(None, table, np.zeros(2), KernelSpec("epanechnikov", 1.0))
+
     @pytest.mark.parametrize("kind", ["uniform", "epanechnikov"])
     def test_a_nan_summary_keeps_its_weight_at_an_infinite_bandwidth(self, kind):
         out = abc_importance(None, self._nan_table(), np.zeros(1), KernelSpec(kind),

@@ -1,4 +1,4 @@
-"""Tests for the effective sample size estimator."""
+"""Tests for the effective sample size and split R-hat estimators."""
 
 import tracemalloc
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lfgibbs.diagnostics import effective_sample_size
+from lfgibbs.diagnostics import effective_sample_size, split_rhat
 
 
 def test_iid_chain():
@@ -168,3 +168,54 @@ class TestTwoDimensional:
                 tracemalloc.stop()
         assert peaks[1] < 4 * 2 ** 20
         assert peaks[1] < peaks[0] + 8 * 5_000 + 2 ** 16
+
+
+def reference_rhat(col):
+    """Split R-hat of one column, step by step from its definition."""
+    n = len(col)
+    if n < 100:
+        return np.nan
+    h = n // 2
+    first, last = col[:h], col[n - h:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.mean([first.var(ddof=1), last.var(ddof=1)])
+        b = h * np.var([first.mean(), last.mean()], ddof=1)
+        rhat = np.sqrt(((h - 1) / h * w + b / h) / w)
+    return float(rhat) if w > 0 and np.isfinite(rhat) else np.nan
+
+
+class TestSplitRhat:
+    @pytest.mark.parametrize("n", [100, 101, 280, 999])
+    def test_columns_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        chain = ar1_columns(rng, n, 70) * rng.lognormal(size=70) + rng.normal(size=70)
+        chain[:, 3] = 2.5
+        chain[n // 3, 5] = np.nan
+        chain[2 * n // 3, 6] = np.inf
+        chain[:, 7] = np.where(np.arange(n) < n // 2, 1.0, 2.0)   # W = 0 < B
+        rhat = split_rhat(chain)
+        expected = np.array([reference_rhat(chain[:, j]) for j in range(70)])
+        np.testing.assert_array_equal(bits(rhat), bits(expected))
+        assert np.isnan(rhat[[3, 5, 6, 7]]).all()
+        assert np.isfinite(np.delete(rhat, [3, 5, 6, 7])).all()
+        assert split_rhat(chain[:, 0]) == rhat[0]
+
+    def test_non_finite_column_warns_nothing(self):
+        chain = np.random.default_rng(3).standard_normal((120, 2))
+        chain[7, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(split_rhat(chain)[1])
+
+    def test_random_walk_flagged(self):
+        walk = np.cumsum(np.random.default_rng(11).standard_normal(400))
+        assert split_rhat(walk) > 1.1
+
+    def test_iid_column_near_one(self):
+        assert split_rhat(np.random.default_rng(12).standard_normal(1000)) < 1.01
+
+    def test_short_chain_reads_nan(self):
+        assert np.isnan(split_rhat(np.zeros((99, 3)))).all()
+        assert np.isnan(split_rhat(np.arange(99.0)))
+        with pytest.raises(ValueError, match="dimensional"):
+            split_rhat(np.zeros((100, 2, 2)))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,15 @@ import numpy as np
 import pytest
 
 import lfgibbs.cli as cli
+import lfgibbs.experiments as experiments
+from lfgibbs.abc import abc_importance, simulate_reference_table
 from lfgibbs.experiments import (ExperimentConfig, ResultsBundle, coverage,
                                  credible_interval, relative_mse,
                                  run_experiment, summarize_directory,
                                  timing_table)
 from lfgibbs.gk import GKParams, gk_sample
 from lfgibbs.kernels import KernelSpec
+from lfgibbs.models.mixture import mixture_model
 
 
 def small_hier_config(**overrides):
@@ -270,16 +274,16 @@ class TestRunExperiment:
         for name in ("config.json", "truth.json", "cells.json", "summary.json"):
             assert (out / name).exists()
         chains = sorted(p.name for p in (out / "chains").iterdir())
-        assert len(chains) == 12  # 2 methods x 3 replicates x (csv + json)
-        assert "exact-gibbs__r0_seed11.csv" in chains
+        assert len(chains) == 12  # 2 methods x 3 replicates x (npy + json)
+        assert "exact-gibbs__r0_seed11.npy" in chains
         assert bundle.failures == []
         assert len(bundle.rows) == 6
 
     def test_duplicate_seeds_give_bit_identical_chains(self, grid):
         out, _ = grid
-        first = (out / "chains/global-gibbs__r0_seed11.csv").read_bytes()
-        second = (out / "chains/global-gibbs__r1_seed11.csv").read_bytes()
-        third = (out / "chains/global-gibbs__r2_seed12.csv").read_bytes()
+        first = (out / "chains/global-gibbs__r0_seed11.npy").read_bytes()
+        second = (out / "chains/global-gibbs__r1_seed11.npy").read_bytes()
+        third = (out / "chains/global-gibbs__r2_seed12.npy").read_bytes()
         assert first == second
         assert first != third
 
@@ -312,13 +316,55 @@ class TestRunExperiment:
     def test_worker_pool_matches_sequential(self, grid, tmp_path):
         out, _ = grid
         run_experiment(small_hier_config(), out_dir=tmp_path, workers=2)
-        for name in ("exact-gibbs__r0_seed11.csv", "global-gibbs__r2_seed12.csv"):
+        for name in ("exact-gibbs__r0_seed11.npy", "global-gibbs__r2_seed12.npy"):
             assert ((tmp_path / "chains" / name).read_bytes()
                     == (out / "chains" / name).read_bytes())
 
     def test_missing_out_dir_rejected(self):
         with pytest.raises(ValueError, match="output directory"):
             run_experiment(small_hier_config())
+
+
+class TestChainFiles:
+    def test_weighted_cell_reads_back_bitwise(self, tmp_path):
+        config = ExperimentConfig(model="mixture", methods=["abc-importance"], seeds=[3],
+                                  n_table=300, n_iterations=50, burn_in=10)
+        bundle = run_experiment(config, out_dir=tmp_path)
+        (row,) = bundle.rows
+        assert row["weighted"] and row["n_rows"] == 300
+        model = mixture_model(experiments._mixture_spec(config))
+        table = simulate_reference_table(
+            model, config.n_table, seed=experiments._table_seed(3, "abc-importance"))
+        out = abc_importance(model, table, experiments._make_dataset(config, 3)["s_obs"],
+                             config.kernel)
+        expected = np.column_stack([out.samples.theta, out.samples.weights])
+        body = np.load(tmp_path / row["chain"], allow_pickle=False)
+        np.testing.assert_array_equal(body.view(np.uint64), expected.view(np.uint64))
+
+    def test_text_chain_rejected_naming_its_file(self, grid, tmp_path):
+        # a results directory written when chains were CSV text
+        out = tmp_path / "old"
+        shutil.copytree(grid[0], out)
+        cells = json.loads((out / "cells.json").read_text())
+        assert cells[0]["chain"] == "chains/exact-gibbs__r0_seed11.npy"
+        names = json.loads((out / cells[0]["meta"]).read_text())["names"]
+        old = out / cells[0]["chain"]
+        np.savetxt(old.with_suffix(".csv"), np.load(old), delimiter=",",
+                   header=",".join(names), comments="")
+        old.unlink()
+        cells[0]["chain"] = "chains/exact-gibbs__r0_seed11.csv"
+        (out / "cells.json").write_text(json.dumps(cells))
+        with pytest.raises(ValueError, match=r"exact-gibbs__r0_seed11\.csv.*\.npy files"):
+            summarize_directory(out)
+        assert cli.main(["summarize", "--out", str(out)]) == 2
+
+    def test_chain_of_the_wrong_width_rejected(self, grid, tmp_path):
+        out = tmp_path / "narrow"
+        shutil.copytree(grid[0], out)
+        path = out / "chains/global-gibbs__r1_seed11.npy"
+        np.save(path, np.load(path)[:, :-1])
+        with pytest.raises(ValueError, match="global-gibbs__r1_seed11.npy"):
+            summarize_directory(out)
 
 
 class TestFailureIsolation:
@@ -396,7 +442,7 @@ class TestStatespaceCell:
         assert bundle.failures == []
         (row,) = bundle.rows
         assert row["n_rows"] == 30
-        body = np.loadtxt(tmp_path / row["chain"], delimiter=",", skiprows=1)
+        body = np.load(tmp_path / row["chain"])
         assert body.shape == (30, (4 + 2) * 36 + 36)
         assert np.all(np.isfinite(body))
         truth = bundle.truth["17"]
@@ -431,8 +477,8 @@ class TestCli:
         result = run_cli("run", "--config", str(cli_config_path),
                          "--seed", "99", "--out", str(out))
         assert result.returncode == 0, result.stderr
-        chains = [p.name for p in (out / "chains").glob("*.csv")]
-        assert chains == ["exact-gibbs__r0_seed99.csv"]
+        chains = [p.name for p in (out / "chains").glob("*.npy")]
+        assert chains == ["exact-gibbs__r0_seed99.npy"]
 
     def test_invalid_pair_exits_2_before_any_compute(self, tmp_path):
         bad = tmp_path / "bad.json"

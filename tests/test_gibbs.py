@@ -1,11 +1,13 @@
 """Tests for the approximate Gibbs engines and the ABC-MCMC comparator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from lfgibbs.abc import ReferenceTable, SimulatorModel, simulate_reference_table
+from lfgibbs.diagnostics import split_rhat
 from lfgibbs.gibbs import (
     ChainOutput,
     ConditionalSpec,
@@ -404,17 +406,53 @@ class TestChainOutput:
         config = GibbsConfig(n_iterations=150, initial=np.zeros(2))
         out = run_exact_gibbs(bivariate_normal_specs(), config,
                               np.random.default_rng(29))
-        csv_path = str(tmp_path / "chain.csv")
+        chain_path = str(tmp_path / "chain.npy")
         json_path = str(tmp_path / "chain.json")
-        save_chain(out, csv_path, json_path)
-        with open(csv_path) as fh:
-            assert fh.readline().strip() == "theta_1,theta_2"
-        body = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(body, out.states, atol=1e-12)
+        save_chain(out, chain_path, json_path)
+        body = np.load(chain_path, allow_pickle=False)
+        assert body.dtype == np.float64
+        np.testing.assert_array_equal(body.view(np.uint64), out.states.view(np.uint64))
         with open(json_path) as fh:
             payload = json.load(fh)
         assert payload["names"] == ["theta_1", "theta_2"]
         assert "sampler_seconds" in payload["timings"]
+        # ESS and split R-hat per column, aligned with the names
+        assert payload["ess"] == out.ess.tolist()
+        assert payload["split_rhat"] == split_rhat(out.states).tolist()
+        assert all(0.9 < r < 1.1 for r in payload["split_rhat"])
+
+    def test_save_chain_keeps_every_bit(self, tmp_path):
+        states = np.array([[-0.0], [np.nan], [np.inf], [-np.inf], [5e-324], [1.0 / 3.0]])
+        out = ChainOutput(states=states, names=["x"], timings=TimingBreakdown())
+        save_chain(out, str(tmp_path / "chain.npy"), str(tmp_path / "chain.json"))
+        body = np.load(tmp_path / "chain.npy", allow_pickle=False)
+        assert body.shape == (6, 1)
+        np.testing.assert_array_equal(body.view(np.uint64), states.view(np.uint64))
+        # too few rows for ESS and split R-hat: both read null, in valid JSON
+        payload = json.loads((tmp_path / "chain.json").read_text(),
+                             parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+        assert payload["ess"] == [None]
+        assert payload["split_rhat"] == [None]
+
+    @pytest.mark.parametrize("name", ["chain.csv", "chain", "chain.dat", "chain.npy"])
+    def test_save_chain_writes_at_the_exact_path(self, tmp_path, name):
+        out = ChainOutput(states=np.arange(6.0).reshape(3, 2), names=["a", "b"],
+                          timings=TimingBreakdown())
+        save_chain(out, str(tmp_path / name), str(tmp_path / "meta.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "meta.json"])
+        np.testing.assert_array_equal(np.load(tmp_path / name), out.states)
+
+    def test_sidecar_diagnostics_are_plain_json(self, tmp_path):
+        out = ChainOutput(states=np.zeros((3, 1)), names=["x"], timings=TimingBreakdown(),
+                          acceptance_rates={"x": math.nan},
+                          diagnostics={"path": np.array([[1.5, np.nan], [np.inf, 2.0]]),
+                                       "count": np.int64(3), "scale": np.float64(0.5)})
+        save_chain(out, str(tmp_path / "c.npy"), str(tmp_path / "c.json"))
+        payload = json.loads((tmp_path / "c.json").read_text(),
+                             parse_constant=lambda c: pytest.fail(f"bare {c} in JSON"))
+        assert payload["diagnostics"] == {"path": [[1.5, None], [None, 2.0]],
+                                          "count": 3, "scale": 0.5}
+        assert payload["acceptance_rates"] == {"x": None}
 
     def test_ess_skipped_for_short_chains(self):
         out = ChainOutput(states=np.random.default_rng(0).normal(size=(50, 2)),

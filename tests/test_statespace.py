@@ -1289,8 +1289,12 @@ class TestSamplerTrainingPath:
             shapes.append({k: np.shape(v) for k, v in out.diagnostics.items()})
             save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
             with open(tmp_path / "chain.json") as fh:
-                saved = json.load(fh)["diagnostics"]["phi_outside_fraction"]
-            assert saved == out.diagnostics["phi_outside_fraction"]
+                saved = json.load(fh)["diagnostics"]
+            assert saved["phi_outside_fraction"] == out.diagnostics["phi_outside_fraction"]
+            # the posterior-mean predictor path and its residuals reach the
+            # sidecar too, sized by the days
+            for key in ("predictor_means", "predictor_residuals"):
+                assert saved[key] == out.diagnostics[key].tolist()
         assert shapes[0] == shapes[1]
 
     def test_summaries_then_run_reproducible(self):
