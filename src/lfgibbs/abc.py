@@ -16,6 +16,8 @@ them in turn from a shared counter, the parent among them and the others
 forked for the call, and writes its rows into one shared buffer.  A
 block's rows depend on the row indices alone, never on which process drew
 them or in what order, so every split gives the same table bit for bit.
+A table is stored in one format, ``to_npz``, whose fingerprint
+``from_npz`` checks against the model that reads it.
 ``abc_importance`` turns a table into a kernel-weighted posterior sample and
 ``regression_adjust`` applies the standard linear post-adjustment.
 """
@@ -35,7 +37,7 @@ from typing import Callable, List, NamedTuple, Optional
 import numpy as np
 
 from lfgibbs.kernels import DistanceScaling, KernelSpec, localize, squared_scaled_distance
-from lfgibbs.regression import fit_weighted_linear
+from lfgibbs.regression import _deficient_columns, fit_weighted_linear
 
 __all__ = [
     "SimulatorModel",
@@ -137,27 +139,9 @@ class ReferenceTable:
 
     # --- serialization ---------------------------------------------------
 
-    def to_csv(self, path: str) -> None:
-        """CSV with header theta_1..theta_D, s_1..s_q, weight."""
-        d, q = self.theta.shape[1], self.summaries.shape[1]
-        header = ",".join([f"theta_{j + 1}" for j in range(d)]
-                          + [f"s_{j + 1}" for j in range(q)] + ["weight"])
-        body = np.column_stack([self.theta, self.summaries, self.weights])
-        np.savetxt(path, body, delimiter=",", header=header, comments="")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "ReferenceTable":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        d = sum(1 for h in header if h.startswith("theta_"))
-        q = sum(1 for h in header if h.startswith("s_"))
-        if header[-1] != "weight" or d + q + 1 != len(header):
-            raise ValueError("unrecognized reference table header")
-        return cls(body[:, :d], body[:, d:d + q], body[:, -1])
-
     def to_npz(self, path: str) -> None:
-        """Binary cache embedding the generation seed and model fingerprint."""
+        """The table's one file format: the arrays in exact binary, and
+        the generation seed, model fingerprint, retries and theta names."""
         np.savez_compressed(
             path, theta=self.theta, summaries=self.summaries, weights=self.weights,
             meta=json.dumps({"seed": self.seed, "fingerprint": self.fingerprint,
@@ -613,7 +597,11 @@ def regression_adjust(output: AbcOutput, s_obs: np.ndarray) -> AbcOutput:
 
     Each parameter coordinate is shifted by beta' (s_obs - s_i) where beta
     solves the weighted least squares of that coordinate on the summaries
-    (with intercept).  Weights are unchanged.
+    (with intercept).  Weights are unchanged.  When the design is rank
+    deficient, as when a summary is an exact linear combination of others
+    (the hierarchy's mean of the group means is one), the fit is redone
+    without the summaries pivoted QR names as dependent, and those get
+    slope 0; a full-rank but ill-conditioned design still raises.
     """
     table = output.samples
     s_obs = _observed_summary(s_obs, table)
@@ -622,10 +610,24 @@ def regression_adjust(output: AbcOutput, s_obs: np.ndarray) -> AbcOutput:
         return output
     n = len(table)
     design = np.column_stack([np.ones(n), table.summaries])
+    try:
+        slopes = [fit_weighted_linear(design, y, table.weights).beta[1:]
+                  for y in table.theta.T]
+    except ArithmeticError:
+        # on the centred summaries QR names dependent summaries, never the
+        # intercept
+        active = table.weights > 0
+        s, w = table.summaries[active], table.weights[active]
+        dropped, _ = _deficient_columns(s - w @ s / w.sum(), w)
+        if not dropped:
+            raise
+        kept = np.setdiff1d(np.arange(s.shape[1]), dropped)
+        reduced = design[:, [0, *(kept + 1)]]
+        slopes = np.zeros((table.theta.shape[1], s.shape[1]))
+        for slope, y in zip(slopes, table.theta.T):
+            slope[kept] = fit_weighted_linear(reduced, y, table.weights).beta[1:]
     adjusted = table.theta.copy()
-    for d in range(table.theta.shape[1]):
-        fit = fit_weighted_linear(design, table.theta[:, d], table.weights)
-        slope = fit.beta[1:]
+    for d, slope in enumerate(slopes):
         adjusted[:, d] += (s_obs - table.summaries) @ slope
     out = ReferenceTable(adjusted, table.summaries, table.weights,
                          seed=table.seed, fingerprint=table.fingerprint,

@@ -1,5 +1,11 @@
 """Command line front end: simulate, run, summarize, fit-gk.
 
+``simulate`` writes binary files only: a reference table as
+``table_seed<s>.npz`` (``ReferenceTable.to_npz``: the arrays, the seed,
+the model fingerprint, the retries and the theta names), or for the
+state-space model ``observations_seed<s>.npz`` with one exact float array
+per day (``day_1``, ...) beside ``truth_seed<s>.json``.
+
 Exit codes: 0 on success, 2 for validation problems (bad config, bad
 arguments, unreadable inputs), 3 for numerical failures (zero ABC
 weights, non-finite states, quantile fits that do not converge).
@@ -28,11 +34,9 @@ def _cmd_simulate(args) -> int:
     seed = int(args.seed)
     if config.model == "statespace":
         calendar, observations, truth = _statespace_setup(config, seed)
-        path = out / f"observations_seed{seed}.csv"
-        with open(path, "w") as fh:
-            for t, row in enumerate(observations, start=1):
-                for value in row:
-                    fh.write(f"{t},{value!r}\n")
+        path = out / f"observations_seed{seed}.npz"
+        np.savez_compressed(path, **{f"day_{t}": day for t, day
+                                     in enumerate(observations, start=1)})
         meta = {"seed": seed, "n_days": calendar.n_days,
                 "summer_step": truth["summer_step"],
                 "theta_path": truth["theta_path"].tolist()}
@@ -45,12 +49,8 @@ def _cmd_simulate(args) -> int:
     else:
         model = mixture_model(_mixture_spec(config))
     table = simulate_reference_table(model, config.n_table, seed=seed)
-    path = out / f"table_seed{seed}.csv"
-    table.to_csv(path)
-    meta = {"seed": seed, "n_table": config.n_table,
-            "retries": table.retries, "fingerprint": table.fingerprint}
-    (out / f"table_seed{seed}.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    path = out / f"table_seed{seed}.npz"
+    table.to_npz(path)
     print(path)
     return 0
 

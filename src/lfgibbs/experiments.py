@@ -40,9 +40,10 @@ from lfgibbs.models.hierarchical import (HierarchicalSpec,
 from lfgibbs.models.mixture import (MixtureSpec, mixture_engine_specs,
                                     mixture_exact_specs, mixture_initial_state,
                                     mixture_model, MIXTURE_STATE_NAMES)
-from lfgibbs.statespace import (DlmSpec, SeasonCalendar,
-                                TrainingConfig, block_transition,
-                                observation_block, run_state_space_gibbs)
+from lfgibbs.statespace import (N_SERIES, STATE_DIM, DlmSpec, SeasonCalendar,
+                                TrainingConfig, observation_matrix,
+                                run_state_space_gibbs, transition_matrix)
+from lfgibbs.statespace.training import DEFAULT_Q_HIGH
 from lfgibbs.gk import gk_sample, unlink_parameters
 
 __all__ = [
@@ -80,14 +81,14 @@ _OPTION_KEYS = {
     "mixture": {"omega", "rho", "lower", "upper", "s_obs"},
     "hierarchical": {"u_groups", "l_obs", "prelocalize", "global_m",
                      "pass_h_mu_u", "pass_h_tau_x"},
-    "statespace": {"n_days", "summer_start", "summer_end", "first_dow",
-                   "n_low", "n_high", "base_state", "summer_step",
-                   "state_noise_sd", "q_high"},
+    "statespace": {"n_days", "summer_start", "summer_end", "n_low",
+                   "n_high", "base_state", "summer_step", "state_noise_sd",
+                   "q_high"},
 }
 # options read as counts or day numbers; the two that default to None may
 # also be given as None
 _WHOLE_OPTIONS = {"u_groups", "l_obs", "global_m", "prelocalize", "n_days",
-                  "summer_start", "summer_end", "first_dow", "n_low", "n_high"}
+                  "summer_start", "summer_end", "n_low", "n_high"}
 _NONE_OPTIONS = {"global_m", "prelocalize"}
 _CONFIG_KEYS = {"schema", "model", "methods", "seeds", "n_table",
                 "n_iterations", "burn_in", "thinning", "m_neighbours",
@@ -129,7 +130,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"method {method!r} is not available for model "
                     f"{self.model!r}")
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [_whole_number(s, "seeds") for s in self.seeds]
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         for name in ("n_table", "m_neighbours", "workers"):
@@ -325,8 +326,7 @@ def _statespace_setup(config: ExperimentConfig, seed: int):
     calendar = SeasonCalendar(
         n_days=opts.get("n_days", 14),
         summer_start=opts.get("summer_start", 1),
-        summer_end=opts.get("summer_end", 0),
-        first_dow=opts.get("first_dow", 0))
+        summer_end=opts.get("summer_end", 0))
     base = np.asarray(opts.get("base_state",
                                [1.0, math.log(0.25), 0.2, math.log(0.62)]),
                       dtype=float)
@@ -335,17 +335,16 @@ def _statespace_setup(config: ExperimentConfig, seed: int):
     n_low = opts.get("n_low", 200)
     n_high = opts.get("n_high", 1000)
     rng = _data_rng(seed)
-    g = np.kron(block_transition(), np.eye(4))
-    theta = np.zeros((calendar.n_days + 1, 36))
-    theta[0, :4] = base
-    theta[0, 32:36] = step
+    g = transition_matrix()
+    theta = np.zeros((calendar.n_days + 1, STATE_DIM))
+    theta[0, :N_SERIES] = base
+    # the summer coordinates come last in the component-major state
+    theta[0, -N_SERIES:] = step
     for t in range(1, calendar.n_days + 1):
-        theta[t] = g @ theta[t - 1] + noise * rng.normal(size=36)
+        theta[t] = g @ theta[t - 1] + noise * rng.normal(size=STATE_DIM)
     observations = []
     for t in range(1, calendar.n_days + 1):
-        f_t = np.kron(observation_block(calendar.is_summer(t))[:, None],
-                      np.eye(4))
-        lam = f_t.T @ theta[t]
+        lam = observation_matrix(calendar.is_summer(t)).T @ theta[t]
         n_t = int(rng.integers(n_low, n_high + 1))
         observations.append(gk_sample(n_t, unlink_parameters(lam), rng))
     truth = {"theta_path": theta, "summer_step": step}
@@ -506,7 +505,7 @@ def _run_statespace_cell(config: ExperimentConfig, method: str, seed: int,
     training = TrainingConfig(n_pairs=config.n_table,
                               m_neighbours=config.m_neighbours,
                               kernel=config.kernel,
-                              q_high=float(config.option("q_high", 1e-5)))
+                              q_high=float(config.option("q_high", DEFAULT_Q_HIGH)))
     chain = ChainConfig(n_iterations=config.n_iterations,
                         burn_in=config.burn_in, thinning=config.thinning)
     out = run_state_space_gibbs(DlmSpec(), dataset["calendar"], training,

@@ -117,9 +117,12 @@ class ConditionalSpec:
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a ValueError naming it unless finite and whole."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and float(value).is_integer()):
+    """``value`` as an int; a ValueError naming it unless finite and whole.
+
+    A bool is not a number here: ``True`` would silently read as 1.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

@@ -8,7 +8,8 @@ from .sampler import (ChainConfig, TrainingConfig, run_state_space_gibbs,
                       summarize_observations)
 from .system import (BLOCK_DIM, N_SERIES, STATE_DIM, DlmSpec, SeasonCalendar,
                      block_transition, build_system_matrices,
-                     observation_block, trend_block, weekly_seasonal_block)
+                     observation_block, observation_matrix, transition_matrix,
+                     trend_block, weekly_seasonal_block)
 from .training import (PhiContext, PhiHypercube, TrainingSet,
                        generate_phi_training_set, linear_bayes_moments,
                        localized_covariance, sample_lambda_conditional)
@@ -35,10 +36,12 @@ __all__ = [
     "linear_bayes_moments",
     "localized_covariance",
     "observation_block",
+    "observation_matrix",
     "run_state_space_gibbs",
     "sample_lambda_conditional",
     "summarize_observations",
     "terminal_state_conditional",
+    "transition_matrix",
     "trend_block",
     "weekly_seasonal_block",
 ]

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .system import (BLOCK_DIM, DlmSpec, SeasonCalendar, block_transition,
+from .system import (N_SERIES, DlmSpec, SeasonCalendar, block_transition,
                      observation_block)
 
 
@@ -84,9 +84,9 @@ def kalman_smoother_init(summaries: np.ndarray, calendar: SeasonCalendar,
     0..T on the prior m0/c0_diag (the sampler's own prior by default).
     """
     s = np.atleast_2d(np.asarray(summaries, dtype=float))
-    n_days, n_series = s.shape
-    if n_series != spec.n_series:
-        raise ValueError(f"summaries must have {spec.n_series} columns")
+    n_days = s.shape[0]
+    if s.shape[1] != N_SERIES:
+        raise ValueError(f"summaries must have {N_SERIES} columns")
     if n_days != calendar.n_days:
         raise ValueError("summaries do not match the calendar length")
     if not np.all(np.isfinite(s)):
@@ -100,8 +100,8 @@ def kalman_smoother_init(summaries: np.ndarray, calendar: SeasonCalendar,
     rows = np.stack([observation_block(calendar.is_summer(t))
                      for t in range(1, n_days + 1)])
     path = np.empty((n_days + 1, spec.p))
-    for v in range(n_series):
-        idx = np.arange(v, spec.p, n_series)
+    for v in range(N_SERIES):
+        idx = np.arange(v, spec.p, N_SERIES)
         path[:, idx] = block_kalman_smoother(
             s[:, v], rows, obs_variance, g9, block_w, m0[idx], c0[idx])
     return path

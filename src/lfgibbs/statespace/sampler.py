@@ -23,9 +23,9 @@ from ..kernels import KernelSpec
 from .conditionals import (SweepOperator, initial_prior_terms,
                            innovation_precision_conditional)
 from .kalman import kalman_smoother_init
-from .system import (DlmSpec, SeasonCalendar, block_transition,
-                     observation_block)
-from .training import (PhiContext, PhiHypercube, TrainingSet,
+from .system import (N_SERIES, DlmSpec, SeasonCalendar, observation_matrix,
+                     transition_matrix)
+from .training import (DEFAULT_Q_HIGH, PhiContext, PhiHypercube, TrainingSet,
                        generate_phi_training_set, sample_lambda_conditional)
 
 _INIT_BLOCK_W = 1e-4  # innovation variance of the Kalman initial path
@@ -40,7 +40,7 @@ class TrainingConfig:
     n_pairs: int = 5000
     m_neighbours: int = 2000
     kernel: KernelSpec = KernelSpec("epanechnikov")
-    q_high: float = 1e-5
+    q_high: float = DEFAULT_Q_HIGH
     hypercube: Optional[PhiHypercube] = None
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     n_days = summaries.shape[0]
     if n_days != calendar.n_days:
         raise ValueError("data do not match the calendar length")
-    if summaries.shape[1] != spec.n_series or not np.all(np.isfinite(summaries)):
+    if summaries.shape[1] != N_SERIES or not np.all(np.isfinite(summaries)):
         raise ValueError("summaries must be finite rows, one per day")
     # each size is converted to an int once per run, so it must be a whole number
     if (n_obs.shape != (n_days,) or not np.isfinite(n_obs).all() or np.any(n_obs < 1)
@@ -143,10 +143,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         else:
             raise ValueError(f"initial path must be ({n_days + 1}, {p})")
 
-    eye = np.eye(spec.n_series)
-    f_by_season = {flag: np.kron(observation_block(flag)[:, None], eye)
-                   for flag in (False, True)}
-    g_mat = np.kron(block_transition(), eye)
+    f_by_season = {flag: observation_matrix(flag) for flag in (False, True)}
+    g_mat = transition_matrix()
     summer = [calendar.is_summer(t) for t in range(1, n_days + 1)]
     day_sizes = [int(n) for n in n_obs]
     prior = initial_prior_terms(spec.m0, spec.c0_diag, p)
@@ -171,11 +169,11 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         # so conditioning tau on it would start absurdly tight)
         tau = np.full(p, 1.0 / _INIT_BLOCK_W)
 
-    lam_running = np.zeros((n_days, spec.n_series))
+    lam_running = np.zeros((n_days, N_SERIES))
     q_off_max = 0.0
     # the sweep's contexts, to count those outside the training hypercube
-    f_days = np.empty((n_days, spec.n_series))
-    q_days = np.empty((n_days, spec.n_series))
+    f_days = np.empty((n_days, N_SERIES))
+    q_days = np.empty((n_days, N_SERIES))
     outside = 0
 
     def sweep(m: int) -> None:

@@ -7,7 +7,9 @@ copies component-major, so state index k = 4*r + v addresses component r
 of variable v.  The transition matrix is the Kronecker product of the
 9x9 block with the 4x4 identity, and the observation matrix picks out
 the trend level, the leading seasonal coordinate, and (inside the high
-season) the summer coordinate.
+season) the summer coordinate.  This module is the one place that
+layout is built: ``observation_matrix`` and ``transition_matrix`` give
+the full 36-dim maps, and the layout's sizes are the module constants.
 """
 
 from dataclasses import dataclass
@@ -68,42 +70,29 @@ class SeasonCalendar:
     Days run t = 1..n_days; the summer indicator is defined through
     n_days + 1 so the forward-predictive state can be built.  The summer
     season is the inclusive index range [summer_start, summer_end]; a
-    start beyond the end disables it.  first_dow records which day of
-    the week t = 1 falls on (0..6), purely for labelling.
+    start beyond the end disables it.
     """
 
     n_days: int
     summer_start: int = 1
     summer_end: int = 0
-    first_dow: int = 0
 
     def __post_init__(self):
         if self.n_days < 1:
             raise ValueError("n_days must be at least 1")
         if self.summer_start < 1:
             raise ValueError("summer_start must be at least 1")
-        if not 0 <= self.first_dow <= 6:
-            raise ValueError("first_dow must be in 0..6")
-
-    def _check_t(self, t: int) -> int:
-        t = int(t)
-        if not 1 <= t <= self.n_days + 1:
-            raise ValueError(
-                f"t must be in 1..{self.n_days + 1}, got {t}")
-        return t
 
     def is_summer(self, t: int) -> bool:
-        t = self._check_t(t)
+        t = int(t)
+        if not 1 <= t <= self.n_days + 1:
+            raise ValueError(f"t must be in 1..{self.n_days + 1}, got {t}")
         return self.summer_start <= t <= self.summer_end
-
-    def day_of_week(self, t: int) -> int:
-        t = self._check_t(t)
-        return (self.first_dow + t - 1) % 7
 
 
 @dataclass(frozen=True)
 class DlmSpec:
-    """Dimensions, initial-state prior, and precision hyperpriors.
+    """Initial-state prior and precision hyperpriors over the p = 36 state.
 
     The innovation covariance is diagonal, W = diag(1 / tau_1..tau_p),
     with independent Gamma(alpha, nu) priors on each precision.  The
@@ -112,19 +101,15 @@ class DlmSpec:
     variance keeps it close to diffuse while staying proper.
     """
 
-    n_series: int = N_SERIES
-    block_dim: int = BLOCK_DIM
     m0: Optional[np.ndarray] = None
     c0_diag: Optional[np.ndarray] = None
     alpha: float = 1e-10
     nu: float = 1e-10
 
     def __post_init__(self):
-        if self.n_series < 1 or self.block_dim != BLOCK_DIM:
-            raise ValueError("unsupported state block layout")
         if not (self.alpha > 0 and self.nu > 0):
             raise ValueError("precision hyperparameters must be positive")
-        p = self.n_series * self.block_dim
+        p = STATE_DIM
         m0 = np.zeros(p) if self.m0 is None else np.asarray(self.m0, float)
         if self.c0_diag is None:
             c0 = np.full(p, 1e6)
@@ -140,20 +125,25 @@ class DlmSpec:
 
     @property
     def p(self) -> int:
-        return self.n_series * self.block_dim
+        return STATE_DIM
 
 
-def build_system_matrices(calendar: SeasonCalendar, t: int,
-                          n_series: int = N_SERIES
+def observation_matrix(summer: bool) -> np.ndarray:
+    """p x 4 map F with the four linear predictors F.T @ theta."""
+    return np.kron(observation_block(summer)[:, None], np.eye(N_SERIES))
+
+
+def transition_matrix() -> np.ndarray:
+    """p x p transition G = block_transition() kron the 4x4 identity."""
+    return np.kron(block_transition(), np.eye(N_SERIES))
+
+
+def build_system_matrices(calendar: SeasonCalendar, t: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Observation and transition matrices at day t.
 
-    Returns (f_mat, g_mat) with f_mat of shape (p, n_series) so that the
+    Returns (f_mat, g_mat) with f_mat of shape (p, 4) so that the
     linear predictor is f_mat.T @ theta_t, and g_mat of shape (p, p).
     Valid for t = 1..n_days + 1.
     """
-    f9 = observation_block(calendar.is_summer(t))
-    eye = np.eye(n_series)
-    f_mat = np.kron(f9[:, None], eye)
-    g_mat = np.kron(block_transition(), eye)
-    return f_mat, g_mat
+    return observation_matrix(calendar.is_summer(t)), transition_matrix()

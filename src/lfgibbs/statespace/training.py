@@ -25,15 +25,17 @@ from ..gk import (estimate_gk, estimate_gk_batch, estimation_target,
 from ..gibbs import TimingBreakdown, _whole_number
 from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
                        knn_bandwidth, scaled_distance)
+from .system import N_SERIES
 
-N_PREDICTOR = 4
+# ceiling of the training contexts' prior variances unless one is given
+DEFAULT_Q_HIGH = 1e-5
 # phi embedding: 4 prior means, 4 log prior variances, log sample size,
 # and 4 spare coordinates that stay zero.  The spares add exactly 0.0 to
 # each squared distance, so they do not change it; they are kept because
 # the training set's scaling (DistanceScaling.from_samples, w @ x) rounds
 # differently over fewer columns, which would move every chain.
 PHI_DIM = 13
-_RIDGE_EYE = 1e-10 * np.eye(N_PREDICTOR)
+_RIDGE_EYE = 1e-10 * np.eye(N_SERIES)
 _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
 _RATE_CHECK_MIN = 50
@@ -57,8 +59,8 @@ class PhiContext:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         var = np.asarray(self.variance, dtype=float)
-        if mean.shape != (N_PREDICTOR,) or var.shape != (N_PREDICTOR,):
-            raise ValueError(f"mean and variance must be length {N_PREDICTOR}")
+        if mean.shape != (N_SERIES,) or var.shape != (N_SERIES,):
+            raise ValueError(f"mean and variance must be length {N_SERIES}")
         # one context per day and sweep: four scalar tests beat the
         # numpy reductions at this size, and NaN fails them as it fails
         # the positive-and-finite rule
@@ -77,9 +79,9 @@ class PhiContext:
         stay zero.
         """
         out = np.zeros(PHI_DIM)
-        out[:N_PREDICTOR] = self.mean
-        out[N_PREDICTOR:2 * N_PREDICTOR] = np.log(self.variance)
-        out[2 * N_PREDICTOR] = math.log(self.n_obs)
+        out[:N_SERIES] = self.mean
+        out[N_SERIES:2 * N_SERIES] = np.log(self.variance)
+        out[2 * N_SERIES] = math.log(self.n_obs)
         return out
 
 
@@ -90,15 +92,15 @@ class PhiHypercube:
     f_low: np.ndarray
     f_high: np.ndarray
     q_low: float = 0.0
-    q_high: float = 1e-5
+    q_high: float = DEFAULT_Q_HIGH
     n_low: int = 2
     n_high: int = 1000
 
     def __post_init__(self):
         lo = np.asarray(self.f_low, dtype=float)
         hi = np.asarray(self.f_high, dtype=float)
-        if lo.shape != (N_PREDICTOR,) or hi.shape != (N_PREDICTOR,):
-            raise ValueError(f"f bounds must be length {N_PREDICTOR}")
+        if lo.shape != (N_SERIES,) or hi.shape != (N_SERIES,):
+            raise ValueError(f"f bounds must be length {N_SERIES}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("f bounds must be finite")
         if np.any(hi < lo):
@@ -123,11 +125,11 @@ class PhiHypercube:
 
     @classmethod
     def from_observed(cls, summaries: np.ndarray, n_obs: np.ndarray,
-                      q_high: float = 1e-5) -> "PhiHypercube":
+                      q_high: float = DEFAULT_Q_HIGH) -> "PhiHypercube":
         """Box spanning the observed summaries and sample sizes."""
         s = np.atleast_2d(np.asarray(summaries, dtype=float))
         n = np.asarray(n_obs)
-        if s.shape[1] != N_PREDICTOR or not np.all(np.isfinite(s)):
+        if s.shape[1] != N_SERIES or not np.all(np.isfinite(s)):
             raise ValueError("summaries must be finite rows of length 4")
         return cls(f_low=s.min(axis=0), f_high=s.max(axis=0),
                    q_high=q_high, n_low=int(n.min()), n_high=int(n.max()))
@@ -167,7 +169,7 @@ class TrainingSet:
         rows = f.shape[0]
         for arr, name in ((f, "phi_means"), (q, "phi_variances"),
                           (lam, "predictors"), (s, "summaries")):
-            if arr.shape != (rows, N_PREDICTOR):
+            if arr.shape != (rows, N_SERIES):
                 raise ValueError(f"{name} must have shape ({rows}, 4)")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
@@ -177,9 +179,9 @@ class TrainingSet:
         if np.any(q <= 0):
             raise ValueError("phi_variances must be positive")
         emb = np.zeros((rows, PHI_DIM))
-        emb[:, :N_PREDICTOR] = f
-        emb[:, N_PREDICTOR:2 * N_PREDICTOR] = np.log(q)
-        emb[:, 2 * N_PREDICTOR] = np.log(n.astype(float))
+        emb[:, :N_SERIES] = f
+        emb[:, N_SERIES:2 * N_SERIES] = np.log(q)
+        emb[:, 2 * N_SERIES] = np.log(n.astype(float))
         for attr, val in (("phi_means", f), ("phi_variances", q),
                           ("phi_n", n), ("predictors", lam),
                           ("summaries", s), ("embedded", emb),
@@ -220,11 +222,11 @@ def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
-    f_rows = np.empty((n_pairs, N_PREDICTOR))
-    q_rows = np.empty((n_pairs, N_PREDICTOR))
+    f_rows = np.empty((n_pairs, N_SERIES))
+    q_rows = np.empty((n_pairs, N_SERIES))
     n_rows = np.empty(n_pairs, dtype=int)
-    lam_rows = np.empty((n_pairs, N_PREDICTOR))
-    s_rows = np.empty((n_pairs, N_PREDICTOR))
+    lam_rows = np.empty((n_pairs, N_SERIES))
+    s_rows = np.empty((n_pairs, N_SERIES))
     done = failures = attempts = 0
     sim_seconds = fit_seconds = 0.0
     while done < n_pairs:
@@ -232,12 +234,12 @@ def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
         draws = []
         # per attempt: the L-moment target the batch fit replaces by its
         # estimate; NaN marks a failure
-        rows = np.full((size, N_PREDICTOR), np.nan)
+        rows = np.full((size, N_SERIES), np.nan)
         known = failures
         for i in range(size):
             t0 = time.perf_counter()
             f = rng.uniform(cube.f_low, cube.f_high)
-            q = rng.uniform(cube.q_low, cube.q_high, size=N_PREDICTOR)
+            q = rng.uniform(cube.q_low, cube.q_high, size=N_SERIES)
             n = int(rng.integers(cube.n_low, cube.n_high + 1))
             lam = rng.normal(f, np.sqrt(q))
             draws.append((f, q, n, lam))
@@ -319,8 +321,8 @@ def localized_covariance(training: TrainingSet, phi_star: PhiContext,
 def _gain(omega: np.ndarray) -> np.ndarray:
     """Linear Bayes gain omega12 (omega22 + ridge)^-1 of an 8x8 joint
     covariance of (predictor, summary)."""
-    return np.linalg.solve(omega[N_PREDICTOR:, N_PREDICTOR:] + _RIDGE_EYE,
-                           omega[:N_PREDICTOR, N_PREDICTOR:].T).T
+    return np.linalg.solve(omega[N_SERIES:, N_SERIES:] + _RIDGE_EYE,
+                           omega[:N_SERIES, N_SERIES:].T).T
 
 
 def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -330,11 +332,11 @@ def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     alone.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (2 * N_PREDICTOR, 2 * N_PREDICTOR):
+    if omega.shape != (2 * N_SERIES, 2 * N_SERIES):
         raise ValueError("omega must be 8x8")
     gain = _gain(omega)
-    cov = (omega[:N_PREDICTOR, :N_PREDICTOR]
-           - gain @ omega[N_PREDICTOR:, :N_PREDICTOR])
+    cov = (omega[:N_SERIES, :N_SERIES]
+           - gain @ omega[N_SERIES:, :N_SERIES])
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, _EIG_FLOOR)) @ vecs.T
@@ -351,8 +353,8 @@ def linear_bayes_moments(omega: np.ndarray, f: np.ndarray, s: np.ndarray
     :func:`sample_lambda_conditional` draws around the same mean with a
     resampled residual and does not use it.
     """
-    f = np.asarray(f, dtype=float).reshape(N_PREDICTOR)
-    s = np.asarray(s, dtype=float).reshape(N_PREDICTOR)
+    f = np.asarray(f, dtype=float).reshape(N_SERIES)
+    s = np.asarray(s, dtype=float).reshape(N_SERIES)
     gain, cov = _linear_bayes(omega)
     return f + gain @ (s - f), cov
 
@@ -387,7 +389,7 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
     rescaled to the conditional covariance.  The localization time is
     added to ``timings.localize_seconds`` when timings are given.
     """
-    s_obs = np.asarray(s_obs, dtype=float).reshape(N_PREDICTOR)
+    s_obs = np.asarray(s_obs, dtype=float).reshape(N_SERIES)
     t_loc = time.perf_counter()
     omega, pool, probs = _localize(training, phi_star, kernel, m)
     if timings is not None:

@@ -87,17 +87,6 @@ class TestReferenceTable:
         table = simulate_reference_table(identity_model(), 10 ** 4, seed=11)
         assert abs(table.theta[:, 0].mean()) < 4.0 / np.sqrt(10 ** 4)
 
-    def test_csv_roundtrip(self, tmp_path):
-        table = simulate_reference_table(gaussian_mean_model(), 25, seed=5)
-        path = str(tmp_path / "table.csv")
-        table.to_csv(path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "theta_1,s_1,weight"
-        back = ReferenceTable.from_csv(path)
-        np.testing.assert_array_equal(back.theta, table.theta)
-        np.testing.assert_array_equal(back.summaries, table.summaries)
-        np.testing.assert_array_equal(back.weights, table.weights)
-
     def test_npz_roundtrip_checks_fingerprint(self, tmp_path):
         model = gaussian_mean_model()
         table = simulate_reference_table(model, 10, seed=9)
@@ -275,13 +264,35 @@ class TestRegressionAdjust:
         after = float(w @ adj.samples.theta[:, 0])
         assert abs(after - before) < 0.02
 
-    def test_rank_deficient_summaries_error(self):
+    def test_duplicated_summary_gets_slope_zero(self):
         rng = np.random.default_rng(41)
         base = rng.normal(size=(30, 1))
         summaries = np.column_stack([base, base])  # duplicated summary column
-        theta = rng.normal(size=(30, 1))
-        out = self._output(theta, summaries)
-        with pytest.raises(ArithmeticError):
+        theta = rng.normal(size=(30, 2))
+        adj = regression_adjust(self._output(theta, summaries), np.array([0.3, 0.3]))
+        single = regression_adjust(self._output(theta, base), np.array([0.3]))
+        np.testing.assert_array_equal(adj.samples.theta, single.samples.theta)
+        assert not np.array_equal(adj.samples.theta, theta)
+
+    def test_linear_combination_of_summaries_gets_slope_zero(self):
+        # the hierarchy's mean of the group means, here with an offset
+        rng = np.random.default_rng(42)
+        groups = rng.normal(size=(40, 3))
+        summaries = np.column_stack([groups, groups.mean(axis=1) + 2.0])
+        theta = groups @ np.array([[1.0], [-0.5], [0.25]]) + 0.1 * rng.normal(size=(40, 1))
+        s_obs = np.array([0.2, -0.1, 0.4, 0.5 / 3.0 + 2.0])
+        adj = regression_adjust(self._output(theta, summaries), s_obs)
+        single = regression_adjust(self._output(theta, groups), s_obs[:3])
+        np.testing.assert_allclose(adj.samples.theta, single.samples.theta,
+                                   rtol=0, atol=1e-12)
+
+    def test_ill_conditioned_summaries_error(self):
+        # full rank, but the Gram matrix is numerically singular
+        rng = np.random.default_rng(41)
+        base = rng.normal(size=(30, 1))
+        summaries = np.column_stack([base, base + 1e-9 * rng.normal(size=(30, 1))])
+        out = self._output(rng.normal(size=(30, 1)), summaries)
+        with pytest.raises(ArithmeticError, match="ill-conditioned"):
             regression_adjust(out, np.array([0.0, 0.0]))
 
     @pytest.mark.parametrize("s_obs", [[0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, 0.5, 0.5]])

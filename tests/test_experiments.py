@@ -13,13 +13,14 @@ import pytest
 
 import lfgibbs.cli as cli
 import lfgibbs.experiments as experiments
-from lfgibbs.abc import abc_importance, simulate_reference_table
+from lfgibbs.abc import ReferenceTable, abc_importance, simulate_reference_table
 from lfgibbs.experiments import (ExperimentConfig, ResultsBundle, coverage,
                                  credible_interval, relative_mse,
                                  run_experiment, summarize_directory,
                                  timing_table)
 from lfgibbs.gk import GKParams, gk_sample
 from lfgibbs.kernels import KernelSpec
+from lfgibbs.models.hierarchical import hierarchical_model
 from lfgibbs.models.mixture import mixture_model
 
 
@@ -96,6 +97,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="n_table"):
             small_hier_config(n_table=0)
 
+    @pytest.mark.parametrize("bad", [1.5, math.nan, True])
+    def test_seeds_must_be_whole(self, bad):
+        # int() would make 1.5 and True duplicates of seed 1
+        with pytest.raises(ValueError, match="seeds must be a whole number"):
+            small_hier_config(seeds=[1, bad])
+
     @pytest.mark.parametrize("bad", [300.5, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["n_table", "m_neighbours", "workers",
                                       "n_iterations", "burn_in", "thinning"])
@@ -114,8 +121,8 @@ class TestExperimentConfig:
         ("hierarchical", "u_groups"), ("hierarchical", "l_obs"),
         ("hierarchical", "global_m"), ("hierarchical", "prelocalize"),
         ("statespace", "n_days"), ("statespace", "summer_start"),
-        ("statespace", "summer_end"), ("statespace", "first_dow"),
-        ("statespace", "n_low"), ("statespace", "n_high")])
+        ("statespace", "summer_end"), ("statespace", "n_low"),
+        ("statespace", "n_high")])
     def test_whole_number_options_reject_fractions(self, model, name, bad):
         payload = {"model": model, "methods": ["local-gibbs"], "seeds": [1],
                    "options": {name: bad}}
@@ -391,6 +398,18 @@ class TestFailureIsolation:
                           ("abc-adjusted", 3), ("abc-adjusted", 4)}
 
 
+class TestAdjustedHierarchy:
+    def test_adjusted_cells_run_with_dependent_summaries(self, tmp_path):
+        # the mean of the group means and the mean of the group precisions
+        # are exact linear combinations of the other summaries
+        config = ExperimentConfig(model="hierarchical", methods=["abc-adjusted"],
+                                  seeds=[1, 2, 3], n_table=300,
+                                  options={"u_groups": 3, "l_obs": 4})
+        bundle = run_experiment(config, out_dir=tmp_path)
+        assert bundle.failures == []
+        assert len(bundle.rows) == 3
+
+
 class TestTimingTable:
     def test_counts_match_analytic_formulas(self, tmp_path):
         n, m = 600, 100
@@ -511,10 +530,20 @@ class TestCli:
             result = run_cli("simulate", "--config", str(cli_config_path),
                              "--seed", "3", "--out", str(out))
             assert result.returncode == 0, result.stderr
-        assert ((out_a / "table_seed3.csv").read_bytes()
-                == (out_b / "table_seed3.csv").read_bytes())
-        meta = json.loads((out_a / "table_seed3.json").read_text())
-        assert meta["n_table"] == 100
+        assert ((out_a / "table_seed3.npz").read_bytes()
+                == (out_b / "table_seed3.npz").read_bytes())
+        assert sorted(p.name for p in out_a.iterdir()) == ["table_seed3.npz"]
+        config = ExperimentConfig.load(cli_config_path)
+        model = hierarchical_model(experiments._hier_spec(config))
+        table = ReferenceTable.from_npz(out_a / "table_seed3.npz",
+                                        expected_fingerprint=model.fingerprint())
+        expected = simulate_reference_table(model, config.n_table, seed=3)
+        assert len(table) == 100
+        for name in ("theta", "summaries", "weights"):
+            np.testing.assert_array_equal(getattr(table, name).view(np.uint64),
+                                          getattr(expected, name).view(np.uint64))
+        assert (table.seed, table.retries, table.theta_names) == (
+            3, expected.retries, expected.theta_names)
 
     def test_simulate_uses_the_mixture_options(self, tmp_path):
         tables = []
@@ -525,8 +554,13 @@ class TestCli:
             result = run_cli("simulate", "--config", str(path),
                              "--seed", "3", "--out", str(tmp_path / name))
             assert result.returncode == 0, result.stderr
-            tables.append((tmp_path / name / "table_seed3.csv").read_bytes())
-        assert tables[0] != tables[1]
+            config = ExperimentConfig.load(path)
+            table = ReferenceTable.from_npz(
+                tmp_path / name / "table_seed3.npz",
+                expected_fingerprint=mixture_model(
+                    experiments._mixture_spec(config)).fingerprint())
+            tables.append(table.summaries)
+        assert not np.array_equal(tables[0], tables[1])
 
     def test_simulate_statespace_writes_daily_observations(self, tmp_path):
         path = tmp_path / "ss.json"
@@ -536,9 +570,13 @@ class TestCli:
         result = run_cli("simulate", "--config", str(path),
                          "--seed", "2", "--out", str(tmp_path / "sim"))
         assert result.returncode == 0, result.stderr
-        rows = (tmp_path / "sim/observations_seed2.csv").read_text().splitlines()
-        days = [int(line.split(",")[0]) for line in rows]
-        assert set(days) == {1, 2, 3}
+        config = ExperimentConfig.load(path)
+        _, observations, _ = experiments._statespace_setup(config, 2)
+        with np.load(tmp_path / "sim/observations_seed2.npz") as days:
+            assert sorted(days.files) == ["day_1", "day_2", "day_3"]
+            for t, day in enumerate(observations, start=1):
+                np.testing.assert_array_equal(days[f"day_{t}"].view(np.uint64),
+                                              day.view(np.uint64))
         truth = json.loads((tmp_path / "sim/truth_seed2.json").read_text())
         assert len(truth["theta_path"]) == 4
 

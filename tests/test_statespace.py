@@ -17,7 +17,6 @@ from lfgibbs.gibbs import save_chain
 from lfgibbs.gk import GKParams, gk_sample, link_parameters, unlink_parameters
 from lfgibbs.kernels import KernelSpec
 from lfgibbs.statespace import (
-    BLOCK_DIM,
     N_SERIES,
     STATE_DIM,
     ChainConfig,
@@ -193,13 +192,7 @@ class TestSystemMatrices:
             SeasonCalendar(n_days=0)
         with pytest.raises(ValueError):
             SeasonCalendar(n_days=5, summer_start=0)
-        with pytest.raises(ValueError):
-            SeasonCalendar(n_days=5, first_dow=7)
-        cal = SeasonCalendar(n_days=14, summer_start=3, summer_end=6,
-                             first_dow=3)
-        assert cal.day_of_week(1) == 3
-        assert cal.day_of_week(8) == 3
-        assert cal.day_of_week(6) == 1
+        cal = SeasonCalendar(n_days=14, summer_start=3, summer_end=6)
         assert not cal.is_summer(2) and cal.is_summer(3)
         assert cal.is_summer(6) and not cal.is_summer(7)
         with pytest.raises(ValueError):
@@ -208,7 +201,6 @@ class TestSystemMatrices:
     def test_spec_defaults_and_validation(self):
         spec = DlmSpec()
         assert spec.p == 36
-        assert spec.block_dim == BLOCK_DIM
         assert np.array_equal(spec.m0, np.zeros(36))
         assert np.all(spec.c0_diag == 1e6)
         assert spec.alpha == 1e-10 and spec.nu == 1e-10
