@@ -56,6 +56,11 @@ _MAX_RETRIES = 10
 _BLOCK_ROWS = 256
 
 
+def _default_names(dim: int) -> List[str]:
+    """theta_1..theta_dim, the names of unnamed parameter columns."""
+    return [f"theta_{d + 1}" for d in range(dim)]
+
+
 @dataclass
 class SimulatorModel:
     """Prior, simulator and summary map for one inference problem.
@@ -96,7 +101,7 @@ class SimulatorModel:
 
     def __post_init__(self):
         if self.theta_names is None:
-            self.theta_names = [f"theta_{d + 1}" for d in range(self.dim_theta)]
+            self.theta_names = _default_names(self.dim_theta)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(
@@ -126,7 +131,7 @@ class ReferenceTable:
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
         if not self.theta_names:
-            self.theta_names = [f"theta_{d + 1}" for d in range(self.theta.shape[1])]
+            self.theta_names = _default_names(self.theta.shape[1])
 
     def __len__(self) -> int:
         return self.theta.shape[0]

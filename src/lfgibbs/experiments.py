@@ -149,6 +149,9 @@ class ExperimentConfig:
         for key in _WHOLE_OPTIONS & set(self.options):
             if not (self.options[key] is None and key in _NONE_OPTIONS):
                 self.options[key] = _whole_number(self.options[key], key)
+        prelocalize = self.options.get("prelocalize")
+        if prelocalize is not None and prelocalize < 1:  # -3 would drop the 3 farthest rows
+            raise ValueError(f"prelocalize must be a whole number of at least 1, got {prelocalize}")
         if self.track is None:
             self.track = list(_TRACK_DEFAULT[self.model])
 

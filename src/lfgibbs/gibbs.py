@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from lfgibbs.abc import ReferenceTable, SimulatorModel, _observed_summary
+from lfgibbs.abc import ReferenceTable, SimulatorModel, _default_names, _observed_summary
 from lfgibbs.diagnostics import effective_sample_size, split_rhat
 from lfgibbs.kernels import (
     DistanceScaling,
@@ -272,10 +272,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return value
-
-
-def _default_names(dim: int) -> List[str]:
-    return [f"theta_{d + 1}" for d in range(dim)]
 
 
 def _validate_members(specs: Sequence, dim: int) -> None:

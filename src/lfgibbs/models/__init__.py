@@ -6,7 +6,6 @@ from lfgibbs.models.hierarchical import (
     HierarchicalSpec,
     HierarchicalSummaries,
     hierarchical_engine_specs,
-    hierarchical_exact_gibbs,
     hierarchical_exact_specs,
     hierarchical_initial_state,
     hierarchical_model,
@@ -33,7 +32,6 @@ __all__ = [
     "HierarchicalSpec",
     "HierarchicalSummaries",
     "hierarchical_engine_specs",
-    "hierarchical_exact_gibbs",
     "hierarchical_exact_specs",
     "hierarchical_initial_state",
     "hierarchical_model",

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from lfgibbs.abc import SimulatorModel
-from lfgibbs.gibbs import ConditionalSpec, GibbsConfig, PassParamSpec, run_exact_gibbs
+from lfgibbs.gibbs import ConditionalSpec, PassParamSpec
 from lfgibbs.kernels import DistanceScaling, KernelSpec
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "mu_u_conditional",
     "hierarchical_initial_state",
     "hierarchical_exact_specs",
-    "hierarchical_exact_gibbs",
     "hierarchical_model",
     "hierarchical_engine_specs",
     "hierarchical_pass_specs",
@@ -267,19 +266,6 @@ def hierarchical_exact_specs(spec: HierarchicalSpec, data: np.ndarray,
         ConditionalSpec(name="mu_u", members=tuple(range(3, 3 + u)),
                         exact=draw_mu_u),
     ]
-
-
-def hierarchical_exact_gibbs(spec: HierarchicalSpec, data: np.ndarray, m: int,
-                             rng: np.random.Generator,
-                             initial: Optional[np.ndarray] = None,
-                             burn_in: int = 0, thinning: int = 1):
-    """Exact Gibbs chain over (mu, tau_mu, tau_x, mu_1..mu_U)."""
-    if initial is None:
-        initial = hierarchical_initial_state(spec, data)
-    config = GibbsConfig(n_iterations=m, initial=initial, burn_in=burn_in,
-                         thinning=thinning)
-    return run_exact_gibbs(hierarchical_exact_specs(spec, data), config, rng,
-                           names=hierarchical_state_names(spec))
 
 
 # --- simulator-model view for reference tables -----------------------------

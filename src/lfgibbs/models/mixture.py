@@ -53,28 +53,28 @@ MIXTURE_STATE_NAMES = ["theta_1", "theta_2", "b_1", "b_2"]
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Mixture weight, equicorrelation, prior box and observed point."""
+    """Mixture weight, equicorrelation, prior box and observed point of
+    the model, which is bivariate like its closed-form conditionals."""
 
     omega: float = 0.3
     rho: float = 0.7
     lower: float = -20.0
     upper: float = 40.0
     s_obs: Tuple[float, float] = (2.5, 2.5)
-    dim: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
-        # unit-diagonal equicorrelation matrix is positive definite iff
-        # rho in (-1/(dim-1), 1)
-        if not -1.0 / (self.dim - 1) < self.rho < 1.0:
+        # the 2x2 unit-diagonal correlation matrix is positive definite
+        # iff rho in (-1, 1)
+        if not -1.0 < self.rho < 1.0:
             raise ValueError("equicorrelation outside the positive definite range")
         if self.lower >= self.upper:
             raise ValueError("empty prior box")
 
     @property
     def sigma(self) -> np.ndarray:
-        s = np.full((self.dim, self.dim), self.rho)
+        s = np.full((2, 2), self.rho)
         np.fill_diagonal(s, 1.0)
         return s
 
@@ -87,7 +87,7 @@ def mixture_simulate(theta: np.ndarray, spec: MixtureSpec,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw the signs, then one correlated Gaussian observation."""
     theta = np.asarray(theta, dtype=float)
-    b = (rng.random(spec.dim) >= spec.omega).astype(float)  # P(b=0) = omega
+    b = (rng.random(2) >= spec.omega).astype(float)  # P(b=0) = omega
     return simulate_given_signs(theta, b, spec, rng)
 
 
@@ -95,7 +95,7 @@ def simulate_given_signs(theta: np.ndarray, b: np.ndarray, spec: MixtureSpec,
                          rng: np.random.Generator) -> np.ndarray:
     mean = _signs(b) * np.asarray(theta, dtype=float)
     chol = np.linalg.cholesky(spec.sigma)
-    return mean + chol @ rng.standard_normal(spec.dim)
+    return mean + chol @ rng.standard_normal(2)
 
 
 def mixture_joint_logpdf(s: np.ndarray, theta: np.ndarray, b: np.ndarray,
@@ -110,7 +110,7 @@ def mixture_joint_logpdf(s: np.ndarray, theta: np.ndarray, b: np.ndarray,
     diff = s - mean
     quad = diff @ np.linalg.solve(sigma, diff)
     _, logdet = np.linalg.slogdet(sigma)
-    log_gauss = -0.5 * (quad + logdet + spec.dim * np.log(2.0 * np.pi))
+    log_gauss = -0.5 * (quad + logdet + 2 * np.log(2.0 * np.pi))
     log_prior = float(np.sum((1.0 - b) * np.log(spec.omega)
                              + b * np.log(1.0 - spec.omega)))
     return float(log_gauss + log_prior)
@@ -119,16 +119,10 @@ def mixture_joint_logpdf(s: np.ndarray, theta: np.ndarray, b: np.ndarray,
 # --- full conditionals (two-dimensional case) ------------------------------
 
 
-def _require_bivariate(spec: MixtureSpec) -> None:
-    if spec.dim != 2:
-        raise ValueError("closed-form conditionals are implemented for dim=2")
-
-
 def mixture_conditional_theta1(theta2: float, b: Tuple[float, float],
                                s: Tuple[float, float],
                                spec: MixtureSpec) -> Tuple[float, float, float, float]:
     """Mean, scale and bounds of the truncated-normal conditional of theta_1."""
-    _require_bivariate(spec)
     rho = spec.rho
     b1, b2 = float(b[0]), float(b[1])
     s1, s2 = float(s[0]), float(s[1])
@@ -168,7 +162,6 @@ def _logistic(x: float) -> float:
 def mixture_conditional_b1(theta: Tuple[float, float], b2: float,
                            s: Tuple[float, float], spec: MixtureSpec) -> float:
     """P(b_1 = 1 | theta, b_2, s); equals 1 - omega when theta_1 = 0."""
-    _require_bivariate(spec)
     return _logistic(_switch_logit(theta[0], theta[1], b2, s[0], s[1], spec))
 
 
@@ -234,7 +227,6 @@ def mixture_model(spec: MixtureSpec) -> SimulatorModel:
 
 def mixture_exact_specs(spec: MixtureSpec) -> List[ConditionalSpec]:
     """Exact Gibbs conditionals over (theta_1, theta_2, b_1, b_2)."""
-    _require_bivariate(spec)
 
     def draw_theta1(state, member, rng):
         mean, sd, lo, hi = mixture_conditional_theta1(
@@ -306,7 +298,6 @@ def mixture_engine_specs(spec: MixtureSpec) -> List[ConditionalSpec]:
     sampling is the correctly specified choice; the sign conditionals are
     exactly logistic in the same terms.
     """
-    _require_bivariate(spec)
     out = []
     for member, name in enumerate(MIXTURE_STATE_NAMES):
         family = "linear" if member < 2 else "logistic"

@@ -89,16 +89,6 @@ def _initial_moments(theta_next: np.ndarray, w, g_mat: np.ndarray,
     return cov @ shift, cov
 
 
-def terminal_state_conditional(theta_prev: np.ndarray, w,
-                               g_mat: np.ndarray
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Forward-predictive Gaussian for the state one step past the data."""
-    theta_prev = np.asarray(theta_prev, dtype=float)
-    p = theta_prev.size
-    g = np.asarray(g_mat, dtype=float).reshape(p, p)
-    return g @ theta_prev, _cov_dense(w, p)
-
-
 def innovation_precision_conditional(innovations: np.ndarray,
                                      alpha: float, nu: float
                                      ) -> Tuple[float, np.ndarray]:

@@ -8,12 +8,13 @@ a noisy linear observation of its block; the observation variance is a
 fixed plausible value, not estimated.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from .system import (N_SERIES, DlmSpec, SeasonCalendar, block_transition,
                      observation_block)
+
+# innovation variance of every block of the initial path
+_INIT_BLOCK_W = 1e-4
 
 
 def block_kalman_smoother(obs: np.ndarray, obs_rows: np.ndarray,
@@ -72,16 +73,14 @@ def block_kalman_smoother(obs: np.ndarray, obs_rows: np.ndarray,
 
 
 def kalman_smoother_init(summaries: np.ndarray, calendar: SeasonCalendar,
-                         spec: DlmSpec, obs_variance: float,
-                         block_w: float = 1e-4,
-                         m0: Optional[np.ndarray] = None,
-                         c0_diag: Optional[np.ndarray] = None) -> np.ndarray:
+                         spec: DlmSpec, obs_variance: float) -> np.ndarray:
     """Initial state path from smoothing the per-day summaries.
 
     Each summary coordinate is smoothed through its own 9-dimensional
-    block with innovation variance block_w and observation variance
-    obs_variance.  Returns the (T+1) x p smoothed means for states
-    0..T on the prior m0/c0_diag (the sampler's own prior by default).
+    block with innovation variance ``_INIT_BLOCK_W`` (1e-4) and
+    observation variance obs_variance, on the sampler's own initial-state
+    prior ``spec.m0`` / ``spec.c0_diag``.  Returns the (T+1) x p smoothed
+    means for states 0..T.
     """
     s = np.atleast_2d(np.asarray(summaries, dtype=float))
     n_days = s.shape[0]
@@ -91,10 +90,8 @@ def kalman_smoother_init(summaries: np.ndarray, calendar: SeasonCalendar,
         raise ValueError("summaries do not match the calendar length")
     if not np.all(np.isfinite(s)):
         raise ValueError("summaries must be finite")
-    if not (obs_variance > 0 and block_w > 0):
-        raise ValueError("variances must be positive")
-    m0 = spec.m0 if m0 is None else np.asarray(m0, dtype=float)
-    c0 = spec.c0_diag if c0_diag is None else np.asarray(c0_diag, dtype=float)
+    if not obs_variance > 0:
+        raise ValueError("obs_variance must be positive")
 
     g9 = block_transition()
     rows = np.stack([observation_block(calendar.is_summer(t))
@@ -103,5 +100,6 @@ def kalman_smoother_init(summaries: np.ndarray, calendar: SeasonCalendar,
     for v in range(N_SERIES):
         idx = np.arange(v, spec.p, N_SERIES)
         path[:, idx] = block_kalman_smoother(
-            s[:, v], rows, obs_variance, g9, block_w, m0[idx], c0[idx])
+            s[:, v], rows, obs_variance, g9, _INIT_BLOCK_W, spec.m0[idx],
+            spec.c0_diag[idx])
     return path

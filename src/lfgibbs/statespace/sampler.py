@@ -22,13 +22,12 @@ from ..gk import estimate_gk, link_parameters
 from ..kernels import KernelSpec
 from .conditionals import (SweepOperator, initial_prior_terms,
                            innovation_precision_conditional)
-from .kalman import kalman_smoother_init
+from .kalman import _INIT_BLOCK_W, kalman_smoother_init
 from .system import (N_SERIES, DlmSpec, SeasonCalendar, observation_matrix,
                      transition_matrix)
 from .training import (DEFAULT_Q_HIGH, PhiContext, PhiHypercube, TrainingSet,
                        generate_phi_training_set, sample_lambda_conditional)
 
-_INIT_BLOCK_W = 1e-4  # innovation variance of the Kalman initial path
 LambdaSampler = Callable[[PhiContext, np.ndarray, np.random.Generator],
                          np.ndarray]
 
@@ -132,8 +131,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     init_obs_variance = 0.5 * (cube.q_low + cube.q_high)
     if initial is None:
         path0 = kalman_smoother_init(summaries, calendar, spec,
-                                     obs_variance=init_obs_variance,
-                                     block_w=_INIT_BLOCK_W)
+                                     obs_variance=init_obs_variance)
     else:
         path0 = np.asarray(initial, dtype=float)
         if path0.shape == (n_days + 1, p):

@@ -13,7 +13,7 @@ the full 36-dim maps, and the layout's sizes are the module constants.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -137,13 +137,3 @@ def transition_matrix() -> np.ndarray:
     """p x p transition G = block_transition() kron the 4x4 identity."""
     return np.kron(block_transition(), np.eye(N_SERIES))
 
-
-def build_system_matrices(calendar: SeasonCalendar, t: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Observation and transition matrices at day t.
-
-    Returns (f_mat, g_mat) with f_mat of shape (p, 4) so that the
-    linear predictor is f_mat.T @ theta_t, and g_mat of shape (p, p).
-    Valid for t = 1..n_days + 1.
-    """
-    return observation_matrix(calendar.is_summer(t)), transition_matrix()

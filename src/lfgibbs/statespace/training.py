@@ -312,12 +312,6 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
     return omega, pool, w / total
 
 
-def localized_covariance(training: TrainingSet, phi_star: PhiContext,
-                         kernel: KernelSpec, m: int) -> np.ndarray:
-    """8x8 kernel-weighted covariance of the centered training pairs."""
-    return _localize(training, phi_star, kernel, m)[0]
-
-
 def _gain(omega: np.ndarray) -> np.ndarray:
     """Linear Bayes gain omega12 (omega22 + ridge)^-1 of an 8x8 joint
     covariance of (predictor, summary)."""
@@ -328,8 +322,10 @@ def _gain(omega: np.ndarray) -> np.ndarray:
 def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gain and floored conditional covariance from a joint covariance.
 
-    The covariance is a diagnostic: the sampler's draw uses the gain
-    alone.
+    The covariance is the top-left block minus the explained part,
+    symmetrized and eigenvalue-floored so a Cholesky factor always
+    exists.  It is the Gaussian linear Bayes diagnostic: the sampler's
+    draw uses the gain alone.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (2 * N_SERIES, 2 * N_SERIES):
@@ -341,22 +337,6 @@ def _linear_bayes(omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, _EIG_FLOOR)) @ vecs.T
     return gain, 0.5 * (cov + cov.T)
-
-
-def linear_bayes_moments(omega: np.ndarray, f: np.ndarray, s: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance of the predictor given a summary.
-
-    mean = f + gain (s - f) and cov = top-left block minus the explained
-    part, symmetrized and eigenvalue-floored so a Cholesky factor always
-    exists.  The covariance is the Gaussian linear Bayes diagnostic;
-    :func:`sample_lambda_conditional` draws around the same mean with a
-    resampled residual and does not use it.
-    """
-    f = np.asarray(f, dtype=float).reshape(N_SERIES)
-    s = np.asarray(s, dtype=float).reshape(N_SERIES)
-    gain, cov = _linear_bayes(omega)
-    return f + gain @ (s - f), cov
 
 
 def _choice_index(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -18,9 +18,11 @@ from lfgibbs.experiments import (ExperimentConfig, ResultsBundle, coverage,
                                  credible_interval, relative_mse,
                                  run_experiment, summarize_directory,
                                  timing_table)
+from lfgibbs.gibbs import GibbsConfig, run_local_gibbs
 from lfgibbs.gk import GKParams, gk_sample
 from lfgibbs.kernels import KernelSpec
-from lfgibbs.models.hierarchical import hierarchical_model
+from lfgibbs.models.hierarchical import (HierarchicalSpec, hierarchical_engine_specs,
+                                         hierarchical_initial_state, hierarchical_model)
 from lfgibbs.models.mixture import mixture_model
 
 
@@ -116,13 +118,17 @@ class TestExperimentConfig:
         config = small_hier_config(n_table=np.int64(300), workers=np.int32(1))
         assert (config.n_table, config.workers) == (300, 1)
 
-    @pytest.mark.parametrize("bad", [3.5, math.nan])
-    @pytest.mark.parametrize("model,name", [
-        ("hierarchical", "u_groups"), ("hierarchical", "l_obs"),
-        ("hierarchical", "global_m"), ("hierarchical", "prelocalize"),
-        ("statespace", "n_days"), ("statespace", "summer_start"),
-        ("statespace", "summer_end"), ("statespace", "n_low"),
-        ("statespace", "n_high")])
+    # every whole-number option with a fraction and NaN, and the row
+    # count prelocalize below 1 (-3 would drop the 3 farthest rows)
+    @pytest.mark.parametrize("model,name,bad", [
+        (model, name, bad) for model, name in [
+            ("hierarchical", "u_groups"), ("hierarchical", "l_obs"),
+            ("hierarchical", "global_m"), ("hierarchical", "prelocalize"),
+            ("statespace", "n_days"), ("statespace", "summer_start"),
+            ("statespace", "summer_end"), ("statespace", "n_low"),
+            ("statespace", "n_high")]
+        for bad in (3.5, math.nan)] + [
+        ("hierarchical", "prelocalize", -3), ("hierarchical", "prelocalize", 0)])
     def test_whole_number_options_reject_fractions(self, model, name, bad):
         payload = {"model": model, "methods": ["local-gibbs"], "seeds": [1],
                    "options": {name: bad}}
@@ -408,6 +414,37 @@ class TestAdjustedHierarchy:
         bundle = run_experiment(config, out_dir=tmp_path)
         assert bundle.failures == []
         assert len(bundle.rows) == 3
+
+
+class TestPrelocalize:
+    def test_local_cell_runs_on_the_nearest_rows(self, tmp_path):
+        # prelocalize=k keeps the k table rows nearest s_obs in the four
+        # symmetric summaries, and local Gibbs runs on those alone
+        k = 150
+        config = ExperimentConfig(model="hierarchical", methods=["local-gibbs"], seeds=[3],
+                                  n_table=300, n_iterations=40, burn_in=5, m_neighbours=100,
+                                  options={"u_groups": 3, "l_obs": 4, "prelocalize": k})
+        bundle = run_experiment(config, out_dir=tmp_path)
+        assert bundle.failures == []
+        spec = HierarchicalSpec(u_groups=3, l_obs=4)
+        model = hierarchical_model(spec)
+        dataset = experiments._make_dataset(config, 3)
+        data, s_obs = dataset["data"], dataset["s_obs"]
+        table = simulate_reference_table(model, 300,
+                                         seed=experiments._table_seed(3, "local-gibbs"))
+        d = np.linalg.norm(table.summaries[:, 6:10] - s_obs[6:10], axis=1)
+        nearest = table.subset(np.argsort(d)[:k])
+        config_k = GibbsConfig(n_iterations=40, initial=hierarchical_initial_state(spec, data),
+                               burn_in=5, m_neighbours=100)
+
+        def chain(tab):
+            return run_local_gibbs(model, hierarchical_engine_specs(spec), tab, s_obs,
+                                   config_k, experiments._chain_rng(3, "local-gibbs")).states
+
+        body = np.load(tmp_path / bundle.rows[0]["chain"], allow_pickle=False)
+        expected = chain(nearest)
+        np.testing.assert_array_equal(body.view(np.uint64), expected.view(np.uint64))
+        assert not np.array_equal(expected, chain(table))
 
 
 class TestTimingTable:

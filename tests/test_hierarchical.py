@@ -17,7 +17,6 @@ from lfgibbs.kernels import DistanceScaling
 from lfgibbs.models.hierarchical import (
     HierarchicalSpec,
     hierarchical_engine_specs,
-    hierarchical_exact_gibbs,
     hierarchical_exact_specs,
     hierarchical_initial_state,
     hierarchical_model,
@@ -33,6 +32,14 @@ from lfgibbs.models.hierarchical import (
 )
 
 SPEC = HierarchicalSpec()
+
+
+def exact_chain(data, m, rng, burn_in):
+    """Exact Gibbs over (mu, tau_mu, tau_x, mu_1..mu_U) from the default start."""
+    config = GibbsConfig(n_iterations=m, initial=hierarchical_initial_state(SPEC, data),
+                         burn_in=burn_in)
+    return run_exact_gibbs(hierarchical_exact_specs(SPEC, data), config, rng,
+                           names=hierarchical_state_names(SPEC))
 
 
 def synthetic_data(seed, tau_x=1.0):
@@ -249,15 +256,13 @@ class TestExactGibbs:
 
     def test_full_chain_behaves(self):
         data, _ = synthetic_data(10)
-        out = hierarchical_exact_gibbs(SPEC, data, 4000,
-                                       np.random.default_rng(11), burn_in=500)
+        out = exact_chain(data, 4000, np.random.default_rng(11), burn_in=500)
         assert out.states.shape == (3500, 13)
         assert np.all(out.states[:, 1:3] > 0)
         # true tau_x is 1; the posterior at 100 observations is well inside
         # this band
         assert 0.4 < out.states[:, 2].mean() < 2.5
-        again = hierarchical_exact_gibbs(SPEC, data, 4000,
-                                         np.random.default_rng(11), burn_in=500)
+        again = exact_chain(data, 4000, np.random.default_rng(11), burn_in=500)
         np.testing.assert_array_equal(out.states, again.states)
 
 
@@ -415,9 +420,7 @@ class TestLocalGibbsRecovery:
                               local_table, s_obs, config,
                               np.random.default_rng(21),
                               names=hierarchical_state_names(SPEC))
-        exact = hierarchical_exact_gibbs(SPEC, data, 20_000,
-                                         np.random.default_rng(22),
-                                         burn_in=1000)
+        exact = exact_chain(data, 20_000, np.random.default_rng(22), burn_in=1000)
 
         def mcse(chain, j):
             return chain.states[:, j].std(ddof=1) / math.sqrt(chain.ess[j])

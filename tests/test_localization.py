@@ -18,6 +18,11 @@ weight digests recorded before the change are pinned.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +50,7 @@ from lfgibbs.models.hierarchical import (
 from lfgibbs.models.mixture import MixtureSpec, mixture_engine_specs, mixture_model
 
 KERNELS = (KernelSpec(), KernelSpec("epanechnikov"))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def reference_squared(a, b, scaling):
@@ -77,6 +83,18 @@ def bits(x):
 
 def digest(states):
     return hashlib.sha256(np.ascontiguousarray(states, dtype=float).tobytes()).hexdigest()[:16]
+
+
+def one_blas_thread(script):
+    """What a Python script prints when run with BLAS on one thread, with
+    the package imported from this checkout's src."""
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 class TestScaledDistance:
@@ -586,11 +604,24 @@ class TestPinnedChains:
         assert digest(out.states) == "5ebef4a463d1854e"
 
     def test_local_mixture(self):
-        spec = MixtureSpec()
-        model = mixture_model(spec)
-        table = simulate_reference_table(model, 6000, seed=8)
-        config = GibbsConfig(n_iterations=30, initial=[0.0, 2.0, 1.0, 0.0],
-                             m_neighbours=2000, kernel=KernelSpec("epanechnikov"))
-        out = run_local_gibbs(model, mixture_engine_specs(spec), table,
-                              np.asarray(spec.s_obs), config, np.random.default_rng(9))
-        assert digest(out.states) == "98f76796e7a4d7bd"
+        # the 26-column weighted fit forms its Gram matrix through BLAS,
+        # whose threaded product may sum in another order, so the chain is
+        # pinned in a process that runs BLAS on one thread
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from lfgibbs.abc import simulate_reference_table
+            from lfgibbs.gibbs import GibbsConfig, run_local_gibbs
+            from lfgibbs.kernels import KernelSpec
+            from lfgibbs.models.mixture import MixtureSpec, mixture_engine_specs, mixture_model
+            spec = MixtureSpec()
+            model = mixture_model(spec)
+            table = simulate_reference_table(model, 6000, seed=8)
+            config = GibbsConfig(n_iterations=30, initial=[0.0, 2.0, 1.0, 0.0],
+                                 m_neighbours=2000, kernel=KernelSpec("epanechnikov"))
+            out = run_local_gibbs(model, mixture_engine_specs(spec), table,
+                                  np.asarray(spec.s_obs), config, np.random.default_rng(9))
+            states = np.ascontiguousarray(out.states, dtype=float)
+            print(hashlib.sha256(states.tobytes()).hexdigest()[:16])
+        """)
+        assert one_blas_thread(script) == "8b9bbf0ef77f3f60"

@@ -29,18 +29,16 @@ from lfgibbs.statespace import (
     TrainingSet,
     block_kalman_smoother,
     block_transition,
-    build_system_matrices,
     generate_phi_training_set,
     initial_state_conditional,
     innovation_precision_conditional,
     kalman_smoother_init,
-    linear_bayes_moments,
-    localized_covariance,
     observation_block,
+    observation_matrix,
     run_state_space_gibbs,
     sample_lambda_conditional,
     summarize_observations,
-    terminal_state_conditional,
+    transition_matrix,
     trend_block,
     weekly_seasonal_block,
 )
@@ -157,8 +155,7 @@ class TestSystemMatrices:
 
     def test_kronecker_identity(self):
         rng = np.random.default_rng(0)
-        cal = SeasonCalendar(n_days=3)
-        _, g = build_system_matrices(cal, 1)
+        g = transition_matrix()
         g9 = block_transition()
         x = rng.normal(size=9)
         for j in range(4):
@@ -169,20 +166,20 @@ class TestSystemMatrices:
 
     def test_build_matrices_shapes_and_summer(self):
         cal = SeasonCalendar(n_days=10, summer_start=4, summer_end=11)
-        f, g = build_system_matrices(cal, 5)
+        f, g = observation_matrix(cal.is_summer(5)), transition_matrix()
         assert f.shape == (36, 4) and g.shape == (36, 36)
         for v in range(4):
             assert np.array_equal(np.flatnonzero(f[:, v]),
                                   [v, 8 + v, 32 + v])
-        f_off, _ = build_system_matrices(cal, 1)
+        f_off = observation_matrix(cal.is_summer(1))
         for v in range(4):
             assert np.array_equal(np.flatnonzero(f_off[:, v]), [v, 8 + v])
         # the indicator extends one step past the data
-        f_last, _ = build_system_matrices(cal, 11)
+        f_last = observation_matrix(cal.is_summer(11))
         assert f_last[32, 0] == 1.0
         for bad in (0, 12, -3):
             with pytest.raises(ValueError):
-                build_system_matrices(cal, bad)
+                cal.is_summer(bad)
 
     def test_full_year_parameter_count(self):
         assert STATE_DIM * 365 == 13140
@@ -256,26 +253,29 @@ class TestInitialStateConditional:
                 conditionals._inverse_cov(singular, 3)
 
 
-class TestTerminalStateConditional:
+def terminal_mean(g, w, theta, seed):
+    """The forward-predictive draw G theta + sqrt(w) z of a SweepOperator
+    less its noise, replayed from the same generator."""
+    draw = SweepOperator(g, w, {}).draw_terminal(theta, np.random.default_rng(seed))
+    return draw - np.sqrt(w) * np.random.default_rng(seed).standard_normal(w.size)
+
+
+class TestDrawTerminal:
     def test_identity_transition(self):
         theta = np.array([1.0, 2.0])
         w = np.array([0.3, 0.7])
-        mean, cov = terminal_state_conditional(theta, w, np.eye(2))
-        np.testing.assert_allclose(mean, theta)
-        np.testing.assert_allclose(cov, np.diag(w))
+        draw = SweepOperator(np.eye(2), w, {}).draw_terminal(theta, np.random.default_rng(3))
+        z = np.random.default_rng(3).standard_normal(2)
+        assert np.array_equal(draw, theta + np.sqrt(w) * z)
 
-    def test_zero_noise_degenerate(self):
+    def test_trend_hand_case(self):
         g = np.array([[1.0, 1.0], [0.0, 1.0]])
-        mean, cov = terminal_state_conditional(np.array([2.0, 0.5]),
-                                               np.zeros(2), g)
+        mean = terminal_mean(g, np.full(2, 1e-6), np.array([2.0, 0.5]), 4)
         np.testing.assert_allclose(mean, [2.5, 0.5])
-        assert np.all(cov == 0.0)
 
     def test_trend_subblock_multiplication(self):
-        cal = SeasonCalendar(n_days=3)
-        _, g = build_system_matrices(cal, 1)
         theta = np.random.default_rng(1).normal(size=36)
-        mean, _ = terminal_state_conditional(theta, np.ones(36), g)
+        mean = terminal_mean(transition_matrix(), np.ones(36), theta, 5)
         for v in range(4):
             trend = theta[[v, 4 + v]]
             np.testing.assert_allclose(mean[[v, 4 + v]],
@@ -419,8 +419,8 @@ class TestSweepOperator:
     def setup_method(self):
         self.rng = np.random.default_rng(7)
         cal = SeasonCalendar(n_days=5, summer_start=3, summer_end=6)
-        self.f_on, self.g = build_system_matrices(cal, 3)
-        self.f_off, _ = build_system_matrices(cal, 1)
+        self.f_on, self.g = observation_matrix(cal.is_summer(3)), transition_matrix()
+        self.f_off = observation_matrix(cal.is_summer(1))
         self.w = self.rng.uniform(0.5, 2.0, size=36)
         self.op = SweepOperator(self.g, self.w,
                                 {False: self.f_off, True: self.f_on})
@@ -726,7 +726,7 @@ class TestLocalizedCovariance:
                          phi_n=np.full(50, 100), predictors=f + v1,
                          summaries=f + v2)
         phi = PhiContext(f[0], np.full(4, 1e-4), 100)
-        omega = localized_covariance(ts, phi, KernelSpec("epanechnikov"), 20)
+        omega = _localize(ts, phi, KernelSpec("epanechnikov"), 20)[0]
         v = np.concatenate([v1, v2])
         np.testing.assert_allclose(omega, np.outer(v, v), atol=1e-12)
 
@@ -743,7 +743,7 @@ class TestLocalizedCovariance:
                          summaries=f + z[:, 4:])
         phi = PhiContext(np.zeros(4), np.full(4, 1e-6), 100)
         # m = n with a uniform kernel weights every pair equally
-        omega = localized_covariance(ts, phi, KernelSpec("uniform"), n)
+        omega = _localize(ts, phi, KernelSpec("uniform"), n)[0]
         mcse = np.sqrt((np.outer(np.diag(sigma), np.diag(sigma))
                         + sigma ** 2) / n)
         assert np.all(np.abs(omega - sigma) < 5 * mcse)
@@ -764,7 +764,12 @@ class TestLocalizedCovariance:
                          phi_n=np.full(30, 100), predictors=f, summaries=f)
         phi = PhiContext(np.zeros(4), np.full(4, 1e-6), 100)
         with pytest.raises(ValueError, match="positive"):
-            localized_covariance(ts, phi, KernelSpec("epanechnikov"), 5)
+            _localize(ts, phi, KernelSpec("epanechnikov"), 5)
+
+
+def linear_bayes_mean(gain, f, s):
+    """The predictor's mean given its summary, as the sampler forms it."""
+    return f + gain @ (s - f)
 
 
 class TestLinearBayes:
@@ -774,7 +779,8 @@ class TestLinearBayes:
         omega[4:, 4:] = np.eye(4)
         f = np.array([0.1, 0.2, 0.3, 0.4])
         s = np.array([5.0, -5.0, 5.0, -5.0])
-        mean, cov = linear_bayes_moments(omega, f, s)
+        gain, cov = _linear_bayes(omega)
+        mean = linear_bayes_mean(gain, f, s)
         np.testing.assert_allclose(mean, f, atol=1e-8)
         np.testing.assert_allclose(cov, omega[:4, :4], atol=1e-8)
 
@@ -783,14 +789,15 @@ class TestLinearBayes:
         a = rng.normal(size=(8, 8))
         omega = a @ a.T + np.eye(8)
         f = rng.normal(size=4)
-        mean, _ = linear_bayes_moments(omega, f, f)
+        mean = linear_bayes_mean(_linear_bayes(omega)[0], f, f)
         np.testing.assert_allclose(mean, f, atol=1e-12)
 
     def test_scalar_hand_case_replicated(self):
         # per coordinate: omega = ((2,1),(1,1)), f=0, s=2 -> mean 2, var 1
         omega = np.block([[2 * np.eye(4), np.eye(4)],
                           [np.eye(4), np.eye(4)]])
-        mean, cov = linear_bayes_moments(omega, np.zeros(4), np.full(4, 2.0))
+        gain, cov = _linear_bayes(omega)
+        mean = linear_bayes_mean(gain, np.zeros(4), np.full(4, 2.0))
         np.testing.assert_allclose(mean, np.full(4, 2.0), rtol=1e-8)
         np.testing.assert_allclose(np.diag(cov), np.ones(4), rtol=1e-8)
         np.testing.assert_allclose(cov - np.diag(np.diag(cov)), 0.0,
@@ -803,7 +810,7 @@ class TestLinearBayes:
         omega[4:, 4:] = np.eye(4)
         omega[:4, 4:] = 0.5 * np.eye(4)
         omega[4:, :4] = 0.5 * np.eye(4)
-        _, cov = linear_bayes_moments(omega, np.zeros(4), np.ones(4))
+        _, cov = _linear_bayes(omega)
         np.linalg.cholesky(cov)
         assert np.linalg.eigvalsh(cov).min() >= 1e-13
 
