@@ -30,14 +30,14 @@ import mmap
 import multiprocessing
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from lfgibbs.kernels import DistanceScaling, KernelSpec, localize, squared_scaled_distance
-from lfgibbs.regression import _deficient_columns, fit_weighted_linear
+from lfgibbs.regression import fit_weighted_linear
 
 __all__ = [
     "SimulatorModel",
@@ -529,11 +529,12 @@ def simulate_reference_table(model: SimulatorModel, n: int,
 
 @dataclass
 class AbcOutput:
-    """Weighted posterior sample with basic weight diagnostics."""
+    """Weighted sample, weight diagnostics, and summaries regression_adjust gave slope 0."""
 
     samples: ReferenceTable
     ess: float
     entropy: float
+    dropped: Tuple[int, ...] = ()
 
     @property
     def weights(self) -> np.ndarray:
@@ -602,39 +603,21 @@ def regression_adjust(output: AbcOutput, s_obs: np.ndarray) -> AbcOutput:
 
     Each parameter coordinate is shifted by beta' (s_obs - s_i) where beta
     solves the weighted least squares of that coordinate on the summaries
-    (with intercept).  Weights are unchanged.  When the design is rank
-    deficient, as when a summary is an exact linear combination of others
-    (the hierarchy's mean of the group means is one), the fit is redone
-    without the summaries pivoted QR names as dependent, and those get
-    slope 0; a full-rank but ill-conditioned design still raises.
+    (with intercept).  Weights are unchanged.  A summary that
+    ``fit_weighted_linear`` drops, as one constant on the positive-weight
+    rows or a linear combination of others there (the hierarchy's mean of
+    the group means), gets slope 0 and is listed in ``dropped``.  An s_obs
+    that breaks such a relation raises ArithmeticError naming the summaries.
     """
     table = output.samples
     s_obs = _observed_summary(s_obs, table)
-    if np.all(table.summaries == s_obs):
-        # nothing to correct, and the summary design would be collinear
-        return output
-    n = len(table)
-    design = np.column_stack([np.ones(n), table.summaries])
-    try:
-        slopes = [fit_weighted_linear(design, y, table.weights).beta[1:]
-                  for y in table.theta.T]
-    except ArithmeticError:
-        # on the centred summaries QR names dependent summaries, never the
-        # intercept
-        active = table.weights > 0
-        s, w = table.summaries[active], table.weights[active]
-        dropped, _ = _deficient_columns(s - w @ s / w.sum(), w)
-        if not dropped:
-            raise
-        kept = np.setdiff1d(np.arange(s.shape[1]), dropped)
-        reduced = design[:, [0, *(kept + 1)]]
-        slopes = np.zeros((table.theta.shape[1], s.shape[1]))
-        for slope, y in zip(slopes, table.theta.T):
-            slope[kept] = fit_weighted_linear(reduced, y, table.weights).beta[1:]
+    design = np.column_stack([np.ones(len(table)), table.summaries])
+    fits = [fit_weighted_linear(design, y, table.weights) for y in table.theta.T]
+    if outside := [c - 1 for c in fits[0].outside_span(np.r_[1.0, s_obs])]:
+        raise ArithmeticError("s_obs lies outside the span of the weighted summaries: it "
+                              f"breaks the linear relation of summaries {outside} to the others")
     adjusted = table.theta.copy()
-    for d, slope in enumerate(slopes):
-        adjusted[:, d] += (s_obs - table.summaries) @ slope
-    out = ReferenceTable(adjusted, table.summaries, table.weights,
-                         seed=table.seed, fingerprint=table.fingerprint,
-                         retries=table.retries, theta_names=list(table.theta_names))
-    return AbcOutput(samples=out, ess=output.ess, entropy=output.entropy)
+    for d, fit in enumerate(fits):
+        adjusted[:, d] += (s_obs - table.summaries) @ fit.beta[1:]
+    samples = replace(table, theta=adjusted, theta_names=list(table.theta_names))
+    return replace(output, samples=samples, dropped=tuple(c - 1 for c in fits[0].dropped))

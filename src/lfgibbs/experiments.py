@@ -408,14 +408,13 @@ def _run_abc_cell(config: ExperimentConfig, method: str, model, table, s_obs,
                   names: List[str], chain_path, json_path) -> None:
     """Importance-sampling ABC on the table, regression-adjusted if asked."""
     out = abc_importance(model, table, s_obs, config.kernel)
-    fits = 0
+    diagnostics = {"ess": out.ess, "entropy": out.entropy}
     if method == "abc-adjusted":
         out = regression_adjust(out, s_obs)
-        fits = 1
+        diagnostics["zero_slope_summaries"] = out.dropped
     timings = TimingBreakdown(pre_sim_units=float(config.n_table + table.retries),
-                              pre_fit_count=fits)
-    _save_weighted(out.samples, names, timings,
-                   {"ess": out.ess, "entropy": out.entropy}, chain_path, json_path)
+                              pre_fit_count=int(method == "abc-adjusted"))
+    _save_weighted(out.samples, names, timings, diagnostics, chain_path, json_path)
 
 
 def _run_hierarchical_cell(config: ExperimentConfig, method: str, seed: int,

@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 _FAMILIES = ("linear", "logistic", "flexible")
+_FIT_HEALTH = ("fits_dropping_columns", "most_columns_dropped", "logistic_not_converged")
 
 
 @dataclass
@@ -519,9 +520,12 @@ def _fit_family(spec: ConditionalSpec, x: np.ndarray, y: np.ndarray,
 
 
 def _draw_family(spec: ConditionalSpec, fit, query: np.ndarray,
-                 rng: np.random.Generator) -> float:
+                 rng: np.random.Generator, m: int) -> float:
     if spec.family == "linear":
-        return float(sample_linear_parametric(fit, query, rng))
+        try:
+            return float(sample_linear_parametric(fit, query, rng))
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"conditional {spec.name!r} at sweep {m}: {exc}") from exc
     if spec.family == "logistic":
         return 1.0 if rng.random() < fit.predict_prob(query) else 0.0
     return float(sample_flexible(fit, query, rng))
@@ -559,7 +563,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     over the chain, and ``diagnostics["localization"]`` gives the min,
     median and max over all sweeps and members of the bandwidth and of
     the Kish effective sample size (sum w)^2 / sum w^2 of the kept kernel
-    weights.
+    weights.  ``diagnostics["fit_health"]`` counts linear fits that dropped
+    columns, the most one dropped, and logistic fits not converged.
     """
     s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
@@ -571,6 +576,7 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     # column (m - 1) * members + j
     health = {key: np.empty((2, config.n_iterations * len(ws.spec.members)))
               for key, ws in workspaces.items()}
+    fit_health = {key: dict.fromkeys(_FIT_HEALTH, 0) for key in workspaces}
     timings = TimingBreakdown()
     neighbours = min(config.m_neighbours, len(table))
 
@@ -600,8 +606,13 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
                 f"conditional {spec.name!r} failed at iteration {m}: {exc}") from exc
         timings.in_fit_seconds += time.perf_counter() - t_fit
         timings.in_fit_count += 1
+        counts = fit_health[id(spec)]
+        dropped = len(fit.dropped) if spec.family == "linear" else 0
+        counts["fits_dropping_columns"] += dropped > 0
+        counts["most_columns_dropped"] = max(counts["most_columns_dropped"], dropped)
+        counts["logistic_not_converged"] += spec.family == "logistic" and not fit.converged
         for j, member in enumerate(spec.members):
-            theta[member] = _draw_family(spec, fit, queries[j], rng)
+            theta[member] = _draw_family(spec, fit, queries[j], rng, m)
 
     out = _gibbs_chain(specs, config, theta, rng, timings, names, update)
     out.diagnostics["distance_terms"] = {
@@ -611,6 +622,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         workspaces[key].spec.name: {"bandwidth": _spread(bandwidths),
                                     "kish_ess": _spread(kish)}
         for key, (bandwidths, kish) in health.items()}
+    out.diagnostics["fit_health"] = {workspaces[key].spec.name: counts
+                                     for key, counts in fit_health.items()}
     return out
 
 
@@ -681,7 +694,7 @@ def run_global_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditiona
         ws = workspaces[id(spec)]
         fit = fits[spec.name]
         for j, member in enumerate(spec.members):
-            theta[member] = _draw_family(spec, fit, ws.query(s_obs, theta, j), rng)
+            theta[member] = _draw_family(spec, fit, ws.query(s_obs, theta, j), rng, m)
 
     return _gibbs_chain(specs, config, theta, rng, timings, names, update, fits=fits)
 

@@ -14,7 +14,7 @@ normalized internally and rows with zero weight never influence a fit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +38,7 @@ _IRLS_TOL = 1e-8
 _IRLS_MAX_ITER = 100
 _COEF_CAP = 30.0
 _VAR_FLOOR = 1e-8
+_SPAN_RTOL = 1e-8
 _MIN_FLEX_ROWS = 50
 # exp-link squared loss is not Lipschitz: once a prediction overshoots a
 # heavy-tailed target the err*pred gradient factor diverges within a few
@@ -64,15 +65,34 @@ def _normalize_weights(w: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class LinearFit:
-    """Weighted linear model theta = x' beta + eps, eps ~ N(0, sigma2)."""
+    """Weighted linear model theta = x' beta + eps, eps ~ N(0, sigma2).
+
+    Column ``dropped[k]``, given coefficient 0, is x @ relation[:, k] on the
+    fitted rows; ``predict`` raises ArithmeticError at a query breaking
+    such a relation by more than a relative 1e-8, outside their span."""
 
     beta: np.ndarray
     sigma2: float
     fitted: np.ndarray
     residuals: np.ndarray
     weights: np.ndarray  # normalized
+    dropped: Tuple[int, ...] = ()
+    relation: Optional[np.ndarray] = None
+
+    def outside_span(self, x: np.ndarray) -> List[int]:
+        """The dropped columns whose relation the query x breaks."""
+        if not self.dropped:
+            return []
+        x = np.asarray(x, dtype=float)
+        xd, rel = x[list(self.dropped)], self.relation
+        off = np.abs(xd - x @ rel) > _SPAN_RTOL * (np.abs(x) @ np.abs(rel) + np.abs(xd))
+        return [c for c, bad in zip(self.dropped, off) if bad]
 
     def predict(self, x: np.ndarray) -> float:
+        if outside := self.outside_span(x):
+            raise ArithmeticError(
+                "query lies outside the span of the fitted rows: it breaks the "
+                f"linear relation of dropped columns {outside} to the kept ones")
         return float(np.asarray(x, dtype=float) @ self.beta)
 
 
@@ -83,11 +103,11 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     weights.  Rows of zero weight are dropped before the normal equations
     are formed; when no weight is zero, x and y are used without a copy
     (a C-ordered copy of a design in another layout), which gives the same
-    bits as the masked copies.  A design whose weighted Gram matrix is
-    rank deficient even after the jitter raises an error naming the
-    columns pivoted QR drops; when QR drops none, the design is full rank
-    but ill-conditioned, and the error gives the Gram condition number
-    and the column with the smallest QR pivot instead.
+    bits as the masked copies.  When the weighted Gram matrix is rank
+    deficient even after the jitter, the fit is redone, bit for bit, on the
+    columns ``_deficient_columns`` keeps, and the others get coefficient 0;
+    when it keeps all, the design is full rank but ill-conditioned, and the
+    error gives the Gram condition number and the smallest QR pivot's column.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -106,14 +126,20 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     # the jitter stabilizes borderline conditioning but cannot repair exact
     # linear dependence, so deficiency is checked on the Gram itself
     if np.linalg.matrix_rank(gram, hermitian=True) < p:
-        bad, weakest = _deficient_columns(xa, wa)
-        if bad:
+        bad, weakest = _deficient_columns(xa, np.asarray(weights, dtype=float)[active])
+        if not bad:
             raise ArithmeticError(
-                f"design is rank deficient after ridge jitter; offending columns {bad}")
-        raise ArithmeticError(
-            "design is ill-conditioned after ridge jitter: Gram condition number "
-            f"{np.linalg.cond(gram):.3g}; pivoted QR drops no column, and its "
-            f"smallest pivot is column {weakest}")
+                "design is ill-conditioned after ridge jitter: Gram condition number "
+                f"{np.linalg.cond(gram):.3g}; pivoted QR drops no column, and its "
+                f"smallest pivot is column {weakest}")
+        kept = np.setdiff1d(np.arange(p), bad)
+        # the same QR keeps every one of these columns, so this fit drops none
+        fit = fit_weighted_linear(x[:, kept], y, weights)
+        beta, relation = np.zeros(p), np.zeros((p, len(bad)))
+        beta[kept] = fit.beta
+        q, r = np.linalg.qr(xa[:, kept])
+        relation[kept] = np.linalg.solve(r, q.T @ xa[:, bad])
+        return replace(fit, beta=beta, dropped=tuple(bad), relation=relation)
     gram_j = gram + _RIDGE * np.eye(p)
     rhs = xw.T @ ya
     beta = np.linalg.solve(gram_j, rhs)
@@ -127,16 +153,25 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
 
 
 def _deficient_columns(x: np.ndarray, w: np.ndarray) -> Tuple[List[int], int]:
-    """Columns that do not add rank, identified by pivoted QR, and the
-    column with the smallest pivot."""
+    """Columns adding no rank on the rows of x, and the smallest pivot's column:
+    the constant ones but the first nonzero (the intercept), then those pivoted
+    QR drops from the rest, centred at their w-weighted means beside an
+    intercept, which QR on the raw design would drop."""
     from scipy.linalg import qr
 
-    xs = x * np.sqrt(w)[:, None]
+    const = np.flatnonzero((x == x[0]).all(axis=0))
+    intercept = next((int(c) for c in const if x[0, c] != 0), None)
+    bad = [int(c) for c in const if c != intercept]
+    rest = np.setdiff1d(np.arange(x.shape[1]), const)
+    if not rest.size:
+        return bad, intercept
+    xr = x[:, rest]
+    xs = (xr - w @ xr / w.sum() if intercept is not None else xr) * np.sqrt(w)[:, None]
     r, piv = qr(xs, mode="r", pivoting=True)[0:2]
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(xs.shape) * np.finfo(float).eps if diag.size else 0.0
+    tol = diag.max() * max(xs.shape) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
-    return sorted(int(c) for c in piv[rank:]), int(piv[np.argmin(diag)])
+    return sorted(bad + [int(c) for c in rest[piv[rank:]]]), int(rest[piv[np.argmin(diag)]])
 
 
 def sample_linear_parametric(fit: LinearFit, x: np.ndarray,

@@ -273,6 +273,16 @@ class TestRegressionAdjust:
         single = regression_adjust(self._output(theta, base), np.array([0.3]))
         np.testing.assert_array_equal(adj.samples.theta, single.samples.theta)
         assert not np.array_equal(adj.samples.theta, theta)
+        assert adj.dropped == (1,) and single.dropped == ()
+
+    def test_observed_summary_outside_the_span_raises(self):
+        # summary 1 copies summary 0, so (0.3, 5.0) has no unique
+        # adjustment; it used to be read as (0.3, 0.3)
+        rng = np.random.default_rng(41)
+        base = rng.normal(size=(30, 1))
+        out = self._output(rng.normal(size=(30, 2)), np.column_stack([base, base]))
+        with pytest.raises(ArithmeticError, match=r"outside the span .* summaries \[1\]"):
+            regression_adjust(out, np.array([0.3, 5.0]))
 
     def test_linear_combination_of_summaries_gets_slope_zero(self):
         # the hierarchy's mean of the group means, here with an offset

@@ -414,6 +414,29 @@ class TestAdjustedHierarchy:
         bundle = run_experiment(config, out_dir=tmp_path)
         assert bundle.failures == []
         assert len(bundle.rows) == 3
+        for cell in json.loads((tmp_path / "cells.json").read_text()):
+            meta = json.loads((tmp_path / cell["meta"]).read_text())
+            assert meta["diagnostics"]["zero_slope_summaries"] == [6, 8]
+
+
+class TestMixtureLocal:
+    def test_default_spec_local_cell_runs_dropping_columns(self, tmp_path):
+        # kNN neighbourhoods of the default spec hold the signs constant,
+        # so the interaction designs lose rank; the fit drops those columns
+        config = ExperimentConfig(model="mixture", methods=["local-gibbs"], seeds=[0],
+                                  n_table=20000, n_iterations=20, m_neighbours=500)
+        bundle = run_experiment(config, out_dir=tmp_path)
+        assert bundle.failures == []
+        cell, = json.loads((tmp_path / "cells.json").read_text())
+        health = json.loads((tmp_path / cell["meta"]).read_text())["diagnostics"]["fit_health"]
+        assert set(health) == {"theta_1", "theta_2", "b_1", "b_2"}
+        for name in ("theta_1", "theta_2"):
+            assert health[name]["fits_dropping_columns"] > 0
+            assert 0 < health[name]["most_columns_dropped"] < 26
+            assert health[name]["logistic_not_converged"] == 0
+        for name in ("b_1", "b_2"):
+            assert health[name]["fits_dropping_columns"] == 0
+            assert 0 <= health[name]["logistic_not_converged"] <= 20
 
 
 class TestPrelocalize:

@@ -252,6 +252,25 @@ class TestGlobalGibbs:
                 run_global_gibbs(model, specs, table, np.array(s_obs), config,
                                  np.random.default_rng(0))
 
+    def test_query_outside_the_kept_span_names_the_conditional(self):
+        # the second summary is 2 on every row, so each fit drops its
+        # column, and an observed value of 3 lies outside the fitted span
+        model, table, _ = linear_gaussian_setup(n_table=500)
+        summaries = np.column_stack([table.summaries, np.full(len(table), 2.0)])
+        table = ReferenceTable(table.theta, summaries, table.weights)
+        specs = [ConditionalSpec(name=f"theta_{j + 1}", members=(j,),
+                                 feature_map_batch=lambda s, th, m: np.column_stack(
+                                     (np.ones(len(s)), s, th[:, 1 - m])))
+                 for j in range(2)]
+        config = GibbsConfig(n_iterations=10, initial=np.zeros(2), global_weight_indices=(0,))
+        out = run_global_gibbs(model, specs, table, np.array([1.0, 2.0]), config,
+                               np.random.default_rng(0))
+        assert [fit.dropped for fit in out.fits.values()] == [(2,), (2,)]
+        with pytest.raises(ArithmeticError, match=r"'theta_1' at sweep 1: query lies "
+                                                  r"outside the span .* columns \[2\]"):
+            run_global_gibbs(model, specs, table, np.array([1.0, 3.0]), config,
+                             np.random.default_rng(0))
+
 
 class TestLocalGibbs:
     def test_gaussian_posterior_and_fit_count(self):

@@ -71,12 +71,46 @@ class TestWeightedLinear:
         assert fit.sigma2 == pytest.approx(
             float(np.sum(fit.weights * fit.residuals ** 2)), abs=1e-14)
 
-    def test_rank_deficient_names_columns(self):
+    def test_rank_deficient_drops_dependent_column(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(20, 2))
         x = np.column_stack([np.ones(20), base, base[:, 0]])  # col 3 = col 1
-        with pytest.raises(ArithmeticError, match="columns"):
-            fit_weighted_linear(x, rng.normal(size=20), np.ones(20))
+        y = rng.normal(size=20)
+        fit = fit_weighted_linear(x, y, np.ones(20))
+        three = fit_weighted_linear(x[:, :3], y, np.ones(20))
+        assert fit.dropped == (3,)
+        np.testing.assert_array_equal(fit.beta, np.append(three.beta, 0.0))
+        # the residuals are formed from x as given: a strided slice here
+        assert fit.sigma2 == pytest.approx(three.sigma2, rel=1e-14)
+        assert three.dropped == ()
+
+    def test_constant_columns_dropped_but_the_intercept(self):
+        # on the positive-weight rows column 2 is constant and column 4 is
+        # zero; QR on the raw design would name column 0 instead
+        rng = np.random.default_rng(5)
+        n = 30
+        t = rng.normal(size=n)
+        x = np.column_stack([np.ones(n), t, np.full(n, 3.0), 0.5 * t, np.zeros(n)])
+        x[:4, 2] = 7.0
+        w = np.ones(n)
+        w[:4] = 0.0
+        y = rng.normal(size=n)
+        fit = fit_weighted_linear(x, y, w)
+        assert fit.dropped == (2, 3, 4)
+        two = fit_weighted_linear(x[:, :2], y, w)
+        np.testing.assert_array_equal(fit.beta, np.r_[two.beta, 0.0, 0.0, 0.0])
+        assert fit.predict([1.0, 0.5, 3.0, 0.25, 0.0]) == two.predict([1.0, 0.5])
+
+    def test_query_outside_the_kept_span_raises(self):
+        rng = np.random.default_rng(6)
+        t = rng.normal(size=25)
+        x = np.column_stack([np.ones(25), t, t])
+        fit = fit_weighted_linear(x, rng.normal(size=25), np.ones(25))
+        assert fit.dropped == (2,)
+        assert fit.outside_span([1.0, 0.3, 0.3 * (1 + 1e-12)]) == []
+        assert fit.outside_span([1.0, 0.3, 0.31]) == [2]
+        with pytest.raises(ArithmeticError, match=r"outside the span .* columns \[2\]"):
+            fit.predict([1.0, 0.3, 0.31])
 
     def test_ill_conditioned_full_rank_says_so(self):
         # full rank, but the Gram eigenvalue test flags it: pivoted QR
