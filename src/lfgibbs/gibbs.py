@@ -122,6 +122,8 @@ def _whole_number(value, name: str) -> int:
 
     A bool is not a number here: ``True`` would silently read as 1.
     """
+    if type(value) is int:
+        return value
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")

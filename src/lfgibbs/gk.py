@@ -32,6 +32,7 @@ is what happens to a target outside the family's (t3, t4) range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -82,7 +83,8 @@ class GKParams:
     c: float = 0.8
 
     def __post_init__(self):
-        if not np.isfinite([self.A, self.B, self.g, self.k]).all():
+        # once per training attempt: four scalar tests beat np.isfinite
+        if not all(map(math.isfinite, (self.A, self.B, self.g, self.k))):
             raise ValueError("parameters must be finite")
         if not self.B > 0:
             raise ValueError("B must be positive")
@@ -195,6 +197,8 @@ def sample_lmoments(data: np.ndarray) -> LMoments:
     Uses the order-statistic U-statistic estimators b_r and the standard
     combinations l1 = b0, l2 = 2 b1 - b0, l3 = 6 b2 - 6 b1 + b0,
     l4 = 20 b3 - 30 b2 + 12 b1 - b0.  Needs at least 4 observations.
+    The weights (i-1)(i-2)... are integers below 2^53, exact in any
+    grouping, and b0 = ``x.sum() / n`` is what ``x.mean()`` computes.
     """
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
@@ -202,15 +206,17 @@ def sample_lmoments(data: np.ndarray) -> LMoments:
         raise ValueError(f"need at least {_MIN_SAMPLE} observations, got {n}")
     if not np.isfinite(x).all():
         raise ValueError("data must be finite")
-    i = np.arange(1, n + 1, dtype=float)
-    b0 = x.mean()
-    b1 = np.sum((i - 1) * x) / (n * (n - 1))
-    b2 = np.sum((i - 1) * (i - 2) * x) / (n * (n - 1) * (n - 2))
-    b3 = np.sum((i - 1) * (i - 2) * (i - 3) * x) / (n * (n - 1) * (n - 2) * (n - 3))
     if x[0] == x[-1]:
         # constant sample: report the exact zero rather than summation noise,
         # ratios are undefined; estimation rejects this downstream
         return LMoments(x[0], 0.0, np.nan, np.nan)
+    w1 = np.arange(n, dtype=float)             # i - 1
+    w2 = w1 * (w1 - 1)
+    w3 = w2 * (w1 - 2)
+    b0 = x.sum() / n
+    b1 = (w1 * x).sum() / (n * (n - 1))
+    b2 = (w2 * x).sum() / (n * (n - 1) * (n - 2))
+    b3 = (w3 * x).sum() / (n * (n - 1) * (n - 2) * (n - 3))
     l1 = b0
     l2 = 2 * b1 - b0
     l3 = 6 * b2 - 6 * b1 + b0
@@ -378,8 +384,11 @@ def estimate_gk_batch(targets: np.ndarray) -> np.ndarray:
     tvec = np.atleast_2d(np.asarray(targets, dtype=float))
     params = _fit_rows(tvec)
     out = np.full(tvec.shape, np.nan)
-    for i in np.flatnonzero(np.isfinite(params).all(axis=1)):
-        out[i] = link_parameters(GKParams(*params[i]))
+    # finite rows satisfy GKParams; link_parameters on all of them at once
+    ok = np.isfinite(params).all(axis=1)
+    out[ok] = params[ok]
+    out[ok, 1] = np.log(params[ok, 1])
+    out[ok, 3] = np.log(params[ok, 3] + 0.5)
     return out
 
 

@@ -90,7 +90,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     non-finite draw aborts with the offending day and sweep.  With the
     training table, the diagnostics report the fraction of sweep
     contexts outside its hypercube (``phi_outside_fraction``) and the
-    timings book the table's localization in ``localize_seconds``.
+    timings book the table's localization in ``localize_seconds``;
+    ``phi_outside_by_part`` gives that share in f, in q and in n alone.
     """
     if (observations is None) == (summaries is None):
         raise ValueError("supply either observations or summaries")
@@ -169,10 +170,11 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
 
     lam_running = np.zeros((n_days, N_SERIES))
     q_off_max = 0.0
-    # the sweep's contexts, to count those outside the training hypercube
+    # the sweep's contexts, to count those outside the training hypercube:
+    # in any part, then in f, in q and in n alone
     f_days = np.empty((n_days, N_SERIES))
     q_days = np.empty((n_days, N_SERIES))
-    outside = 0
+    outside = np.zeros(4, dtype=int)
 
     def sweep(m: int) -> None:
         nonlocal tau, q_off_max, outside
@@ -201,8 +203,9 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             if m > config.burn_in:
                 lam_running[t - 1] += lam
         if training is not None:
-            outside += n_days - int(np.count_nonzero(
-                cube.contains(f_days, q_days, n_obs)))
+            in_f, in_q, in_n = cube.inside_by_part(f_days, q_days, n_obs)
+            outside += n_days - np.count_nonzero(
+                (in_f & in_q & in_n, in_f, in_q, in_n), axis=1)
         theta[n_days + 1] = op.draw_terminal(theta[n_days], rng)
         if fix_tau is None:
             innov = theta[1:] - theta[:-1] @ g_mat.T
@@ -228,6 +231,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         # share of the predictor updates whose context phi lay outside the
         # hypercube the training pairs were drawn from: the localized
         # table extrapolates there
-        diagnostics["phi_outside_fraction"] = outside / (config.n_iterations * n_days)
+        frac = outside / (config.n_iterations * n_days)
+        diagnostics["phi_outside_fraction"] = float(frac[0])
+        diagnostics["phi_outside_by_part"] = dict(zip("fqn", frac[1:].tolist()))
     return ChainOutput(states=states, names=_state_names(n_days, p),
                        timings=timings, diagnostics=diagnostics)

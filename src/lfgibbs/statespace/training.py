@@ -30,11 +30,12 @@ from .system import N_SERIES
 # ceiling of the training contexts' prior variances unless one is given
 DEFAULT_Q_HIGH = 1e-5
 # phi embedding: 4 prior means, 4 log prior variances, log sample size,
-# and 4 spare coordinates that stay zero.  The spares add exactly 0.0 to
-# each squared distance, so they do not change it; they are kept because
-# the training set's scaling (DistanceScaling.from_samples, w @ x) rounds
-# differently over fewer columns, which would move every chain.
+# and 4 spare coordinates that stay zero.  The spares touch only the
+# training set's scaling (DistanceScaling.from_samples, w @ x), which
+# rounds differently over fewer columns and would move every chain; the
+# per-day distance runs over the first _LIVE coordinates alone.
 PHI_DIM = 13
+_LIVE = 2 * N_SERIES + 1
 _RIDGE_EYE = 1e-10 * np.eye(N_SERIES)
 _EIG_FLOOR = 1e-12
 _MIN_POSITIVE = 8
@@ -115,13 +116,13 @@ class PhiHypercube:
                           ("n_low", n_low), ("n_high", n_high)):
             object.__setattr__(self, attr, val)
 
-    def contains(self, means: np.ndarray, variances: np.ndarray,
-                 n_obs: np.ndarray) -> np.ndarray:
-        """Which contexts lie inside the box, one per row of means and
-        variances (and entry of n_obs)."""
-        return (((means >= self.f_low) & (means <= self.f_high)).all(axis=-1)
-                & ((variances >= self.q_low) & (variances <= self.q_high)).all(axis=-1)
-                & (n_obs >= self.n_low) & (n_obs <= self.n_high))
+    def inside_by_part(self, means: np.ndarray, variances: np.ndarray,
+                       n_obs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Which contexts lie inside the box in f, in q and in n, one per
+        row of means and variances (and entry of n_obs)."""
+        return (((means >= self.f_low) & (means <= self.f_high)).all(axis=-1),
+                ((variances >= self.q_low) & (variances <= self.q_high)).all(axis=-1),
+                (n_obs >= self.n_low) & (n_obs <= self.n_high))
 
     @classmethod
     def from_observed(cls, summaries: np.ndarray, n_obs: np.ndarray,
@@ -142,10 +143,11 @@ class TrainingSet:
     The embedded contexts, their per-coordinate standard-deviation
     scaling and the centered pairs (predictor - mean, summary - mean),
     the 8-vectors the localized covariance is taken over, are computed
-    once at construction; constant coordinates are floored inside
-    DistanceScaling so the spare slots stay inert.  The
-    build record: redraw_count failed attempts, and the seconds spent
-    drawing (contexts and samples) and estimating summaries.
+    once at construction.  The spare coordinates touch only the scaling;
+    the phi distance reads ``live_embedded`` and ``live_scaling``, the 9
+    live columns and their scales, and is bit for bit the one over all
+    13.  The build record: redraw_count failed attempts, and the seconds
+    spent drawing (contexts and samples) and estimating summaries.
     """
 
     phi_means: np.ndarray
@@ -158,6 +160,8 @@ class TrainingSet:
     estimate_seconds: float = 0.0
     embedded: np.ndarray = field(init=False, repr=False)
     scaling: DistanceScaling = field(init=False, repr=False)
+    live_embedded: np.ndarray = field(init=False, repr=False)
+    live_scaling: DistanceScaling = field(init=False, repr=False)
     centered_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -182,10 +186,13 @@ class TrainingSet:
         emb[:, :N_SERIES] = f
         emb[:, N_SERIES:2 * N_SERIES] = np.log(q)
         emb[:, 2 * N_SERIES] = np.log(n.astype(float))
+        scaling = DistanceScaling.from_samples(emb)
         for attr, val in (("phi_means", f), ("phi_variances", q),
                           ("phi_n", n), ("predictors", lam),
                           ("summaries", s), ("embedded", emb),
-                          ("scaling", DistanceScaling.from_samples(emb)),
+                          ("scaling", scaling),
+                          ("live_embedded", np.ascontiguousarray(emb[:, :_LIVE])),
+                          ("live_scaling", DistanceScaling(scaling.scales[:_LIVE])),
                           ("centered_pairs", np.hstack((lam - f, s - f)))):
             object.__setattr__(self, attr, val)
 
@@ -211,10 +218,13 @@ def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
     loop and keeps only the sample's L-moments; the round's targets are
     then fitted together by :func:`estimate_gk_batch`, whose rows are
     what :func:`estimate_gk` returns for each sample, and the failure
-    accounting is replayed in attempt order.  Estimation draws no random
-    numbers, so the pairs, the redraw count, the abort message and the
-    generator's final state are those of fitting every attempt as it is
-    drawn.  A round also ends at the attempt where the failures already
+    accounting is replayed in attempt order.  ``f_low + span *
+    rng.random(4)`` and ``f + sqrt(q) * rng.standard_normal(4)`` are how
+    numpy computes ``rng.uniform(f_low, f_high)`` and ``rng.normal(f,
+    sqrt(q))``, without their broadcasting set-up.  Estimation draws no
+    random numbers, so the pairs, the redraw count, the abort message and
+    the generator's final state are those of fitting every attempt as it
+    is drawn.  A round also ends at the attempt where the failures already
     known before fitting (samples too small to fit) reach the abort
     rate, so an abort draws no further than the one-at-a-time loop
     would, and leaves the generator where it did unless an earlier fit
@@ -227,6 +237,7 @@ def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
     n_rows = np.empty(n_pairs, dtype=int)
     lam_rows = np.empty((n_pairs, N_SERIES))
     s_rows = np.empty((n_pairs, N_SERIES))
+    span = cube.f_high - cube.f_low
     done = failures = attempts = 0
     sim_seconds = fit_seconds = 0.0
     while done < n_pairs:
@@ -238,10 +249,10 @@ def generate_phi_training_set(n_pairs: int, cube: PhiHypercube,
         known = failures
         for i in range(size):
             t0 = time.perf_counter()
-            f = rng.uniform(cube.f_low, cube.f_high)
+            f = cube.f_low + span * rng.random(N_SERIES)
             q = rng.uniform(cube.q_low, cube.q_high, size=N_SERIES)
             n = int(rng.integers(cube.n_low, cube.n_high + 1))
-            lam = rng.normal(f, np.sqrt(q))
+            lam = f + np.sqrt(q) * rng.standard_normal(N_SERIES)
             draws.append((f, q, n, lam))
             t1 = None
             try:
@@ -296,8 +307,8 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
     by their own prior means, which is the moment the linear Bayes step
     conditions on.
     """
-    d = scaled_distance(training.embedded, phi_star.embed(),
-                        training.scaling)
+    d = scaled_distance(training.live_embedded, phi_star.embed()[:_LIVE],
+                        training.live_scaling)
     h = knn_bandwidth(d, m)
     weights = kernel_weight(d, kernel.with_bandwidth(h))
     pool = np.flatnonzero(weights > 0)
@@ -377,6 +388,5 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
     gain = _gain(omega)
     mean = phi_star.mean + gain @ (s_obs - phi_star.mean)
     k = pool[_choice_index(probs, rng)]
-    fitted = (training.phi_means[k]
-              + gain @ (training.summaries[k] - training.phi_means[k]))
+    fitted = training.phi_means[k] + gain @ training.centered_pairs[k, N_SERIES:]
     return mean + (training.predictors[k] - fitted)

@@ -43,3 +43,12 @@ def test_workload_passes_the_benchmark_check(name, tmp_path, monkeypatch):
     result = workloads.check(workload, inputs, workload.oracle(inputs), reference,
                              rep.output, None)
     assert result["ok"], result
+
+
+def test_statespace_bench_chain_pinned(tmp_path):
+    # the bench-size state-space chain (14 days, 300 pairs, 300 sweeps)
+    # at seed 0, bit for bit: the same digest with one BLAS thread and
+    # with the default count
+    inputs = dict(workloads.statespace_inputs(0), seed=0)
+    rep = workloads.statespace_run(inputs, tmp_path)
+    assert workloads.digest(rep.output.states) == "594f78b0c3dd66ab"

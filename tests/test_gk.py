@@ -36,6 +36,16 @@ class TestGKParams:
         p = GKParams(1.0, 2.0, 3.0, 0.5)
         assert p.c == 0.8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_rejected(self, bad, slot):
+        values = [1.0, 2.0, 3.0, 0.5]
+        values[slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            GKParams(*values)
+        # numpy scalars, as a row of a fitted array gives them, pass
+        assert GKParams(*np.array([1.0, 2.0, 3.0, 0.5])).k == 0.5
+
     def test_link_roundtrip(self):
         p = GKParams(3.0, 1.5, -2.0, 0.25)
         q = unlink_parameters(link_parameters(p))
@@ -182,6 +192,32 @@ class TestSampleLMoments:
         with pytest.raises(ValueError):
             estimate_gk(np.full(50, 3.3))
 
+    @staticmethod
+    def _rank_formula(data):
+        """The former estimator, as the oracle: weights from the 1-based
+        ranks i, b0 as x.mean(), reductions by np.sum."""
+        x = np.sort(np.asarray(data, dtype=float))
+        n = x.size
+        i = np.arange(1, n + 1, dtype=float)
+        b0 = x.mean()
+        b1 = np.sum((i - 1) * x) / (n * (n - 1))
+        b2 = np.sum((i - 1) * (i - 2) * x) / (n * (n - 1) * (n - 2))
+        b3 = np.sum((i - 1) * (i - 2) * (i - 3) * x) / (n * (n - 1) * (n - 2) * (n - 3))
+        if x[0] == x[-1]:
+            return np.array([x[0], 0.0, np.nan, np.nan])
+        l2 = 2 * b1 - b0
+        return np.array([b0, l2, (6 * b2 - 6 * b1 + b0) / l2,
+                         (20 * b3 - 30 * b2 + 12 * b1 - b0) / l2])
+
+    @pytest.mark.parametrize("n", [4, 5, 20, 200, 1000])
+    def test_bit_identical_to_the_rank_formula(self, n):
+        rng = np.random.default_rng(n)
+        draws = gk_sample(n, GKParams(1.0, 0.25, 0.2, 0.1), rng)
+        for data in (draws, draws + 1e6, rng.normal(size=n), np.full(n, 2.5)):
+            got = sample_lmoments(data).as_array()
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          self._rank_formula(data).view(np.uint64))
+
     def test_converges_to_theoretical(self):
         params = GKParams(1.0, 2.0, 0.8, 0.2)
         rng = np.random.default_rng(2024)
@@ -312,6 +348,37 @@ class TestBatchEstimation:
         for lo in range(0, len(targets), size):
             got = estimate_gk_batch(targets[lo:lo + size])
             self._assert_rows_match(got, expected[lo:lo + len(got)])
+
+    @staticmethod
+    def _per_row_link(params):
+        """The former link of a batch, as the oracle: link_parameters on
+        each finite row, all-NaN elsewhere."""
+        out = np.full(params.shape, np.nan)
+        for i in np.flatnonzero(np.isfinite(params).all(axis=1)):
+            out[i] = link_parameters(GKParams(*params[i]))
+        return out
+
+    @pytest.mark.parametrize("rows", ["all", "failed", "none"])
+    def test_vectorized_link_is_the_per_row_link(self, corpus, rows):
+        targets, expected = corpus
+        failed = [i for i, e in enumerate(expected) if e is None]
+        batch = {"all": targets, "failed": targets[failed], "none": targets[:0]}[rows]
+        got = estimate_gk_batch(batch)
+        assert got.shape == batch.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      self._per_row_link(gk._fit_rows(batch)).view(np.uint64))
+
+    def test_vectorized_link_on_many_fits(self, monkeypatch):
+        # 2 000 fitted rows over wide ranges of B and k, with NaN rows
+        # among them, stand in for the solver's output
+        rng = np.random.default_rng(44)
+        params = np.column_stack((rng.normal(0, 5, 2000), np.exp(rng.normal(0, 4, 2000)),
+                                  rng.normal(0, 2, 2000),
+                                  np.exp(rng.normal(0, 3, 2000)) - 0.5))
+        params[rng.random(2000) < 0.1] = np.nan
+        monkeypatch.setattr(gk, "_fit_rows", lambda tvec: params)
+        np.testing.assert_array_equal(estimate_gk_batch(params).view(np.uint64),
+                                      self._per_row_link(params).view(np.uint64))
 
     def test_matches_estimate_gk_on_samples(self):
         rng = np.random.default_rng(42)

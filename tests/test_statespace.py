@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 from lfgibbs.diagnostics import effective_sample_size
 from lfgibbs.gibbs import save_chain
 from lfgibbs.gk import GKParams, gk_sample, link_parameters, unlink_parameters
-from lfgibbs.kernels import KernelSpec
+from lfgibbs.kernels import KernelSpec, scaled_distance
 from lfgibbs.statespace import (
     N_SERIES,
     STATE_DIM,
@@ -607,6 +607,11 @@ class TestTrainingSet:
         # spare embedding coordinates are constant, so their scale is
         # floored and they contribute nothing to distances
         assert np.all(ts.scaling.scales[9:] <= 1e-12)
+        # the distance reads a contiguous copy of the 9 live columns and
+        # their scales from the 13-column scaling
+        assert ts.live_embedded.flags.c_contiguous
+        assert np.array_equal(ts.live_embedded, ts.embedded[:, :9])
+        assert np.array_equal(ts.live_scaling.scales, ts.scaling.scales[:9])
 
     def test_validation(self):
         f = np.zeros((5, 4))
@@ -665,6 +670,24 @@ class TestGenerateTrainingSet:
     _CUBE = dict(f_low=np.array([0.8, -1.5, 0.1, -0.7]),
                  f_high=np.array([1.2, -1.2, 0.3, -0.4]),
                  q_low=1e-8, q_high=1e-6, n_high=60)
+
+    def test_draw_identities_over_seeds(self):
+        # the training set draws f_low + span * random(4) and
+        # f + sqrt(q) * standard_normal(4) for rng.uniform(f_low, f_high)
+        # and rng.normal(f, sqrt(q)): the same numbers and the same
+        # generator state on every seed, or a numpy upgrade fails here
+        for seed in range(1000):
+            bounds = np.random.default_rng((seed, 1))
+            lo = bounds.normal(size=4) * 10.0 ** bounds.integers(-3, 4)
+            hi = lo + bounds.lognormal(size=4)
+            scale = np.sqrt(bounds.uniform(0.0, 10.0 ** bounds.integers(-8, 2), size=4))
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            f_old, f_new = old.uniform(lo, hi), lo + (hi - lo) * new.random(4)
+            lam_old = old.normal(f_old, scale)
+            lam_new = f_new + scale * new.standard_normal(4)
+            assert f_old.tobytes() == f_new.tobytes(), seed
+            assert lam_old.tobytes() == lam_new.tobytes(), seed
+            assert old.bit_generator.state == new.bit_generator.state
 
     def test_default_summaries_pinned(self):
         # n_low < 20 makes some samples too small to fit, so rounds repeat
@@ -1261,6 +1284,50 @@ class TestSamplerTrainingPath:
         assert digest(old) == oracle_digest
         assert np.all(np.abs(new - old) <= 1e-6 * old.std(axis=0))
 
+    def test_live_distance_is_the_full_embedding_distance(self, monkeypatch):
+        # on every context a short chain visits, the distance over the 9
+        # live coordinates is bit for bit the one over all 13
+        seen = []
+
+        def spy(phi, s_obs, ts, *args):
+            seen.append((phi, ts))
+            return sample_lambda_conditional(phi, s_obs, ts, *args)
+
+        monkeypatch.setattr("lfgibbs.statespace.sampler.sample_lambda_conditional", spy)
+        assert digest(self._short_chain().states) == "79fbdaf1cac84bae"
+        assert len(seen) == 6 * 20
+        for phi, ts in seen:
+            live = scaled_distance(ts.live_embedded, phi.embed()[:9], ts.live_scaling)
+            full = scaled_distance(ts.embedded, phi.embed(), ts.scaling)
+            assert live.tobytes() == full.tobytes()
+
+    def test_outside_share_by_part_counts_each_context(self, monkeypatch):
+        # the shares against a count of the visited contexts, one at a time
+        seen = []
+
+        def spy(phi, *args):
+            seen.append(phi)
+            return sample_lambda_conditional(phi, *args)
+
+        monkeypatch.setattr("lfgibbs.statespace.sampler.sample_lambda_conditional", spy)
+        cal, observations = self._simulate()
+        s_obs = summarize_observations(observations)
+        n_obs = np.array([len(d) for d in observations])
+        box = PhiHypercube.from_observed(s_obs, n_obs)
+        # a size range that leaves out the smallest day's sample size
+        cube = PhiHypercube(box.f_low, box.f_high, n_low=box.n_low + 1, n_high=box.n_high)
+        out = run_state_space_gibbs(
+            DlmSpec(), cal, TrainingConfig(n_pairs=100, m_neighbours=50, hypercube=cube),
+            ChainConfig(8, 2), np.random.default_rng(5), summaries=s_obs, n_obs=n_obs)
+        parts = [[np.all((cube.f_low <= p.mean) & (p.mean <= cube.f_high)),
+                  np.all((cube.q_low <= p.variance) & (p.variance <= cube.q_high)),
+                  cube.n_low <= p.n_obs <= cube.n_high] for p in seen]
+        inside = np.array(parts)
+        outside = (~inside).sum(axis=0) / len(seen)
+        assert out.diagnostics["phi_outside_by_part"] == dict(zip("fqn", outside))
+        assert out.diagnostics["phi_outside_fraction"] == (~inside.all(axis=1)).sum() / len(seen)
+        assert outside[2] == 0.1 and 0.0 < outside[0] < 1.0 and 0.0 < outside[1] < 1.0
+
     def test_out_of_envelope_fraction(self, tmp_path):
         cal, observations = self._simulate()
         s_obs = summarize_observations(observations)
@@ -1290,6 +1357,12 @@ class TestSamplerTrainingPath:
             with open(tmp_path / "chain.json") as fh:
                 saved = json.load(fh)["diagnostics"]
             assert saved["phi_outside_fraction"] == out.diagnostics["phi_outside_fraction"]
+            # the share by part: three numbers, whatever the chain length,
+            # none above the combined share and together not below it
+            parts = out.diagnostics["phi_outside_by_part"]
+            assert saved["phi_outside_by_part"] == parts and sorted(parts) == ["f", "n", "q"]
+            assert max(parts.values()) <= out.diagnostics["phi_outside_fraction"]
+            assert out.diagnostics["phi_outside_fraction"] <= sum(parts.values())
             # the posterior-mean predictor path and its residuals reach the
             # sidecar too, sized by the days
             for key in ("predictor_means", "predictor_residuals"):
