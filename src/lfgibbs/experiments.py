@@ -597,7 +597,7 @@ def _load_cell_stats(out_dir: Path, cell: Dict[str, object],
     body = _load_chain(out_dir / cell["chain"], len(names) + weighted)
     weights = body[:, -1] if weighted else None
     states = body[:, :-1] if weighted else body
-    means, intervals, ess = {}, {}, {}
+    means, intervals, ess, rhat = {}, {}, {}, {}
     for name in track:
         j = names.index(name)
         col = states[:, j]
@@ -605,16 +605,19 @@ def _load_cell_stats(out_dir: Path, cell: Dict[str, object],
             total = weights.sum()
             means[name] = float((col * weights).sum() / total)
             ess[name] = meta.get("diagnostics", {}).get("ess")
+            rhat[name] = None
         else:
             means[name] = float(col.mean())
             stored = meta.get("ess") or []
             ess[name] = stored[j] if j < len(stored) else None
+            stored = meta.get("split_rhat") or []
+            rhat[name] = stored[j] if j < len(stored) else None
         intervals[name] = list(credible_interval(col, nominal, weights))
     return {
         "method": cell["method"], "seed": cell["seed"],
         "replicate": cell["replicate"], "chain": cell["chain"],
         "n_rows": int(states.shape[0]), "weighted": weighted,
-        "means": means, "intervals": intervals, "ess": ess,
+        "means": means, "intervals": intervals, "ess": ess, "split_rhat": rhat,
         "timings": meta.get("timings", {}),
         "acceptance_rates": meta.get("acceptance_rates", {}),
     }
@@ -683,10 +686,12 @@ def summarize_directory(out_dir) -> Dict[str, object]:
     """Rebuild summary.json purely from the files in a results directory.
 
     Each ok cell's chain is read from its ``.npy`` file and its names and
-    diagnostics from its JSON sidecar.  A chain that is not a 2-D float
-    array of the sidecar's width (one column more for a weighted cell),
-    such as a text chain from an older results directory, raises a
-    ValueError naming the file.
+    diagnostics from its JSON sidecar, which gives each row the ESS and
+    split R-hat of every tracked column (split R-hat is null for a
+    weighted cell).  A chain that is not a 2-D float array of the
+    sidecar's width (one column more for a weighted cell), such as a text
+    chain from an older results directory, raises a ValueError naming the
+    file.
     """
     out = Path(out_dir)
     config = ExperimentConfig.load(out / "config.json")

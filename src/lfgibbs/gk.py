@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 # not used by the estimator; the benchmark trace (perfbench/tracing.py)
@@ -69,7 +69,8 @@ _FIT_TOL = 1e-13       # largest |t3, t4| residual of an accepted fit
 _MAX_ITER = 100        # steps tried per row, accepted or not
 _DAMP_START = 1e-3     # Marquardt damping, relative to diag(J'J)
 _DAMP_STEP = 10.0      # damping divided by this after a kept step, else times
-_BLOCK = 16            # rows solved together
+_BLOCK = 16            # rows per _shape_lambdas call: bounds its working arrays
+_START = np.array([[0.0, np.log(0.5)]])  # (g, log(k+1/2)) of every fit's start
 
 
 @dataclass(frozen=True)
@@ -153,24 +154,41 @@ def _panel_grid(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, ww, ndtri(u)
 
 
+class _Grid(NamedTuple):
+    """A panel rule and the estimator's constants on it.
+
+    ``z`` holds the nodes Phi^{-1}(u) and ``pw`` the weights against
+    P*_0 .. P*_3, one row each; ``log_base`` = log(1+z^2), ``dz`` = 0.4 z,
+    and ``start`` (read-only) is :func:`_shape_lambdas` at ``_START``.
+    """
+
+    z: np.ndarray
+    pw: np.ndarray
+    log_base: np.ndarray
+    dz: np.ndarray
+    start: np.ndarray
+
+
 _GRID_CACHE: dict = {}
 
 
-def _grid(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid(order: int) -> _Grid:
     if order not in _GRID_CACHE:
         u, w, z = _panel_grid(order)
         p1 = 2.0 * u - 1.0
         p2 = 6.0 * u * u - 6.0 * u + 1.0
         p3 = 20.0 * u ** 3 - 30.0 * u * u + 12.0 * u - 1.0
-        # rows: weights against P*_0 .. P*_3
-        pw = np.stack([w, w * p1, w * p2, w * p3])
-        _GRID_CACHE[order] = (z, pw)
+        grid = _Grid(z, np.stack([w, w * p1, w * p2, w * p3]),
+                     np.log1p(z * z), 0.4 * z, None)
+        start = _shape_lambdas(_START, grid)
+        start.flags.writeable = False
+        _GRID_CACHE[order] = grid._replace(start=start)
     return _GRID_CACHE[order]
 
 
 def _lambda_vector(params: GKParams, order: int) -> np.ndarray:
-    z, pw = _grid(order)
-    return pw @ _quantile_from_z(z, params)
+    grid = _grid(order)
+    return grid.pw @ _quantile_from_z(grid.z, params)
 
 
 def _lambdas_to_lmoments(lam: np.ndarray) -> LMoments:
@@ -238,8 +256,7 @@ def unlink_parameters(lam: np.ndarray) -> GKParams:
                     float(lam[2]), float(np.exp(lam[3]) - 0.5))
 
 
-def _shape_lambdas(x: np.ndarray, z: np.ndarray, pw: np.ndarray,
-                   log_base: np.ndarray) -> np.ndarray:
+def _shape_lambdas(x: np.ndarray, grid: _Grid) -> np.ndarray:
     """L-moments of h(z; g, k) and their (g, log(k+1/2)) derivatives.
 
     ``x`` holds one (g, log(k+1/2)) row per fit.  Entry [i, 0, r] of the
@@ -251,6 +268,7 @@ def _shape_lambdas(x: np.ndarray, z: np.ndarray, pw: np.ndarray,
     same operations whatever the other rows are (``matmul`` runs one
     product per row), so a row's value never depends on its batch.
     """
+    z, log_base = grid.z, grid.log_base
     kh = np.exp(x[:, 1:])                           # k + 1/2
     t = np.tanh(0.5 * x[:, :1] * z)
     s = np.exp((kh - 0.5) * log_base)
@@ -262,11 +280,11 @@ def _shape_lambdas(x: np.ndarray, z: np.ndarray, pw: np.ndarray,
     h *= s
     np.multiply(t, t, out=dg)
     np.subtract(1.0, dg, out=dg)
-    dg *= 0.4 * z
+    dg *= grid.dz
     dg *= s
     np.multiply(h, log_base, out=dk)
     dk *= kh
-    return np.matmul(cols, pw.T)
+    return np.matmul(cols, grid.pw.T)
 
 
 def _ratio_fit(lam: np.ndarray, target: np.ndarray
@@ -281,20 +299,27 @@ def _ratio_fit(lam: np.ndarray, target: np.ndarray
     return ratios - target, jac
 
 
-def _solve_block(tvec: np.ndarray, z: np.ndarray, pw: np.ndarray,
-                 log_base: np.ndarray) -> np.ndarray:
+def _evaluate(x: np.ndarray, grid: _Grid) -> np.ndarray:
+    """:func:`_shape_lambdas` of the rows of ``x``, _BLOCK rows per call."""
+    return np.concatenate([_shape_lambdas(x[lo:lo + _BLOCK], grid)
+                           for lo in range(0, len(x), _BLOCK)])
+
+
+def _solve_block(tvec: np.ndarray, grid: _Grid) -> np.ndarray:
     """Levenberg-Marquardt on (g, log(k+1/2)) for valid target rows.
 
-    Starts every row at g = k = 0 and takes Marquardt-damped Gauss-Newton
-    steps on the (t3, t4) residual, accepting a step only if it lowers the
-    residual norm.  Returns (A, B, g, k) rows, all-NaN for a row whose
+    Starts every row at g = k = 0, whose shape L-moments the grid holds,
+    and takes Marquardt-damped Gauss-Newton steps on the (t3, t4)
+    residual, accepting a step only if it lowers the residual norm.  All
+    rows share one loop: every step is elementwise or per row, so each
+    row takes the steps and gets the bits it would alone, with its own
+    _MAX_ITER cap.  Returns (A, B, g, k) rows, all-NaN for a row whose
     residual is still above _FIT_TOL at the iteration cap or whose
     closed-form A and B are unusable.
     """
     rows = len(tvec)
-    x = np.zeros((rows, 2))
-    x[:, 1] = np.log(0.5)
-    lam = _shape_lambdas(x, z, pw, log_base)
+    x = np.repeat(_START, rows, axis=0)
+    lam = np.repeat(grid.start, rows, axis=0)
     resid, jac = _ratio_fit(lam, tvec[:, 2:])
     norm = np.vecdot(resid, resid)
     mu = np.full(rows, _DAMP_START)
@@ -310,7 +335,7 @@ def _solve_block(tvec: np.ndarray, z: np.ndarray, pw: np.ndarray,
         det = a11 * a22 - a12 * a12
         step = np.stack((a12 * b2 - a22 * b1, a12 * b1 - a11 * b2), axis=1) / det[:, None]
         trial = x[live] + step
-        lam_t = _shape_lambdas(trial, z, pw, log_base)
+        lam_t = _evaluate(trial, grid)
         resid_t, jac_t = _ratio_fit(lam_t, tvec[live, 2:])
         norm_t = np.vecdot(resid_t, resid_t)
         better = norm_t < norm[live]                # False where not finite
@@ -333,17 +358,14 @@ def _fit_rows(tvec: np.ndarray) -> np.ndarray:
     """(A, B, g, k) for each (l1, l2, t3, t4) row, all-NaN where it fails.
 
     A row fails if its target is degenerate (l2 not positive, or a
-    non-finite entry) or its fit does not reach the tolerance.  The rows
-    are solved _BLOCK at a time, which bounds the working arrays.
+    non-finite entry) or its fit does not reach the tolerance.  The valid
+    rows share one loop (:func:`_solve_block`); _BLOCK bounds only the
+    rows of each evaluation, which keeps its working arrays in cache.
     """
-    z, pw = _grid(_FIT_PANEL_ORDER)
-    log_base = np.log1p(z * z)
     out = np.full(tvec.shape, np.nan)
     valid = np.flatnonzero((tvec[:, 1] > 0) & np.isfinite(tvec).all(axis=1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo in range(0, valid.size, _BLOCK):
-            rows = valid[lo:lo + _BLOCK]
-            out[rows] = _solve_block(tvec[rows], z, pw, log_base)
+        out[valid] = _solve_block(tvec[valid], _grid(_FIT_PANEL_ORDER))
     return out
 
 
@@ -379,7 +401,9 @@ def estimate_gk_batch(targets: np.ndarray) -> np.ndarray:
     ``targets`` holds one (l1, l2, t3, t4) row per target.  Row i of the
     result is bit for bit
     ``link_parameters(estimate_gk_from_lmoments(LMoments(*targets[i])))``,
-    and all-NaN where that call raises.
+    and all-NaN where that call raises.  All rows are fitted in one
+    Levenberg-Marquardt loop, whose shared start is evaluated once per
+    process, so a batch costs little more than its rows' trial steps.
     """
     tvec = np.atleast_2d(np.asarray(targets, dtype=float))
     params = _fit_rows(tvec)

@@ -14,6 +14,7 @@ import pytest
 import lfgibbs.cli as cli
 import lfgibbs.experiments as experiments
 from lfgibbs.abc import ReferenceTable, abc_importance, simulate_reference_table
+from lfgibbs.diagnostics import split_rhat
 from lfgibbs.experiments import (ExperimentConfig, ResultsBundle, coverage,
                                  credible_interval, relative_mse,
                                  run_experiment, summarize_directory,
@@ -315,6 +316,18 @@ class TestRunExperiment:
             assert row["n_rows"] == 100
             assert not row["weighted"]
 
+    def test_split_rhat_rebuilt_from_the_chain_files(self, grid, tmp_path):
+        out = tmp_path / "copy"
+        shutil.copytree(grid[0], out)
+        (out / "summary.json").unlink()
+        rows = summarize_directory(out)["rows"]
+        cells = {cell["chain"]: cell for cell in json.loads((out / "cells.json").read_text())}
+        for row, saved in zip(rows, json.loads((out / "summary.json").read_text())["rows"]):
+            names = json.loads((out / cells[row["chain"]]["meta"]).read_text())["names"]
+            rhat = split_rhat(np.load(out / row["chain"]))
+            assert row["split_rhat"] == saved["split_rhat"] == {
+                name: float(rhat[names.index(name)]) for name in ("mu", "tau_mu", "tau_x")}
+
     def test_truth_stored_per_seed(self, grid):
         _, bundle = grid
         assert set(bundle.truth) == {"11", "12"}
@@ -345,6 +358,8 @@ class TestChainFiles:
         bundle = run_experiment(config, out_dir=tmp_path)
         (row,) = bundle.rows
         assert row["weighted"] and row["n_rows"] == 300
+        # the weighted sidecar holds no per-column split R-hat
+        assert row["split_rhat"] == dict.fromkeys(row["ess"])
         model = mixture_model(experiments._mixture_spec(config))
         table = simulate_reference_table(
             model, config.n_table, seed=experiments._table_seed(3, "abc-importance"))

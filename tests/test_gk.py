@@ -17,7 +17,8 @@ from lfgibbs.gk import (
     theoretical_lmoments,
     unlink_parameters,
 )
-from lfgibbs.statespace import summarize_observations
+from lfgibbs.statespace import summarize_observations, training
+from lfgibbs.statespace.training import PhiHypercube
 
 
 def reference_quantile(q, A, B, g, k, c=0.8):
@@ -390,11 +391,201 @@ class TestBatchEstimation:
             estimation_target(np.arange(19.0))
 
 
+def _oracle_shape_lambdas(x, z, pw, log_base):
+    """The reference shape L-moments: _shape_lambdas with log(1+z^2) and
+    0.4 z computed on each call instead of read from the grid."""
+    kh = np.exp(x[:, 1:])
+    t = np.tanh(0.5 * x[:, :1] * z)
+    s = np.exp((kh - 0.5) * log_base)
+    s *= z
+    cols = np.empty((len(x), 3, z.size))
+    h, dg, dk = cols[:, 0], cols[:, 1], cols[:, 2]
+    np.multiply(t, 0.8, out=h)
+    h += 1.0
+    h *= s
+    np.multiply(t, t, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= 0.4 * z
+    dg *= s
+    np.multiply(h, log_base, out=dk)
+    dk *= kh
+    return np.matmul(cols, pw.T)
+
+
+def _oracle_solve_block(tvec, z, pw, log_base, steps):
+    """One Levenberg-Marquardt loop for one block of valid rows, from a
+    start evaluated for every row; adds each row's trial steps to
+    ``steps``."""
+    rows = len(tvec)
+    x = np.zeros((rows, 2))
+    x[:, 1] = np.log(0.5)
+    lam = _oracle_shape_lambdas(x, z, pw, log_base)
+    resid, jac = gk._ratio_fit(lam, tvec[:, 2:])
+    norm = np.vecdot(resid, resid)
+    mu = np.full(rows, gk._DAMP_START)
+    live = np.flatnonzero(np.abs(resid).max(axis=1) > gk._FIT_TOL)
+    for _ in range(gk._MAX_ITER):
+        if not live.size:
+            break
+        steps[live] += 1
+        jg, jk, r = jac[live, 0], jac[live, 1], resid[live]
+        damp = 1.0 + mu[live]
+        a11, a22 = np.vecdot(jg, jg) * damp, np.vecdot(jk, jk) * damp
+        a12, b1, b2 = np.vecdot(jg, jk), np.vecdot(jg, r), np.vecdot(jk, r)
+        det = a11 * a22 - a12 * a12
+        step = np.stack((a12 * b2 - a22 * b1, a12 * b1 - a11 * b2), axis=1) / det[:, None]
+        trial = x[live] + step
+        lam_t = _oracle_shape_lambdas(trial, z, pw, log_base)
+        resid_t, jac_t = gk._ratio_fit(lam_t, tvec[live, 2:])
+        norm_t = np.vecdot(resid_t, resid_t)
+        better = norm_t < norm[live]
+        take = live[better]
+        x[take], lam[take], resid[take], jac[take], norm[take] = (
+            trial[better], lam_t[better], resid_t[better], jac_t[better],
+            norm_t[better])
+        mu[live] = np.where(better, mu[live] / gk._DAMP_STEP, mu[live] * gk._DAMP_STEP)
+        live = live[np.abs(resid[live]).max(axis=1) > gk._FIT_TOL]
+    scale = tvec[:, 1] / lam[:, 0, 1]
+    out = np.column_stack((tvec[:, 0] - scale * lam[:, 0, 0], scale,
+                           x[:, 0], np.exp(x[:, 1]) - 0.5))
+    ok = ((np.abs(resid).max(axis=1) <= gk._FIT_TOL) & (scale > 0)
+          & (out[:, 3] > -0.5) & np.isfinite(out).all(axis=1))
+    out[~ok] = np.nan
+    return out
+
+
+def _oracle_fit_rows(tvec):
+    """The batch fit with one loop per block of 16 valid rows, as the
+    oracle: (A, B, g, k) rows and the trial steps each row took."""
+    grid = gk._grid(gk._FIT_PANEL_ORDER)
+    log_base = np.log1p(grid.z * grid.z)
+    out = np.full(tvec.shape, np.nan)
+    steps = np.zeros(len(tvec), dtype=int)
+    valid = np.flatnonzero((tvec[:, 1] > 0) & np.isfinite(tvec).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, valid.size, 16):
+            rows = valid[lo:lo + 16]
+            block_steps = np.zeros(len(rows), dtype=int)
+            out[rows] = _oracle_solve_block(tvec[rows], grid.z, grid.pw, log_base,
+                                            block_steps)
+            steps[rows] = block_steps
+    return out, steps
+
+
+@pytest.fixture(scope="module")
+def bench_targets():
+    """The L-moment targets a bench-size 300-pair phi-training set hands
+    to the batch fit: contexts in the box around 14 days of 200 to 1 000
+    draws at the bench's base parameters."""
+    rng = np.random.default_rng(61)
+    days = [gk_sample(int(rng.integers(200, 1001)), GKParams(1.0, 0.25, 0.2, 0.12), rng)
+            for _ in range(14)]
+    cube = PhiHypercube.from_observed(summarize_observations(days), [len(d) for d in days])
+    seen = []
+
+    def capture(targets):
+        seen.append(np.array(targets))
+        return estimate_gk_batch(targets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "estimate_gk_batch", capture)
+        training.generate_phi_training_set(300, cube, rng)
+    return np.concatenate(seen)
+
+
+class TestOneLoopFit:
+    """The batch fit's single loop against the per-block loop, bit for bit."""
+
+    @staticmethod
+    def _assert_oracle(targets):
+        got = estimate_gk_batch(targets)
+        want = TestBatchEstimation._per_row_link(_oracle_fit_rows(targets)[0])
+        assert got.shape == targets.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bench_corpus(self, bench_targets):
+        assert len(bench_targets) >= 300
+        self._assert_oracle(bench_targets)
+        # rows that take 4 and 5 steps share the loop
+        steps = _oracle_fit_rows(bench_targets)[1]
+        assert steps.min() < steps.max()
+
+    def test_rows_at_the_step_cap(self, bench_targets):
+        # (t3, t4) past the family's range: each row takes every step and
+        # fails, beside rows that converge early
+        capped = np.array([[0.0, 1.0, 0.9, 0.8], [0.0, 1.0, 0.9, 0.95],
+                           [2.0, 0.3, -0.9, 0.8], [0.0, 1.0, 0.0, -0.2]])
+        targets = np.insert(bench_targets[:40], [0, 9, 17, 33], capped, axis=0)
+        at_cap = [0, 10, 19, 36]
+        assert (targets[at_cap] == capped).all()
+        steps = _oracle_fit_rows(targets)[1]
+        assert np.flatnonzero(steps == gk._MAX_ITER).tolist() == at_cap
+        assert np.isnan(estimate_gk_batch(targets)[at_cap]).all()
+        self._assert_oracle(targets)
+
+    def test_degenerate_rows(self, bench_targets):
+        bad = np.array([[np.nan, 1.0, 0.1, 0.2], [0.0, np.nan, 0.1, 0.2],
+                        [0.0, 1.0, np.nan, 0.2], [0.0, 1.0, 0.1, np.nan],
+                        [0.0, 0.0, 0.1, 0.2], [0.0, -1.0, 0.1, 0.2],
+                        [0.0, 1.0, -np.inf, 0.2]])
+        targets = np.insert(bench_targets[:30], np.arange(0, 28, 4), bad, axis=0)
+        at_bad = np.arange(0, 28, 4) + np.arange(len(bad))
+        np.testing.assert_array_equal(targets[at_bad], bad)
+        assert np.isnan(estimate_gk_batch(targets)[at_bad]).all()
+        self._assert_oracle(targets)
+        self._assert_oracle(bad)
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 33])
+    def test_batch_sizes(self, bench_targets, size):
+        starts = range(0, len(bench_targets), size) if size else [0]
+        for lo in starts:
+            self._assert_oracle(bench_targets[lo:lo + size])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_evaluation_block_size(self, bench_targets, block, monkeypatch):
+        monkeypatch.setattr(gk, "_BLOCK", block)
+        self._assert_oracle(bench_targets)
+
+    def test_work_counts_and_start_cache(self, bench_targets, monkeypatch):
+        monkeypatch.setattr(gk, "_GRID_CACHE", {})
+        calls = []
+        shape_lambdas = gk._shape_lambdas
+
+        def spy(x, grid):
+            start = len(x) == 1 and np.array_equal(x, gk._START)
+            calls.append((len(grid.z), start, len(x)))
+            return shape_lambdas(x, grid)
+
+        monkeypatch.setattr(gk, "_shape_lambdas", spy)
+        estimate_gk_batch(bench_targets)
+        fit_nodes = len(gk._grid(gk._FIT_PANEL_ORDER).z)
+        assert [c for c in calls if c[1]] == [(fit_nodes, True, 1)]
+        assert max(rows for _, _, rows in calls) <= gk._BLOCK
+        # one evaluation per trial step; the per-block loop also
+        # evaluated the start once for every valid row
+        steps = _oracle_fit_rows(bench_targets)[1]
+        assert sum(rows for _, start, rows in calls if not start) == steps.sum()
+
+        cached = gk._grid(gk._FIT_PANEL_ORDER).start
+        before = cached.copy()
+        estimate_gk_batch(bench_targets)
+        estimate_gk_batch(bench_targets[::-1])
+        theoretical_lmoments(GKParams(0.0, 1.0, 0.5, 0.2))
+        theoretical_lmoments(GKParams(0.0, 1.0, -0.5, 0.1))
+        starts = [nodes for nodes, start, _ in calls if start]
+        assert len(starts) == len(set(starts)) == len(gk._GRID_CACHE)
+        assert gk._grid(gk._FIT_PANEL_ORDER).start is cached
+        np.testing.assert_array_equal(cached.view(np.uint64), before.view(np.uint64))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0, 0] = 1.0
+
+
 def _lmoment_mismatch(target, params):
     """Largest gap between a target's L-moments and a fit's, on the
     estimator's grid; l1 and l2 are measured relative to l2."""
-    z, pw = gk._grid(gk._FIT_PANEL_ORDER)
-    lam = pw @ gk._quantile_from_z(z, params)
+    grid = gk._grid(gk._FIT_PANEL_ORDER)
+    lam = grid.pw @ gk._quantile_from_z(grid.z, params)
     fitted = np.array([lam[0], lam[1], lam[2] / lam[1], lam[3] / lam[1]])
     gap = np.abs(fitted - target.as_array())
     gap[:2] /= target.l2
