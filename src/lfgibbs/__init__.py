@@ -41,6 +41,7 @@ from lfgibbs.regression import (
 )
 from lfgibbs.abc import (
     AbcOutput,
+    BlockDraw,
     ReferenceTable,
     SimulatorModel,
     abc_importance,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbcOutput",
+    "BlockDraw",
     "ChainConfig",
     "ChainOutput",
     "ConditionalSpec",

@@ -1,8 +1,8 @@
 """Reference tables and kernel-weighted ABC.
 
 A simulator model bundles the prior, the data generator and the summary
-map, optionally with a vectorized form of the summary map.
-``simulate_reference_table`` draws from the prior the (parameter,
+map, optionally with a vectorized form of the summary map and a block
+draw.  ``simulate_reference_table`` draws from the prior the (parameter,
 summary) pairs reused by every downstream regression.  Row i draws its
 parameter and data on ``PCG64`` seeded by the i-th child of
 ``SeedSequence(seed)``; the rows' PCG64 states are computed in one numpy
@@ -10,14 +10,23 @@ pass per block, replaying SeedSequence's hashing and PCG64's seeding, and
 the rows are drawn on one reused Generator.  A failed row is retried from
 ``spawn(1)[0]`` of the seq that failed.  A model with a batch summary then
 has its rows summarized in blocks, one call per block, which leaves every
-row bit for bit as drawing and summarizing it alone would.  The blocks are
-the unit of parallel work: one process per CPU the process may use claims
-them in turn from a shared counter, the parent among them and the others
-forked for the call, and writes its rows into one shared buffer.  A
-block's rows depend on the row indices alone, never on which process drew
-them or in what order, so every split gives the same table bit for bit.
-A table is stored in one format, ``to_npz``, whose fingerprint
-``from_npz`` checks against the model that reads it.
+row bit for bit as drawing and summarizing it alone would.
+
+A model with a block draw (``BlockDraw``) draws each row's raw variates
+on the row's own stream, the same bits as ``prior_sample`` followed by
+``simulate_data`` consume there, and turns a whole block of them into
+parameters and data in one vectorized assembly.  The rows the assembly
+masks, where the per-row draw would raise, take the per-row path.  A
+model whose draw functions are replaced must clear its block draw, as one
+whose summary is replaced must clear its batch summary.
+
+The blocks are the unit of parallel work: one process per CPU the process
+may use claims them in turn from a shared counter, the parent among them
+and the others forked for the call, and writes its rows into one shared
+buffer.  A block's rows depend on the row indices alone, never on which
+process drew them or in what order, so every split gives the same table
+bit for bit.  A table is stored in one format, ``to_npz``, whose
+fingerprint ``from_npz`` checks against the model that reads it.
 ``abc_importance`` turns a table into a kernel-weighted posterior sample and
 ``regression_adjust`` applies the standard linear post-adjustment.
 """
@@ -26,13 +35,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import multiprocessing
+import numbers
 import os
 import pickle
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +51,7 @@ from lfgibbs.kernels import DistanceScaling, KernelSpec, localize, squared_scale
 from lfgibbs.regression import fit_weighted_linear
 
 __all__ = [
+    "BlockDraw",
     "SimulatorModel",
     "ReferenceTable",
     "AbcOutput",
@@ -61,6 +73,38 @@ def _default_names(dim: int) -> List[str]:
     return [f"theta_{d + 1}" for d in range(dim)]
 
 
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming it unless finite and whole.
+
+    A bool is not a number here: ``True`` would silently read as 1.
+    """
+    if type(value) is int:
+        return value
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+class BlockDraw(NamedTuple):
+    """A model's table rows drawn one by one and assembled by block.
+
+    ``fill(rng, out)`` writes one row's raw variates into ``out``, a
+    writable float row of ``width`` values, drawing on rng the same
+    variates, in the same order, as ``prior_sample`` and then
+    ``simulate_data`` draw there.  ``assemble(raw)`` maps a (rows, width)
+    block of filled rows to the rows' theta, shape (rows, dim_theta), their
+    data stacked along a new first axis in a new writable array, and a
+    boolean mask of the rows it cannot produce: those where the per-row
+    draw would raise.  Every unmasked row must equal, bit for bit, what
+    ``prior_sample`` and ``simulate_data`` give on the row's stream.
+    """
+
+    width: int
+    fill: Callable[[np.random.Generator, np.ndarray], None]
+    assemble: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass
 class SimulatorModel:
     """Prior, simulator and summary map for one inference problem.
@@ -80,6 +124,15 @@ class SimulatorModel:
     ``simulate_reference_table``).  It stacks the data sets of a block, so
     with a batch summary ``simulate_data`` must return arrays of one shape.
 
+    ``block_draw``, when set, draws the rows of a table block on their own
+    streams and assembles them in one pass (see ``BlockDraw``); it needs a
+    batch summary, which summarizes the assembled data.  Its rows must
+    have the same bits as ``prior_sample`` followed by ``simulate_data`` on
+    each row's stream; the rows its assembly masks are drawn through those
+    two, one at a time.  A model whose ``prior_sample`` or
+    ``simulate_data`` is replaced must clear ``block_draw``, as one whose
+    ``summary`` is replaced must clear ``batch_summary``.
+
     Table generation may call these callables in child processes forked
     for the purpose (the ``fork`` start method only, so they need not
     pickle).  A side effect on a Python object during a draw, such as a
@@ -98,6 +151,7 @@ class SimulatorModel:
     theta_names: Optional[List[str]] = None
     spec: object = None
     batch_summary: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    block_draw: Optional[BlockDraw] = None
 
     def __post_init__(self):
         if self.theta_names is None:
@@ -328,6 +382,28 @@ def _first_draw(model: SimulatorModel, i: int, rng: np.random.Generator,
         return _draw_row(model, i, _row_seq(entropy, i).spawn(1)[0], 1, summarize)
 
 
+def _assembled(model: SimulatorModel, rng: np.random.Generator, entropy,
+               states: List[dict], start: int, theta: np.ndarray
+               ) -> Tuple[np.ndarray, Dict[int, _Row]]:
+    """Draw the block of rows start.. on ``model.block_draw``: write their
+    theta and return their stacked data and the rows drawn one at a time,
+    by ``_first_draw``, because the assembly masks them."""
+    width, fill, assemble = model.block_draw
+    raw = np.empty((len(states), width))
+    bit_generator = rng.bit_generator
+    for state, out in zip(states, raw):
+        bit_generator.state = state
+        fill(rng, out)
+    block_theta, data, masked = assemble(raw)
+    theta[start:start + len(states)] = block_theta
+    rows = {}
+    for j in np.flatnonzero(masked).tolist():
+        bit_generator.state = states[j]
+        rows[j] = _first_draw(model, start + j, rng, entropy, summarize=False)
+        data[j] = rows[j].out
+    return data, rows
+
+
 def _draw_blocks(model: SimulatorModel, root: np.random.SeedSequence, prefix,
                  theta: np.ndarray, summ: np.ndarray, claim: Callable[[], int]) -> int:
     """Draw into theta and summ every block whose first row ``claim()``
@@ -340,28 +416,37 @@ def _draw_blocks(model: SimulatorModel, root: np.random.SeedSequence, prefix,
     batched = model.batch_summary is not None
     while (start := claim()) < n:
         stop = min(start + _BLOCK_ROWS, n)
-        rows = []
-        for i, state in enumerate(_row_states(prefix, start, stop), start):
-            rng.bit_generator.state = state
-            rows.append(_first_draw(model, i, rng, root.entropy, summarize=not batched))
-            if not batched:
-                summ[i] = _checked(rows[-1].out, (model.dim_summary,), "summary")
+        states = _row_states(prefix, start, stop)
+        # rows[j] is row start + j when drawn through prior_sample and
+        # simulate_data: every row but those a block draw assembles
+        if model.block_draw is not None:
+            data, rows = _assembled(model, rng, root.entropy, list(states), start, theta)
+        else:
+            rows = {}
+            for j, state in enumerate(states):
+                rng.bit_generator.state = state
+                rows[j] = _first_draw(model, start + j, rng, root.entropy,
+                                      summarize=not batched)
+                if not batched:
+                    summ[start + j] = _checked(rows[j].out, (model.dim_summary,), "summary")
+            if batched:
+                data = np.stack([row.out for row in rows.values()])
         if batched:
-            block = _checked(np.array(model.batch_summary(np.stack([r.out for r in rows]))),
+            block = _checked(np.array(model.batch_summary(data)),
                              (stop - start, model.dim_summary), "batch summary")
-            for j in np.flatnonzero(~np.isfinite(block).all(axis=1)):
+            for j in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
                 # drawing again from the seq that drew the row repeats its
                 # data, now summarized through the scalar map under the
                 # retry rule
-                seq = rows[j].seq
+                row = rows.get(j) or _Row(None, None, None, 0)
+                seq = row.seq
                 if seq is None:
                     seq = _row_seq(root.entropy, start + j)
-                rows[j] = _draw_row(model, start + j, seq, rows[j].failures,
-                                    summarize=True)
+                rows[j] = _draw_row(model, start + j, seq, row.failures, summarize=True)
                 block[j] = _checked(rows[j].out, (model.dim_summary,), "summary")
             summ[start:stop] = block
-        for i, row in enumerate(rows, start):
-            theta[i] = row.theta
+        for j, row in rows.items():
+            theta[start + j] = row.theta
             retries += row.failures
     return retries
 
@@ -495,6 +580,18 @@ def simulate_reference_table(model: SimulatorModel, n: int,
     independent, so the table and its retry count are those of drawing and
     summarizing one row at a time.
 
+    With ``model.block_draw`` (which needs a batch summary) each row of a
+    block is filled on the one Generator set to its state, the block is
+    assembled in one call and its data summarized in one batch-summary
+    call.  The rows the assembly masks are drawn again through
+    ``prior_sample`` and ``simulate_data`` on their own streams, under the
+    retry rule, and a non-finite summary is handled as above, so the table
+    and its retry count are those of the per-row draw.
+
+    ``n`` and ``seed`` must be whole numbers (a bool is not one), and are
+    rejected with a ValueError naming them otherwise; a seed of None would
+    draw a different table on every call.
+
     The blocks are drawn by k = min(CPUs this process may use, blocks)
     processes: this one and k - 1 children forked for the call, each
     claiming the next undrawn block from a shared counter as it finishes
@@ -506,6 +603,10 @@ def simulate_reference_table(model: SimulatorModel, n: int,
     With k = 1, and in a process that ``multiprocessing`` started (a grid
     worker, say), the blocks are drawn in this process alone.
     """
+    n = _whole_number(n, "n")
+    seed = _whole_number(seed, "seed")
+    if model.block_draw is not None and model.batch_summary is None:
+        raise ValueError("a block draw needs a batch summary to summarize its blocks")
     if n < 1:
         raise ValueError("table size must be positive")
     if n > 2 ** 32:

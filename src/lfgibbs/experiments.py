@@ -24,9 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from lfgibbs.abc import abc_importance, regression_adjust, simulate_reference_table
+from lfgibbs.abc import (_whole_number, abc_importance, regression_adjust,
+                         simulate_reference_table)
 from lfgibbs.gibbs import (ChainConfig, GibbsConfig, TimingBreakdown, _jsonable,
-                           _whole_number, run_abc_pass, run_exact_gibbs, run_global_gibbs,
+                           run_abc_pass, run_exact_gibbs, run_global_gibbs,
                            run_local_gibbs, save_chain)
 from lfgibbs.kernels import DistanceScaling, KernelSpec
 from lfgibbs.models.hierarchical import (HierarchicalSpec,

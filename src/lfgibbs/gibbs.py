@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -36,7 +35,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from lfgibbs.abc import ReferenceTable, SimulatorModel, _default_names, _observed_summary
+from lfgibbs.abc import (ReferenceTable, SimulatorModel, _default_names, _observed_summary,
+                         _whole_number)
 from lfgibbs.diagnostics import effective_sample_size, split_rhat
 from lfgibbs.kernels import (
     DistanceScaling,
@@ -115,19 +115,6 @@ class ConditionalSpec:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as an int; a ValueError naming it unless finite and whole.
-
-    A bool is not a number here: ``True`` would silently read as 1.
-    """
-    if type(value) is int:
-        return value
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -566,7 +553,9 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     median and max over all sweeps and members of the bandwidth and of
     the Kish effective sample size (sum w)^2 / sum w^2 of the kept kernel
     weights.  ``diagnostics["fit_health"]`` counts linear fits that dropped
-    columns, the most one dropped, and logistic fits not converged.
+    columns, the most one dropped, and logistic fits not converged; for a
+    linear conditional its ``"sigma2"`` gives the min, median and max over
+    all sweeps of the fitted residual variance.
     """
     s_obs = _observed_summary(s_obs, table)
     theta = config.initial.copy()
@@ -579,6 +568,10 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     health = {key: np.empty((2, config.n_iterations * len(ws.spec.members)))
               for key, ws in workspaces.items()}
     fit_health = {key: dict.fromkeys(_FIT_HEALTH, 0) for key in workspaces}
+    # per linear workspace, the residual variance of its fit at sweep m in
+    # slot m - 1
+    sigma2 = {key: np.empty(config.n_iterations) for key, ws in workspaces.items()
+              if ws.spec.family == "linear"}
     timings = TimingBreakdown()
     neighbours = min(config.m_neighbours, len(table))
 
@@ -613,6 +606,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         counts["fits_dropping_columns"] += dropped > 0
         counts["most_columns_dropped"] = max(counts["most_columns_dropped"], dropped)
         counts["logistic_not_converged"] += spec.family == "logistic" and not fit.converged
+        if spec.family == "linear":
+            sigma2[id(spec)][m - 1] = fit.sigma2
         for j, member in enumerate(spec.members):
             theta[member] = _draw_family(spec, fit, queries[j], rng, m)
 
@@ -624,6 +619,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         workspaces[key].spec.name: {"bandwidth": _spread(bandwidths),
                                     "kish_ess": _spread(kish)}
         for key, (bandwidths, kish) in health.items()}
+    for key, values in sigma2.items():
+        fit_health[key]["sigma2"] = _spread(values)
     out.diagnostics["fit_health"] = {workspaces[key].spec.name: counts
                                      for key, counts in fit_health.items()}
     return out

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from lfgibbs.abc import SimulatorModel
+from lfgibbs.abc import BlockDraw, SimulatorModel
 from lfgibbs.gibbs import ConditionalSpec, PassParamSpec
 from lfgibbs.kernels import DistanceScaling, KernelSpec
 
@@ -282,8 +282,46 @@ def _normal_logpdf(x: float, mean: float, var: float) -> float:
     return -0.5 * (math.log(2.0 * math.pi * var) + (x - mean) ** 2 / var)
 
 
+def _block_draw(spec: HierarchicalSpec) -> BlockDraw:
+    """The hierarchy's table rows filled one by one and assembled by block.
+
+    A row holds mu, tau_mu and tau_x as ``prior_sample`` draws them, then
+    the U + U L standard normals behind the group means and the data.  The
+    assembly scales and shifts those by the same elementwise operations as
+    ``Generator.normal`` and ``_hierarchical_data``, and masks the rows
+    with a precision that is not positive, where the per-row draw raises.
+    """
+    u, l = spec.u_groups, spec.l_obs
+    alpha_mu, scale_mu = spec.alpha_mu, 1.0 / spec.nu_mu
+    alpha_x, scale_x = spec.alpha_x, 1.0 / spec.nu_x
+
+    def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+        out[0] = rng.normal()
+        out[1] = rng.gamma(alpha_mu, scale_mu)
+        out[2] = rng.gamma(alpha_x, scale_x)
+        rng.standard_normal(out=out[3:])
+
+    def assemble(raw: np.ndarray):
+        rows = len(raw)
+        theta = np.empty((rows, spec.dim_theta))
+        theta[:, :3] = raw[:, :3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sd_mu, sd_x = 1.0 / np.sqrt(raw[:, 1:2]), 1.0 / np.sqrt(raw[:, 2:3])
+        np.multiply(sd_mu, raw[:, 3:3 + u], out=theta[:, 3:])
+        theta[:, 3:] += raw[:, :1]
+        data = sd_x[:, :, None] * raw[:, 3 + u:].reshape(rows, u, l)
+        data += theta[:, 3:, None]
+        return theta, data, ~((raw[:, 1] > 0) & (raw[:, 2] > 0))
+
+    return BlockDraw(width=3 + u + u * l, fill=fill, assemble=assemble)
+
+
 def hierarchical_model(spec: HierarchicalSpec) -> SimulatorModel:
-    """Prior-predictive view: the 'parameter' is the full state vector."""
+    """Prior-predictive view: the 'parameter' is the full state vector.
+
+    The model sets a batch summary and a block draw, so its tables are
+    drawn and summarized by block.
+    """
 
     def prior_sample(rng: np.random.Generator) -> np.ndarray:
         state = np.empty(spec.dim_theta)
@@ -313,6 +351,7 @@ def hierarchical_model(spec: HierarchicalSpec) -> SimulatorModel:
         simulate_data=lambda state, rng: _hierarchical_data(spec, state, rng),
         summary=lambda data: hierarchical_summaries(data).as_array(),
         batch_summary=_batch_summaries,
+        block_draw=_block_draw(spec),
         theta_names=hierarchical_state_names(spec),
         spec=spec,
     )

@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from lfgibbs.abc import SimulatorModel
+from lfgibbs.abc import BlockDraw, SimulatorModel
 from lfgibbs.gibbs import ConditionalSpec
 from lfgibbs.regression import interaction_names
 
@@ -187,8 +187,38 @@ def mixture_initial_state() -> np.ndarray:
     return np.array([0.0, -10.0, 1.0, 0.0])
 
 
+def _block_draw(spec: MixtureSpec) -> BlockDraw:
+    """The mixture's table rows filled one by one and assembled by block.
+
+    A row holds the four uniforms behind theta and the signs, then the two
+    standard normals of the observation.  The assembly applies the same
+    elementwise operations as ``mixture_model``'s prior and
+    ``simulate_given_signs``, one Cholesky product per row; no row fails.
+    """
+    width = spec.upper - spec.lower
+    chol = np.linalg.cholesky(spec.sigma)
+
+    def fill(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.random(out=out[:4])
+        rng.standard_normal(out=out[4:])
+
+    def assemble(raw: np.ndarray):
+        theta = np.empty((len(raw), 4))
+        theta[:, :2] = spec.lower + width * raw[:, :2]
+        theta[:, 2:] = raw[:, 2:4] >= spec.omega  # P(b=0) = omega
+        # a stack of the matrix-vector products simulate_given_signs takes
+        noise = (chol @ raw[:, 4:, None])[:, :, 0]
+        return theta, _signs(theta[:, 2:]) * theta[:, :2] + noise, np.zeros(len(raw), bool)
+
+    return BlockDraw(width=6, fill=fill, assemble=assemble)
+
+
 def mixture_model(spec: MixtureSpec) -> SimulatorModel:
-    """Reference-table view: parameter vector (theta_1, theta_2, b_1, b_2)."""
+    """Reference-table view: parameter vector (theta_1, theta_2, b_1, b_2).
+
+    The model sets a batch summary and a block draw, so its tables are
+    drawn and summarized by block.
+    """
     width = spec.upper - spec.lower
 
     def prior_sample(rng: np.random.Generator) -> np.ndarray:
@@ -220,6 +250,7 @@ def mixture_model(spec: MixtureSpec) -> SimulatorModel:
             state[:2], state[2:], spec, rng),
         summary=identity,
         batch_summary=identity,
+        block_draw=_block_draw(spec),
         theta_names=list(MIXTURE_STATE_NAMES),
         spec=spec,
     )

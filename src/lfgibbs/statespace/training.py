@@ -22,7 +22,8 @@ import numpy as np
 # doing so until it wraps estimate_gk_batch instead
 from ..gk import (estimate_gk, estimate_gk_batch, estimation_target,
                   gk_sample, unlink_parameters)
-from ..gibbs import TimingBreakdown, _whole_number
+from ..abc import _whole_number
+from ..gibbs import TimingBreakdown
 from ..kernels import (DistanceScaling, KernelSpec, kernel_weight,
                        knn_bandwidth, scaled_distance)
 from .system import N_SERIES

@@ -542,6 +542,33 @@ class TestLocalizationHealth:
                                        [kish.min(), np.median(kish), kish.max()], rtol=1e-12)
             assert 1.0 <= got["min"] <= got["max"] <= m
 
+    def test_residual_variance_spread(self, hierarchy, monkeypatch, tmp_path):
+        # both estimated conditionals are linear; the tau_x design has 7
+        # columns and the pooled mu_u design 6
+        spec, model, table, data, s_obs = hierarchy
+        seen = {7: [], 6: []}
+        real_fit = gibbs.fit_weighted_linear
+
+        def spy_fit(x, y, w):
+            fit = real_fit(x, y, w)
+            seen[x.shape[1]].append(fit.sigma2)
+            return fit
+
+        monkeypatch.setattr(gibbs, "fit_weighted_linear", spy_fit)
+        config = GibbsConfig(n_iterations=6, initial=hierarchical_initial_state(spec, data),
+                             m_neighbours=200)
+        out = run_local_gibbs(model, hierarchical_engine_specs(spec), table, s_obs, config,
+                              np.random.default_rng(27))
+        save_chain(out, str(tmp_path / "chain.csv"), str(tmp_path / "chain.json"))
+        with open(tmp_path / "chain.json") as fh:
+            saved = json.load(fh)["diagnostics"]["fit_health"]
+        for name, p in (("tau_x", 7), ("mu_u", 6)):
+            values = np.array(seen[p])
+            assert len(values) == 6 and np.all(values > 0)
+            expected = {"min": values.min(), "median": np.median(values), "max": values.max()}
+            assert out.diagnostics["fit_health"][name]["sigma2"] == expected
+            assert saved[name]["sigma2"] == expected
+
     def test_the_chain_json_does_not_grow_with_the_sweeps(self, hierarchy, tmp_path):
         spec, model, table, data, s_obs = hierarchy
         saved = []

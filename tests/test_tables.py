@@ -53,6 +53,8 @@ def flaky_hierarchy(p_fail):
         return simulate(state, rng)
 
     model.simulate_data = flaky
+    # the replaced simulator must take the per-row path it exists to test
+    model.block_draw = None
     return model
 
 
@@ -72,6 +74,7 @@ def tied_hierarchy(mu_above):
         return data
 
     model.simulate_data = tied
+    model.block_draw = None
     return model
 
 
@@ -118,8 +121,8 @@ def test_the_benchmark_hierarchy_table_keeps_its_bits():
 
     seed = int(np.random.SeedSequence((51, 1)).generate_state(1)[0])
     table = simulate_reference_table(model, 20_000, seed)
-    old = simulate_reference_table(dataclasses.replace(model, prior_sample=concatenated),
-                                   20_000, seed)
+    old = simulate_reference_table(
+        dataclasses.replace(model, prior_sample=concatenated, block_draw=None), 20_000, seed)
     for a, b in ((table.theta, old.theta), (table.summaries, old.summaries)):
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
     assert table.retries == old.retries
@@ -150,13 +153,36 @@ class TestRowSeeds:
         for i in (0, 255, 256, n - 1):
             assert np.random.default_rng(children[i]).bit_generator.state == states[i]
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1])
     def test_bad_seed_raises_as_seed_sequence(self, seed):
         with pytest.raises(Exception) as expected:
             np.random.SeedSequence(seed)
         with pytest.raises(Exception) as got:
             simulate_reference_table(hierarchical_model(SPEC), 3, seed=seed)
         assert type(got.value) is type(expected.value)
+
+    @pytest.mark.parametrize("name,value", [
+        ("seed", None),   # OS entropy: a different table on every call
+        ("seed", True),   # would read as seed 1
+        ("seed", 1.5),
+        ("seed", (1, 2)),
+        ("n", 2.5),
+        ("n", True),
+        ("n", "7"),
+    ])
+    def test_arguments_that_are_not_whole_numbers(self, name, value):
+        args = dict(n=3, seed=SEED)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            simulate_reference_table(hierarchical_model(SPEC), **args)
+
+    def test_numpy_integers_are_plain_ints(self, tmp_path):
+        table = simulate_reference_table(hierarchical_model(SPEC), np.int64(7),
+                                         seed=np.uint64(SEED))
+        assert (digest(table), table.retries) == HIERARCHY_PINS[7]
+        assert type(table.seed) is int and table.seed == SEED
+        table.to_npz(str(tmp_path / "table.npz"))
+        assert abc.ReferenceTable.from_npz(str(tmp_path / "table.npz")).seed == SEED
 
     def test_too_many_rows(self):
         with pytest.raises(ValueError, match="at most 2"):
@@ -165,7 +191,7 @@ class TestRowSeeds:
     def test_rows_summarized_one_at_a_time_match_the_blocks(self):
         model = hierarchical_model(SPEC)
         batched = simulate_reference_table(model, 600, seed=SEED)
-        model.batch_summary = None
+        model.batch_summary = model.block_draw = None
         single = simulate_reference_table(model, 600, seed=SEED)
         np.testing.assert_array_equal(single.theta, batched.theta)
         np.testing.assert_array_equal(single.summaries, batched.summaries)
@@ -411,6 +437,98 @@ class TestWorkerCounts:
         assert worker != os.getpid()
         assert pids == {worker}
         assert pinned == HIERARCHY_PINS[1027]
+
+
+def same_table(got, expected):
+    """Bit for bit the same theta, summaries and retry count."""
+    for a, b in ((got.theta, expected.theta), (got.summaries, expected.summaries)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert got.retries == expected.retries
+
+
+# a prior on tau_mu whose draws underflow to 0 in about 3 % of the rows,
+# where the per-row draw raises and the block draw masks the row
+UNDERFLOWING = HierarchicalSpec(u_groups=3, l_obs=4, alpha_mu=0.005)
+# whose group means, at tau_mu near 0, overflow the scalar summary's squares
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+class TestBlockDraws:
+    """A model's block draw gives the table of its per-row draw, bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("model,n", [
+        (lambda: hierarchical_model(HierarchicalSpec()), 1027),
+        (lambda: hierarchical_model(HierarchicalSpec(u_groups=10, l_obs=10)), 1500),
+        pytest.param(lambda: hierarchical_model(UNDERFLOWING), 1500, marks=OVERFLOWS),
+        (lambda: mixture_model(MixtureSpec()), 1027),
+    ], ids=["hierarchy", "benchmark-hierarchy", "underflowing-hierarchy", "mixture"])
+    def test_equals_the_per_row_draw(self, model, n, cpus, monkeypatch):
+        model = model()
+        assert model.block_draw is not None
+        per_row = drawn(dataclasses.replace(model, block_draw=None), n, 1, monkeypatch)
+        same_table(drawn(model, n, cpus, monkeypatch), per_row)
+
+    @OVERFLOWS
+    def test_underflowing_rows_take_the_per_row_path(self):
+        model = hierarchical_model(UNDERFLOWING)
+        raw = np.empty((2000, model.block_draw.width))
+        rng = np.random.default_rng(SEED)
+        for out in raw:
+            model.block_draw.fill(rng, out)
+        masked = model.block_draw.assemble(raw)[2]
+        np.testing.assert_array_equal(masked, raw[:, 1] == 0)
+        assert 10 < masked.sum() < 200
+        assert simulate_reference_table(model, 1500, seed=SEED).retries > 10
+
+    def test_a_block_draw_needs_a_batch_summary(self):
+        model = dataclasses.replace(hierarchical_model(SPEC), batch_summary=None)
+        with pytest.raises(ValueError, match="block draw needs a batch summary"):
+            simulate_reference_table(model, 3, seed=SEED)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_the_assembly_masks(self, cpus, monkeypatch):
+        # row CHILD_ROW is masked in a block a child draws; row 300 is
+        # masked and its data tied, so that its batch summary is not finite
+        n, tied_row = FIVE_BLOCKS, 300
+        plain = hierarchical_model(SPEC)
+        mus = simulate_reference_table(plain, n, seed=SEED).theta[[CHILD_ROW, tied_row], 0]
+        model = hierarchical_model(SPEC)
+        simulate, assemble = model.simulate_data, model.block_draw.assemble
+        # [pid that assembled CHILD_ROW, 1 once this process assembles]
+        record = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+        parent = os.getpid()
+
+        def tied(state, rng):
+            data = simulate(state, rng)
+            if state[0] == mus[1]:
+                data[:] = np.arange(SPEC.l_obs)
+            return data
+
+        def masking(raw):
+            # children wait until this process has claimed its first
+            # block, and this process waits until a child has masked
+            # CHILD_ROW, so the row is drawn in a child
+            if os.getpid() != parent:
+                wait_for(record, 1)
+            elif not record[1] and multiprocessing.active_children():
+                record[1] = 1
+                wait_for(record, 0)
+            theta, data, masked = assemble(raw)
+            if mus[0] in raw[:, 0]:
+                record[0] = os.getpid()
+            return theta, data, masked | np.isin(raw[:, 0], mus)
+
+        model.simulate_data = tied
+        model.block_draw = model.block_draw._replace(assemble=masking)
+        per_row = drawn(dataclasses.replace(model, block_draw=None), n, 1, monkeypatch)
+        table = drawn(model, n, cpus, monkeypatch)
+        same_table(table, per_row)
+        assert record[0] == os.getpid() if cpus == 1 else record[0] not in (0, os.getpid())
+        # the tied row is redrawn once, from its child seq's first spawn
+        assert table.retries == 1
+        assert table.theta[tied_row, 0] != mus[1]
+        assert table.theta[CHILD_ROW, 0] == mus[0]
 
 
 def _draw_in_a_worker():
