@@ -545,9 +545,13 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     of ``m_neighbours`` rows (all rows of a shorter table) on the squared
     distances of ``_SpecWorkspace.squared_distances``, which recomputes a
     squared column term only when its query coordinate changed since the
-    sweep before; roots are taken only on the rows inside the bandwidth.
-    A pooled group's kept rows are written straight into one buffer by
-    ``_SpecWorkspace.pooled``.  Per estimated conditional,
+    sweep before.  On a table of at least 16 m rows the m-th distance is
+    selected among the rows under a bound sampled from every 8th distance
+    (the exact bracket of ``kernels``), so the selection costs about the
+    kept rows rather than the table; roots are taken only on the kept rows
+    of an Epanechnikov kernel, and the uniform kernel's are weighted 1
+    without any.  A pooled group's kept rows are written straight into
+    one buffer by ``_SpecWorkspace.pooled``.  Per estimated conditional,
     ``diagnostics["distance_terms"]`` counts the terms computed and reused
     over the chain, and ``diagnostics["localization"]`` gives the min,
     median and max over all sweeps and members of the bandwidth and of

@@ -4,7 +4,23 @@ Conventions used throughout the package:
   - distances are non-negative scalars produced by ``scaled_distance``,
   - kernels are unnormalized (only weight ratios matter downstream),
   - an infinite bandwidth is legal and makes every sample weight equal,
-  - ``localize`` weights a table from squared distances, roots on kept rows only.
+  - ``localize`` weights a table from squared distances; it takes roots
+    only on the Epanechnikov kernel's kept rows, as the uniform kernel
+    weights every kept row 1.
+
+The kNN bandwidth of m rows needs the m-th smallest squared distance.  On
+a table of at least 16 m rows ``localize`` brackets it from a sample, as
+Floyd & Rivest (1975, "Expected time bounds for selection", CACM 18)
+bracket the k-th smallest value.  The ⌊3m/16⌋-th smallest value t (at
+least the smallest) of every 8th distance bounds a candidate set, the
+rows with d2 <= t.  When it holds at least m rows, the m-th smallest among
+them is the m-th smallest of the table, since every other row lies above
+t (or is NaN, which a partition puts last anyway); the selection then
+partitions only the candidates, about 1.5 m rows.  The bound is taken
+from the current distances, so it never decides what is kept, only how
+much is scanned: with fewer than m candidates (a NaN or adversarial
+sample) ``localize`` partitions the whole table, and when the bandwidth
+reaches past t it scans the whole table for the kept rows.
 """
 
 from __future__ import annotations
@@ -27,6 +43,12 @@ __all__ = [
 
 _TIE_MARGIN = 1e-9
 _SCALE_FLOOR = 1e-12
+# the kNN bracket: a sample of every _SAMPLE_STRIDE-th distance, bounded at
+# its rank _SAMPLE_RANK_NUM * m // _SAMPLE_RANK_DEN, on tables of at least
+# _SAMPLE_MIN_ROWS * m rows (so the sample holds at least 2 m values)
+_SAMPLE_STRIDE = 8
+_SAMPLE_RANK_NUM, _SAMPLE_RANK_DEN = 3, 16
+_SAMPLE_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -193,24 +215,71 @@ def localize(d2: np.ndarray, kernel: KernelSpec, m: Optional[int] = None
              ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Positive-weight rows at squared distances ``d2``, their weights and the bandwidth.
 
-    The bandwidth h is the kernel's own, or with ``m`` the root of the m-th
+    ``d2`` holds non-negative squared distances, NaN allowed.  The
+    bandwidth h is the kernel's own, or with ``m`` the root of the m-th
     smallest d2 (sqrt is monotone, so the m-th smallest distance) inflated
     as ``knn_bandwidth`` inflates it.  The kernel's own infinite bandwidth
     keeps every row at weight 1.  Otherwise the rows of positive kernel
     weight are those closer than h (for the Epanechnikov kernel d < h
     rounds d/h below 1), which are those with d2 below
     ``_root_threshold(h)``; a NaN distance is never kept.  Rows come in
-    table order with the weights ``kernel_weight`` gives their distances.
+    table order with the weights ``kernel_weight`` gives their distances:
+    for the uniform kernel that is 1 on every kept row, so no root is
+    taken at all.  The m-th smallest d2 of a table of at least 16 m rows
+    is found inside the sampled bracket of the module docstring, which
+    gives the same rows, weights and bandwidth as a partition of the whole
+    table.
     """
     h = kernel.bandwidth
     if m is not None:
         if not 1 <= m <= d2.size:
             raise ValueError(f"m must be in [1, {d2.size}], got {m}")
-        h = _inflate(math.sqrt(np.partition(d2, m - 1)[m - 1]))
+        rows, h = _knn_rows(d2, m)
+        if not h > 0:  # a NaN m-th distance, which with_bandwidth rejects
+            raise ValueError("bandwidth must be positive")
     elif math.isinf(h):
         return np.arange(d2.size), np.ones(d2.size), h
-    rows = np.flatnonzero(d2 < _root_threshold(h))
+    else:
+        rows = _rows_below(d2, _root_threshold(h))
+    if kernel.kind == "uniform":
+        return rows, np.ones(rows.size), h
     return rows, kernel_weight(np.sqrt(d2[rows]), kernel.with_bandwidth(h)), h
+
+
+def _knn_rows(d2: np.ndarray, m: int) -> Tuple[np.ndarray, float]:
+    """The rows closer than the kNN bandwidth of m rows, in table order, and that bandwidth.
+
+    The m-th smallest d2 is selected among the rows at or below the
+    sampled bound t when there are at least m of them, and by
+    ``_kth_smallest`` over the whole table otherwise.  The kept rows are
+    picked from the candidates when the root threshold of h is at most t
+    (every kept row is then a candidate), and from the whole table
+    otherwise.
+    """
+    if d2.size >= _SAMPLE_MIN_ROWS * m:
+        sample = d2[::_SAMPLE_STRIDE]
+        rank = max(_SAMPLE_RANK_NUM * m // _SAMPLE_RANK_DEN, 1)
+        t = np.partition(sample, rank - 1)[rank - 1]
+        cand = np.flatnonzero(d2 <= t)
+        if cand.size >= m:
+            d2c = d2[cand]
+            h = _inflate(math.sqrt(np.partition(d2c, m - 1)[m - 1]))
+            thr = _root_threshold(h)
+            if thr <= t:
+                return cand[d2c < thr], h
+            return _rows_below(d2, thr), h
+    h = _inflate(math.sqrt(_kth_smallest(d2, m)))
+    return _rows_below(d2, _root_threshold(h)), h
+
+
+def _rows_below(d2: np.ndarray, thr: float) -> np.ndarray:
+    """The rows of the whole table with d2 below ``thr``, in table order."""
+    return np.flatnonzero(d2 < thr)
+
+
+def _kth_smallest(d2: np.ndarray, m: int) -> float:
+    """The m-th smallest of ``d2`` by a partition of the whole array, NaN last."""
+    return np.partition(d2, m - 1)[m - 1]
 
 
 def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:

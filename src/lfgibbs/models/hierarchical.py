@@ -145,7 +145,11 @@ def hierarchical_summaries(data: np.ndarray) -> HierarchicalSummaries:
         raise ValueError("group precision needs at least two observations per group")
     if u < 2:
         raise ValueError("symmetric statistics need at least two groups")
-    means, precisions, symmetric = _summary_parts(data, strict=True)
+    # as in the batch summary, a tied group reads as an infinite precision
+    # and group means far from 0 may overflow their squares; the values are
+    # left non-finite for the table builder to redraw
+    with np.errstate(all="ignore"):
+        means, precisions, symmetric = _summary_parts(data, strict=True)
     return HierarchicalSummaries(means, precisions, *(float(v) for v in symmetric))
 
 
@@ -375,20 +379,37 @@ def hierarchical_engine_specs(spec: HierarchicalSpec,
     draw_mu, draw_tau_mu = _hyper_draws(spec)
 
     def tau_x_features(summ, states, member):
+        """Rows (1, mean and precision of the group means, symmetric statistics).
+
+        The columns are written into one preallocated C-ordered (rows, 7)
+        array, the values ``np.column_stack`` would give, without its
+        per-column copies.
+        """
         summ = np.atleast_2d(np.asarray(summ, dtype=float))
         states = np.atleast_2d(np.asarray(states, dtype=float))
         mu_vals = states[:, 3:3 + u]
-        mu_bar = mu_vals.mean(axis=1)
-        mu_prec = 1.0 / mu_vals.var(axis=1, ddof=1)
-        return np.column_stack([np.ones(len(summ)), mu_bar, mu_prec,
-                                summ[:, 2 * u:2 * u + 4]])
+        out = np.empty((len(summ), 7))
+        out[:, 0] = 1.0
+        out[:, 1] = mu_vals.mean(axis=1)
+        out[:, 2] = 1.0 / mu_vals.var(axis=1, ddof=1)
+        out[:, 3:] = summ[:, 2 * u:2 * u + 4]
+        return out
 
     def mu_u_features(summ, states, member):
+        """Rows (1, mu, tau_mu, tau_x, group mean, group precision) of one group.
+
+        Written into one preallocated C-ordered (rows, 6) array, like
+        ``tau_x_features``; local Gibbs calls it on one row per member and
+        sweep, where per-column copies would be most of its cost.
+        """
         summ = np.atleast_2d(np.asarray(summ, dtype=float))
         states = np.atleast_2d(np.asarray(states, dtype=float))
         g = member - 3
-        return np.column_stack([np.ones(len(summ)), states[:, 0], states[:, 1],
-                                states[:, 2], summ[:, 2 * g], summ[:, 2 * g + 1]])
+        out = np.empty((len(summ), 6))
+        out[:, 0] = 1.0
+        out[:, 1:4] = states[:, :3]
+        out[:, 4:] = summ[:, 2 * g:2 * g + 2]
+        return out
 
     return [
         ConditionalSpec(name="mu", members=(0,), exact=draw_mu),

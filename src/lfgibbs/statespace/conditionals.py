@@ -32,13 +32,19 @@ def _inverse_cov(w, p: int) -> np.ndarray:
     ``np.linalg.inv`` computes, which divides only on the diagonal.  A
     zero variance raises, as the LU inverse does.
     """
-    cov = _cov_dense(w, p)
-    if np.ndim(w) == 2:
-        return np.linalg.inv(cov)
-    d = cov.diagonal()
-    if (d == 0).any():
+    if np.ndim(w) > 1:
+        return np.linalg.inv(_cov_dense(w, p))
+    return np.diag(_inverse_variances(w, p))
+
+
+def _inverse_variances(w, p: int) -> np.ndarray:
+    """The diagonal of ``_inverse_cov(w, p)`` for a scalar or vector w."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 1 and w.shape != (p,):
+        raise ValueError(f"variance vector must have length {p}")
+    if (w == 0).any():
         raise np.linalg.LinAlgError("Singular matrix")
-    return np.diag(1.0 / d)
+    return np.broadcast_to(1.0 / w, (p,))
 
 
 def initial_prior_terms(m0: Optional[np.ndarray], c0, p: int
@@ -78,9 +84,18 @@ def _initial_moments(theta_next: np.ndarray, w, g_mat: np.ndarray,
     theta_next = np.asarray(theta_next, dtype=float)
     p = theta_next.size
     g = np.asarray(g_mat, dtype=float).reshape(p, p)
-    w_inv = _inverse_cov(w, p)
-    info = g.T @ w_inv @ g
-    shift = g.T @ (w_inv @ theta_next)
+    if np.ndim(w) > 1:
+        w_inv = _inverse_cov(w, p)
+        info = g.T @ w_inv @ g
+        shift = g.T @ (w_inv @ theta_next)
+    else:
+        # g.T @ diag(w_inv) has one nonzero product per entry, so scaling
+        # the columns of g.T gives its bits without the dense diagonal; it
+        # is built C-ordered like the product, as BLAS sums a transposed
+        # operand in another order
+        w_inv = _inverse_variances(w, p)
+        info = np.multiply(g.T, w_inv, order="C") @ g
+        shift = g.T @ (w_inv * theta_next)
     if prior is not None:
         info = info + prior[0]
         shift = shift + prior[1]

@@ -8,11 +8,15 @@ the kept sum of the terms a pooled group's members share.
 one) and the kept rows on squared distances and takes roots and kernel
 weights only on the rows inside the bandwidth; local Gibbs, global Gibbs
 and ``abc_importance`` all weight their table through it.
+On a table of at least 16 m rows it selects the kNN bandwidth among the
+rows under a bound sampled from every 8th distance, and it gives the
+uniform kernel's kept rows unit weights without taking roots.
 ``_SpecWorkspace.pooled`` writes the kept rows of all members into one
 buffer.  All of it must reproduce the straightforward computation bit for
-bit: distances on the full design, the full-table mask path and the
-concatenated member rows are kept here as the oracle, and chain and
-weight digests recorded before the change are pinned.
+bit: distances on the full design, the full-table mask path, the
+full-partition ``localize`` and the concatenated member rows are kept
+here as the oracle, and chain and weight digests recorded before the
+change are pinned.
 """
 
 import hashlib
@@ -30,9 +34,11 @@ import pytest
 from lfgibbs import gibbs
 from lfgibbs.abc import ReferenceTable, abc_importance, simulate_reference_table
 from lfgibbs.gibbs import ConditionalSpec, GibbsConfig, run_global_gibbs, run_local_gibbs, save_chain
+from lfgibbs import kernels
 from lfgibbs.kernels import (
     DistanceScaling,
     KernelSpec,
+    _inflate,
     _pairwise_sum,
     _root_threshold,
     kernel_weight,
@@ -279,6 +285,123 @@ class TestSquaredThreshold:
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError, match="m must be in"):
             localize(np.ones(5), KernelSpec(), 0)
+
+
+def full_partition_localize(d2, kernel, m=None):
+    """``kernels.localize`` as it was before the sampled bracket and the
+    unit weights: the m-th smallest d2 by a partition of the whole table,
+    and every kept row weighted by ``kernel_weight`` on its root."""
+    h = kernel.bandwidth
+    if m is not None:
+        h = _inflate(math.sqrt(np.partition(d2, m - 1)[m - 1]))
+    elif math.isinf(h):
+        return np.arange(d2.size), np.ones(d2.size), h
+    rows = np.flatnonzero(d2 < _root_threshold(h))
+    return rows, kernel_weight(np.sqrt(d2[rows]), kernel.with_bandwidth(h)), h
+
+
+def bracket_distances(order, n, m, rng):
+    """n squared distances for a kNN selection of m rows, arranged by ``order``."""
+    d2 = rng.standard_normal(n) ** 2
+    if order == "sorted":
+        d2.sort()
+    elif order == "period-8":
+        # the smallest distances on the sampled rows 0, 8, 16, ...
+        d2.sort()
+        sampled = np.zeros(n, dtype=bool)
+        sampled[::8] = True
+        d2[sampled], d2[~sampled] = d2[:sampled.sum()].copy(), d2[sampled.sum():].copy()
+    elif order == "ties":
+        # up to 2 m rows tied at the value of rank m / 2, the m-th among them
+        d2.sort()
+        d2[m // 2:m // 2 + 2 * m] = d2[m // 2]
+        rng.shuffle(d2)
+    elif order == "zeros":
+        d2[rng.choice(n, size=min(2 * m, n), replace=False)] = 0.0
+    elif order == "few-zeros":
+        d2[rng.choice(n, size=m // 2, replace=False)] = 0.0
+    elif order == "nans":
+        d2[rng.random(n) < 0.1] = np.nan
+    elif order == "nan-sample":
+        d2[::8] = np.nan
+    return d2
+
+
+def local_paths(monkeypatch):
+    """Counts of whole-table partitions and scans ``localize`` makes."""
+    calls = {"partition": 0, "scan": 0}
+    real_kth, real_below = kernels._kth_smallest, kernels._rows_below
+
+    def kth(d2, m):
+        calls["partition"] += 1
+        return real_kth(d2, m)
+
+    def below(d2, thr):
+        calls["scan"] += 1
+        return real_below(d2, thr)
+
+    monkeypatch.setattr(kernels, "_kth_smallest", kth)
+    monkeypatch.setattr(kernels, "_rows_below", below)
+    return calls
+
+
+class TestSampledBracket:
+    """The bracketed kNN selection and the uniform kernel's unit weights
+    give the rows, weights and bandwidth of a full partition, bit for bit."""
+
+    ORDERS = ["random", "sorted", "period-8", "ties", "zeros", "few-zeros", "nans",
+              "nan-sample"]
+    # (rows, m): around the 16 m cut-off, m = 1, m = n, and the bench's size
+    SIZES = [(16 * m - 1, m) for m in (1, 5, 11, 50, 500)] + \
+            [(16 * m, m) for m in (1, 5, 11, 50, 500)] + \
+            [(20_000, 1), (20_000, 11), (20_000, 500), (20_000, 1250), (800, 800), (1, 1)]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_matches_the_full_partition(self, order, kernel):
+        rng = np.random.default_rng(31)
+        for n, m in self.SIZES:
+            d2 = bracket_distances(order, n, m, rng)
+            try:
+                want_rows, want_w, want_h = full_partition_localize(d2, kernel, m)
+            except ValueError as exc:  # a NaN m-th distance
+                with pytest.raises(ValueError, match=str(exc)):
+                    localize(d2, kernel, m)
+                continue
+            rows, w, h = localize(d2, kernel, m)
+            assert bits(h) == bits(want_h), (n, m)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(bits(w), bits(want_w))
+            if kernel.kind == "uniform":
+                np.testing.assert_array_equal(
+                    bits(w), bits(kernel_weight(np.sqrt(d2[rows]), kernel.with_bandwidth(h))))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(bandwidth=0.3),
+                                        KernelSpec("epanechnikov", 0.3)], ids=lambda k: k.kind)
+    def test_the_kernels_own_bandwidth(self, kernel):
+        d2 = bracket_distances("nans", 5000, 1, np.random.default_rng(32))
+        got, want = localize(d2, kernel), full_partition_localize(d2, kernel)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("order,n,m,path", [
+        ("random", 20_000, 500, "bracket"),
+        ("random", 16 * 50 - 1, 50, "partition"),   # below the 16 m rows
+        ("period-8", 20_000, 500, "partition"),     # fewer than m candidates
+        ("nan-sample", 20_000, 500, "partition"),   # a NaN bound
+        ("sorted", 16 * 5, 5, "partition"),
+        ("sorted", 16, 1, "scan"),                  # the bound is the m-th value
+        ("ties", 20_000, 500, "scan"),
+        ("zeros", 20_000, 500, "scan"),
+    ])
+    def test_each_path_is_taken(self, order, n, m, path, monkeypatch):
+        d2 = bracket_distances(order, n, m, np.random.default_rng(33))
+        calls = local_paths(monkeypatch)
+        localize(d2, KernelSpec(), m)
+        taken = ("partition" if calls["partition"] else "scan" if calls["scan"]
+                 else "bracket")
+        assert taken == path, calls
 
 
 # the kernel's own bandwidth (fixed or infinite), or the kNN one of 600 rows
@@ -652,3 +775,31 @@ class TestPinnedChains:
             print(hashlib.sha256(states.tobytes()).hexdigest()[:16])
         """)
         assert one_blas_thread(script) == "8b9bbf0ef77f3f60"
+
+
+class TestBenchShapedChain:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_partitions_the_whole_table(self, seed, monkeypatch):
+        # the benchmark's hier-local shape: U = L = 10, a 20 000-row table,
+        # m = 500 and 120 sweeps, each localizing 11 members; the sampled
+        # bracket must hold the m-th distance every time
+        spec = HierarchicalSpec(u_groups=10, l_obs=10)
+        model = hierarchical_model(spec)
+        rng = np.random.default_rng(seed)
+        data, summaries = hierarchical_simulate(spec, model.prior_sample(rng), rng)
+        table = simulate_reference_table(model, 20_000, seed=seed)
+        calls = local_paths(monkeypatch)
+        localized = []
+        real_localize = gibbs.localize
+
+        def spy(d2, kernel, m=None):
+            localized.append(d2.size)
+            return real_localize(d2, kernel, m)
+
+        monkeypatch.setattr(gibbs, "localize", spy)
+        config = GibbsConfig(n_iterations=120, burn_in=20, m_neighbours=500,
+                             initial=hierarchical_initial_state(spec, data))
+        run_local_gibbs(model, hierarchical_engine_specs(spec), table, summaries.as_array(),
+                        config, np.random.default_rng(seed))
+        assert localized == [20_000] * 120 * 11
+        assert calls["partition"] == 0, calls

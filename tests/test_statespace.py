@@ -252,6 +252,32 @@ class TestInitialStateConditional:
             with pytest.raises(np.linalg.LinAlgError, match="Singular"):
                 conditionals._inverse_cov(singular, 3)
 
+    def test_diagonal_variances_scale_the_columns_bit_for_bit(self):
+        # a scalar or vector w gives the moments of the dense product
+        # g.T @ diag(1/w) @ g, bit for bit, on dense and block-sparse g
+        gen = np.random.default_rng(13)
+        for case in range(200):
+            p = 36 if case % 2 else int(gen.integers(1, 12))
+            g = gen.normal(size=(p, p))
+            if case % 4 == 1:
+                g = np.kron(gen.normal(size=(9, 9)), np.eye(4))
+            w = gen.uniform(1e-3, 10.0, size=p)
+            theta = gen.normal(size=p)
+            prior = conditionals.initial_prior_terms(gen.normal(size=p),
+                                                     gen.uniform(1.0, 5.0, size=p), p)
+            for cov in (w, w[0]):
+                for pri in (prior, None):
+                    w_inv = conditionals._inverse_cov(cov, p)
+                    info, shift = g.T @ w_inv @ g, g.T @ (w_inv @ theta)
+                    if pri is not None:
+                        info, shift = info + pri[0], shift + pri[1]
+                    want = np.linalg.inv(info)
+                    want = 0.5 * (want + want.T)
+                    mean, got = conditionals._initial_moments(theta, cov, g, pri)
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+                    np.testing.assert_array_equal(mean.view(np.uint64),
+                                                  (want @ shift).view(np.uint64))
+
 
 def terminal_mean(g, w, theta, seed):
     """The forward-predictive draw G theta + sqrt(w) z of a SweepOperator

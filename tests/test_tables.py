@@ -449,8 +449,9 @@ def same_table(got, expected):
 # a prior on tau_mu whose draws underflow to 0 in about 3 % of the rows,
 # where the per-row draw raises and the block draw masks the row
 UNDERFLOWING = HierarchicalSpec(u_groups=3, l_obs=4, alpha_mu=0.005)
-# whose group means, at tau_mu near 0, overflow the scalar summary's squares
-OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# whose group means, at tau_mu near 0, overflow the summaries' squares: the
+# draws must still raise no RuntimeWarning, in this process or a child
+NO_WARNINGS = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestBlockDraws:
@@ -460,7 +461,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("model,n", [
         (lambda: hierarchical_model(HierarchicalSpec()), 1027),
         (lambda: hierarchical_model(HierarchicalSpec(u_groups=10, l_obs=10)), 1500),
-        pytest.param(lambda: hierarchical_model(UNDERFLOWING), 1500, marks=OVERFLOWS),
+        pytest.param(lambda: hierarchical_model(UNDERFLOWING), 1500, marks=NO_WARNINGS),
         (lambda: mixture_model(MixtureSpec()), 1027),
     ], ids=["hierarchy", "benchmark-hierarchy", "underflowing-hierarchy", "mixture"])
     def test_equals_the_per_row_draw(self, model, n, cpus, monkeypatch):
@@ -469,7 +470,7 @@ class TestBlockDraws:
         per_row = drawn(dataclasses.replace(model, block_draw=None), n, 1, monkeypatch)
         same_table(drawn(model, n, cpus, monkeypatch), per_row)
 
-    @OVERFLOWS
+    @NO_WARNINGS
     def test_underflowing_rows_take_the_per_row_path(self):
         model = hierarchical_model(UNDERFLOWING)
         raw = np.empty((2000, model.block_draw.width))
