@@ -74,7 +74,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("linear", "logistic", "flexible")
-_FIT_HEALTH = ("fits_dropping_columns", "most_columns_dropped", "logistic_not_converged")
+_FIT_HEALTH = ("fits_dropping_columns", "most_columns_dropped", "fits_rescaled",
+               "logistic_not_converged")
 
 
 @dataclass
@@ -557,7 +558,8 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
     median and max over all sweeps and members of the bandwidth and of
     the Kish effective sample size (sum w)^2 / sum w^2 of the kept kernel
     weights.  ``diagnostics["fit_health"]`` counts linear fits that dropped
-    columns, the most one dropped, and logistic fits not converged; for a
+    columns, the most one dropped, linear fits solved on the equilibrated
+    Gram (``fits_rescaled``) and logistic fits not converged; for a
     linear conditional its ``"sigma2"`` gives the min, median and max over
     all sweeps of the fitted residual variance.
     """
@@ -609,6 +611,7 @@ def run_local_gibbs(model: Optional[SimulatorModel], specs: Sequence[Conditional
         dropped = len(fit.dropped) if spec.family == "linear" else 0
         counts["fits_dropping_columns"] += dropped > 0
         counts["most_columns_dropped"] = max(counts["most_columns_dropped"], dropped)
+        counts["fits_rescaled"] += spec.family == "linear" and fit.rescaled
         counts["logistic_not_converged"] += spec.family == "logistic" and not fit.converged
         if spec.family == "linear":
             sigma2[id(spec)][m - 1] = fit.sigma2

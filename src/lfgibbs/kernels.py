@@ -79,8 +79,10 @@ def kernel_weight(distance: Union[float, np.ndarray], spec: KernelSpec) -> Union
 
     Uniform: 1 inside the bandwidth, 0 at or beyond it.
     Epanechnikov: max(0, 1 - (d/h)^2), computed as 1 - u^2 with
-    u = min(d, h)/h <= 1, which cannot overflow however small h is.
-    Both return 1 everywhere for an infinite bandwidth.
+    u = min(d, h)/h <= 1, which cannot overflow however small h is; the
+    four steps run in one buffer.  Both return 1 everywhere for an
+    infinite bandwidth.  A scalar distance gives a float, an array of
+    distances an array of their shape.
     """
     d = np.asarray(distance, dtype=float)
     if (d < 0).any():
@@ -91,8 +93,11 @@ def kernel_weight(distance: Union[float, np.ndarray], spec: KernelSpec) -> Union
     elif spec.kind == "uniform":
         out = (d < h).astype(float)
     else:
-        u = np.minimum(d, h) / h
-        out = 1.0 - u * u
+        # an explicit buffer, since a 0-d input would give a scalar
+        out = np.minimum(d, h, out=np.empty_like(d))
+        out /= h
+        out *= out
+        np.subtract(1.0, out, out=out)
     if np.ndim(distance) == 0:
         return float(out)
     return out

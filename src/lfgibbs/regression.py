@@ -69,7 +69,9 @@ class LinearFit:
 
     Column ``dropped[k]``, given coefficient 0, is x @ relation[:, k] on the
     fitted rows; ``predict`` raises ArithmeticError at a query breaking
-    such a relation by more than a relative 1e-8, outside their span."""
+    such a relation by more than a relative 1e-8, outside their span.
+    ``rescaled`` marks a fit solved on the equilibrated Gram (see
+    ``fit_weighted_linear``)."""
 
     beta: np.ndarray
     sigma2: float
@@ -78,6 +80,7 @@ class LinearFit:
     weights: np.ndarray  # normalized
     dropped: Tuple[int, ...] = ()
     relation: Optional[np.ndarray] = None
+    rescaled: bool = False
 
     def outside_span(self, x: np.ndarray) -> List[int]:
         """The dropped columns whose relation the query x breaks."""
@@ -103,11 +106,24 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
     weights.  Rows of zero weight are dropped before the normal equations
     are formed; when no weight is zero, x and y are used without a copy
     (a C-ordered copy of a design in another layout), which gives the same
-    bits as the masked copies.  When the weighted Gram matrix is rank
-    deficient even after the jitter, the fit is redone, bit for bit, on the
-    columns ``_deficient_columns`` keeps, and the others get coefficient 0;
-    when it keeps all, the design is full rank but ill-conditioned, and the
-    error gives the Gram condition number and the smallest QR pivot's column.
+    bits as the masked copies.
+
+    Rank is decided by ``np.linalg.matrix_rank`` on the weighted Gram G
+    with its default threshold, sigma_max(G) * p * eps; on the design
+    that is a relative singular value of about sqrt(p * eps), 4e-8 at
+    p = 7.  When G is short, the fit is redone, bit for bit, on the
+    columns ``_deficient_columns`` keeps (pivoted QR of the centred,
+    weighted design at max(rows, p) * eps relative), and the others get
+    coefficient 0.  When QR keeps every column, the same threshold is
+    applied to the eigenvalues of the equilibrated Gram D^-1/2 G D^-1/2,
+    D = diag(G), where it is relative to unit column norms and a
+    negative eigenvalue counts as zero (``_full_rank_gram``).  A design
+    whose only fault is columns of very different scale is full rank
+    there (diagonal scaling nearly minimizes the condition number, van
+    der Sluis 1969), and is solved there with the same ridge and
+    unscaled (``rescaled``).  Short there too, the design is
+    ill-conditioned, and the error gives the Gram condition number and
+    the smallest QR pivot's column.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -123,33 +139,51 @@ def fit_weighted_linear(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Li
                   else (x[active], y[active], w[active]))
     xw = xa * wa[:, None]
     gram = xa.T @ xw
+    rescaled = False
     # the jitter stabilizes borderline conditioning but cannot repair exact
     # linear dependence, so deficiency is checked on the Gram itself
     if np.linalg.matrix_rank(gram, hermitian=True) < p:
         bad, weakest = _deficient_columns(xa, np.asarray(weights, dtype=float)[active])
-        if not bad:
+        if bad:
+            kept = np.setdiff1d(np.arange(p), bad)
+            # the same QR keeps every one of these columns, so this fit drops none
+            fit = fit_weighted_linear(x[:, kept], y, weights)
+            beta, relation = np.zeros(p), np.zeros((p, len(bad)))
+            beta[kept] = fit.beta
+            q, r = np.linalg.qr(xa[:, kept])
+            relation[kept] = np.linalg.solve(r, q.T @ xa[:, bad])
+            return replace(fit, beta=beta, dropped=tuple(bad), relation=relation)
+        # QR drops a column that is zero on these rows, so here every
+        # diagonal entry is positive unless it underflowed
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        gram_s = scale[:, None] * gram * scale
+        if not (np.isfinite(scale).all() and _full_rank_gram(gram_s)):
             raise ArithmeticError(
                 "design is ill-conditioned after ridge jitter: Gram condition number "
                 f"{np.linalg.cond(gram):.3g}; pivoted QR drops no column, and its "
                 f"smallest pivot is column {weakest}")
-        kept = np.setdiff1d(np.arange(p), bad)
-        # the same QR keeps every one of these columns, so this fit drops none
-        fit = fit_weighted_linear(x[:, kept], y, weights)
-        beta, relation = np.zeros(p), np.zeros((p, len(bad)))
-        beta[kept] = fit.beta
-        q, r = np.linalg.qr(xa[:, kept])
-        relation[kept] = np.linalg.solve(r, q.T @ xa[:, bad])
-        return replace(fit, beta=beta, dropped=tuple(bad), relation=relation)
-    gram_j = gram + _RIDGE * np.eye(p)
-    rhs = xw.T @ ya
-    beta = np.linalg.solve(gram_j, rhs)
+        beta = scale * np.linalg.solve(gram_s + _RIDGE * np.eye(p), scale * (xw.T @ ya))
+        rescaled = True
+    else:
+        beta = np.linalg.solve(gram + _RIDGE * np.eye(p), xw.T @ ya)
     if not np.isfinite(beta).all():
         raise ArithmeticError("linear solve produced non-finite coefficients")
     fitted = x @ beta
     resid = y - fitted
     sigma2 = float(np.sum(w * resid * resid))
     return LinearFit(beta=beta, sigma2=sigma2, fitted=fitted,
-                     residuals=resid, weights=w)
+                     residuals=resid, weights=w, rescaled=rescaled)
+
+
+def _full_rank_gram(gram: np.ndarray) -> bool:
+    """Whether every eigenvalue of a Gram matrix exceeds matrix_rank's threshold.
+
+    The threshold is ``np.linalg.matrix_rank``'s, lambda_max * p * eps.
+    A Gram matrix is positive semidefinite, so a negative eigenvalue is
+    rounding and counts as zero; matrix_rank would take its absolute value.
+    """
+    vals = np.linalg.eigvalsh(gram)
+    return bool(vals[0] > vals[-1] * gram.shape[0] * np.finfo(float).eps)
 
 
 def _deficient_columns(x: np.ndarray, w: np.ndarray) -> Tuple[List[int], int]:

@@ -9,6 +9,7 @@ predictor step touches the intractable observation model; everything
 else is exact linear-Gaussian and Gamma algebra.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -25,8 +26,9 @@ from .conditionals import (SweepOperator, initial_prior_terms,
 from .kalman import _INIT_BLOCK_W, kalman_smoother_init
 from .system import (N_SERIES, DlmSpec, SeasonCalendar, observation_matrix,
                      transition_matrix)
-from .training import (DEFAULT_Q_HIGH, PhiContext, PhiHypercube, TrainingSet,
-                       generate_phi_training_set, sample_lambda_conditional)
+from .training import (_LIVE, DEFAULT_Q_HIGH, PhiContext, PhiHypercube,
+                       TrainingSet, _log_variances, generate_phi_training_set,
+                       sample_lambda_conditional)
 
 LambdaSampler = Callable[[PhiContext, np.ndarray, np.random.Generator],
                          np.ndarray]
@@ -92,6 +94,16 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     contexts outside its hypercube (``phi_outside_fraction``) and the
     timings book the table's localization in ``localize_seconds``;
     ``phi_outside_by_part`` gives that share in f, in q and in n alone.
+
+    Each day's predictor update gets a :class:`PhiContext` whose parts
+    are made where they change: log n_obs once per day and run, the
+    prior variances q (the same for every day of a season) checked
+    positive and finite and logged once per season and sweep, and the
+    mean per day.  The day writes its 9 live embedding coordinates into
+    a buffer fresh each sweep, and the context and the distance read
+    them from there; they are bit for bit what the public constructor
+    and ``PhiContext.embed`` give.  The summary rows are made float once,
+    at entry, and each day's row is passed as it is.
     """
     if (observations is None) == (summaries is None):
         raise ValueError("supply either observations or summaries")
@@ -170,9 +182,10 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
 
     lam_running = np.zeros((n_days, N_SERIES))
     q_off_max = 0.0
+    # each day's log sample size, the last live coordinate of its contexts
+    log_sizes = [math.log(n) for n in day_sizes]
     # the sweep's contexts, to count those outside the training hypercube:
     # in any part, then in f, in q and in n alone
-    f_days = np.empty((n_days, N_SERIES))
     q_days = np.empty((n_days, N_SERIES))
     outside = np.zeros(4, dtype=int)
 
@@ -181,17 +194,27 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         op = SweepOperator(g_mat, 1.0 / tau, f_by_season)
         q_off_max = max(q_off_max, op.off_diagonal_max)
         theta[0] = op.draw_initial(theta[1], prior, rng)
+        # each day's live phi coordinates, a fresh buffer per sweep since
+        # the contexts keep their rows; q is the same for every day of a
+        # season, so its check and logs are made on the season's first day
+        lives = np.empty((n_days, _LIVE))
+        log_q = {}
         for t in range(1, n_days + 1):
             flag = summer[t - 1]
             a = op.two_sided_mean(theta[t - 1], theta[t + 1])
             f_mean, q_diag = op.predictor_moments(a, flag)
-            phi = PhiContext(mean=f_mean, variance=q_diag,
-                             n_obs=day_sizes[t - 1])
+            if flag not in log_q:
+                log_q[flag] = _log_variances(q_diag)
+            live = lives[t - 1]
+            live[:N_SERIES] = f_mean
+            live[N_SERIES:2 * N_SERIES] = log_q[flag]
+            live[2 * N_SERIES] = log_sizes[t - 1]
+            phi = PhiContext._checked(f_mean, q_diag, day_sizes[t - 1], live)
             if lambda_sampler is not None:
                 lam = np.asarray(lambda_sampler(phi, summaries[t - 1], rng),
                                  dtype=float)
             else:
-                f_days[t - 1], q_days[t - 1] = f_mean, q_diag
+                q_days[t - 1] = q_diag
                 lam = sample_lambda_conditional(
                     phi, summaries[t - 1], training, training_config.kernel,
                     training_config.m_neighbours, rng, timings)
@@ -203,7 +226,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
             if m > config.burn_in:
                 lam_running[t - 1] += lam
         if training is not None:
-            in_f, in_q, in_n = cube.inside_by_part(f_days, q_days, n_obs)
+            in_f, in_q, in_n = cube.inside_by_part(lives[:, :N_SERIES], q_days, n_obs)
             outside += n_days - np.count_nonzero(
                 (in_f & in_q & in_n, in_f, in_q, in_n), axis=1)
         theta[n_days + 1] = op.draw_terminal(theta[n_days], rng)

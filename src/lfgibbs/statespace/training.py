@@ -51,28 +51,48 @@ class PhiContext:
     """One-step context of a predictor update: prior moments and size.
 
     variance holds the diagonal of the predictor's one-step covariance;
-    n_obs is the day's sample size, a positive whole number.
+    n_obs is the day's sample size, a positive whole number.  The 9 live
+    coordinates of the embedding are made once, at construction.
     """
 
     mean: np.ndarray
     variance: np.ndarray
     n_obs: int
+    _live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         var = np.asarray(self.variance, dtype=float)
         if mean.shape != (N_SERIES,) or var.shape != (N_SERIES,):
             raise ValueError(f"mean and variance must be length {N_SERIES}")
-        # one context per day and sweep: four scalar tests beat the
-        # numpy reductions at this size, and NaN fails them as it fails
-        # the positive-and-finite rule
-        if not all(0.0 < v < math.inf for v in var.tolist()):
-            raise ValueError("prior variances must be positive and finite")
+        log_var = _log_variances(var)
         n_obs = _whole_number(self.n_obs, "n_obs")
         if n_obs < 1:
             raise ValueError("n_obs must be positive")
-        for attr, val in (("mean", mean), ("variance", var), ("n_obs", n_obs)):
+        live = np.empty(_LIVE)
+        live[:N_SERIES] = mean
+        live[N_SERIES:2 * N_SERIES] = log_var
+        live[2 * N_SERIES] = math.log(n_obs)
+        for attr, val in (("mean", mean), ("variance", var), ("n_obs", n_obs),
+                          ("_live", live)):
             object.__setattr__(self, attr, val)
+
+    @classmethod
+    def _checked(cls, mean: np.ndarray, variance: np.ndarray, n_obs: int,
+                 live: np.ndarray) -> "PhiContext":
+        """A context whose fields the caller has already checked.
+
+        mean and variance are float arrays of length 4, variance passed
+        :func:`_log_variances` and n_obs is a positive int; live holds
+        the embedding's 9 live coordinates, the mean, the log variances
+        and log n_obs computed as the public constructor computes them.
+        The sweep builds its contexts this way, one per day, with the
+        parts that change once per sweep or run made once there.
+        """
+        phi = object.__new__(cls)
+        # the instance dict, as object.__setattr__ would fill it
+        vars(phi).update(mean=mean, variance=variance, n_obs=n_obs, _live=live)
+        return phi
 
     def embed(self) -> np.ndarray:
         """13-coordinate embedding used by the phi distance.
@@ -81,10 +101,19 @@ class PhiContext:
         stay zero.
         """
         out = np.zeros(PHI_DIM)
-        out[:N_SERIES] = self.mean
-        out[N_SERIES:2 * N_SERIES] = np.log(self.variance)
-        out[2 * N_SERIES] = math.log(self.n_obs)
+        out[:_LIVE] = self._live
         return out
+
+
+def _log_variances(variance: np.ndarray) -> np.ndarray:
+    """np.log of a context's prior variances, which must be positive and finite.
+
+    Four scalar tests beat the numpy reductions at this size, and NaN
+    fails them as it fails the rule.
+    """
+    if not all(0.0 < v < math.inf for v in variance.tolist()):
+        raise ValueError("prior variances must be positive and finite")
+    return np.log(variance)
 
 
 @dataclass(frozen=True)
@@ -306,13 +335,15 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
 
     The covariance is taken about zero: the pairs are already centered
     by their own prior means, which is the moment the linear Bayes step
-    conditions on.
+    conditions on.  The distance reads the context's 9 live coordinates
+    as made at its construction, and the covariance and the pool's
+    weights are divided by their total in place.
     """
-    d = scaled_distance(training.live_embedded, phi_star.embed()[:_LIVE],
+    d = scaled_distance(training.live_embedded, phi_star._live,
                         training.live_scaling)
     h = knn_bandwidth(d, m)
     weights = kernel_weight(d, kernel.with_bandwidth(h))
-    pool = np.flatnonzero(weights > 0)
+    pool = (weights > 0).nonzero()[0]
     if pool.size < _MIN_POSITIVE:
         raise ValueError(
             f"only {pool.size} training pairs have positive "
@@ -320,8 +351,10 @@ def _localize(training: TrainingSet, phi_star: PhiContext,
     z = training.centered_pairs[pool]
     w = weights[pool]
     total = w.sum()
-    omega = (z * w[:, None]).T @ z / total
-    return omega, pool, w / total
+    omega = (z * w[:, None]).T @ z
+    omega /= total
+    w /= total
+    return omega, pool, w
 
 
 def _gain(omega: np.ndarray) -> np.ndarray:
@@ -380,14 +413,23 @@ def sample_lambda_conditional(phi_star: PhiContext, s_obs: np.ndarray,
     the residuals keep the training pairs' own scale and are not
     rescaled to the conditional covariance.  The localization time is
     added to ``timings.localize_seconds`` when timings are given.
+
+    The distance to the training contexts reads phi_star's 9 live
+    embedding coordinates as they were made when the context was built,
+    so a sweep that builds them once per season and run pays only for the
+    day's mean here.  s_obs is the day's 4 observed summaries; it enters
+    only as its innovation s_obs - mean, which is formed without a
+    converted copy and must have shape (4,).
     """
-    s_obs = np.asarray(s_obs, dtype=float).reshape(N_SERIES)
+    innovation = s_obs - phi_star.mean
+    if innovation.shape != (N_SERIES,):
+        raise ValueError(f"s_obs must hold {N_SERIES} summaries")
     t_loc = time.perf_counter()
     omega, pool, probs = _localize(training, phi_star, kernel, m)
     if timings is not None:
         timings.localize_seconds += time.perf_counter() - t_loc
     gain = _gain(omega)
-    mean = phi_star.mean + gain @ (s_obs - phi_star.mean)
+    mean = phi_star.mean + gain @ innovation
     k = pool[_choice_index(probs, rng)]
     fitted = training.phi_means[k] + gain @ training.centered_pairs[k, N_SERIES:]
     return mean + (training.predictors[k] - fitted)

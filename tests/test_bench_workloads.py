@@ -52,3 +52,18 @@ def test_statespace_bench_chain_pinned(tmp_path):
     inputs = dict(workloads.statespace_inputs(0), seed=0)
     rep = workloads.statespace_run(inputs, tmp_path)
     assert workloads.digest(rep.output.states) == "594f78b0c3dd66ab"
+
+
+def test_hier_local_seed_with_scale_bound_tau_x_design_passes(tmp_path, monkeypatch):
+    # at this seed a tau_x design's raw Gram is short only because its
+    # symmetric-statistic column is about 1e7 times the others; the fit
+    # is solved on the equilibrated Gram and the run passes the bench's
+    # own check (a seed without a reference: finite, under the ceilings)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    assert run.load_reference("hier-local", 103) is None
+    workload = workloads.WORKLOADS["hier-local"]
+    inputs = dict(workload.make_inputs(103), seed=103)
+    rep = workload.run(inputs, tmp_path)
+    result = workloads.check(workload, inputs, workload.oracle(inputs), None, rep.output, None)
+    assert result["ok"], result
+    assert rep.output.diagnostics["fit_health"]["tau_x"]["fits_rescaled"] > 0

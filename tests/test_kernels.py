@@ -64,6 +64,40 @@ class TestKernelWeight:
             np.testing.assert_array_equal(got, direct)
             assert not np.signbit(got).any()
 
+    @pytest.mark.parametrize("kind", ["uniform", "epanechnikov"])
+    @pytest.mark.parametrize("h", [float(np.finfo(float).tiny), 1e-3, 0.7, 2.0, 1e200,
+                                   math.inf])
+    def test_matches_the_allocating_formula_bit_for_bit(self, kind, h):
+        # the oracle is the formula with a fresh array per step; the
+        # kernel runs the same steps in one buffer
+        def oracle(distance):
+            d = np.asarray(distance, dtype=float)
+            if math.isinf(h):
+                out = np.ones_like(d)
+            elif kind == "uniform":
+                out = (d < h).astype(float)
+            else:
+                u = np.minimum(d, h) / h
+                out = 1.0 - u * u
+            return float(out) if np.ndim(distance) == 0 else out
+
+        rng = np.random.default_rng(23)
+        scale = 1.0 if math.isinf(h) else h
+        spread = rng.exponential(scale, size=500)
+        ties = np.array([0.0, 0.5 * scale, np.nextafter(scale, 0), scale,
+                         np.nextafter(scale, np.inf), 2 * scale, np.inf])
+        spec = KernelSpec(kind, h)
+        for d in (spread, ties, spread.reshape(20, 25), spread[::3], np.empty(0)):
+            original = d.copy()
+            got, want = kernel_weight(d, spec), oracle(d)
+            assert isinstance(got, np.ndarray) and got.shape == d.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(d, original)  # the input is only read
+        for scalar in (*ties.tolist(), np.float64(0.3 * scale), np.array(0.9 * scale)):
+            got, want = kernel_weight(scalar, spec), oracle(scalar)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             kernel_weight(-0.1, KernelSpec("uniform", 1.0))

@@ -130,21 +130,55 @@ class TestWeightedLinear:
         assert "offending" not in str(err.value)
 
     def test_raises_where_the_gram_rank_test_fails(self):
-        # the message changed, the cases did not: it raises exactly when
-        # the eigenvalue rank of the weighted Gram falls short
+        # it raises exactly when the eigenvalue rank of the weighted Gram
+        # falls short, pivoted QR drops no column, and the equilibrated
+        # Gram D^-1/2 G D^-1/2 (D = diag G) falls short too; a Gram is
+        # positive semidefinite, so there a negative eigenvalue counts as
+        # zero (at eps = 1e-10 the smallest is -6.7e-16 of the largest,
+        # which matrix_rank's absolute value would count as full rank)
         rng = np.random.default_rng(1)
         n = 500
         t, u = rng.uniform(size=n), rng.normal(size=n)
         for eps in 10.0 ** -np.arange(4.0, 12.0, 0.5):
             x = np.column_stack([np.ones(n), t, t + eps * u])
             gram = x.T @ (x * np.full(n, 1.0 / n)[:, None])
-            short = np.linalg.matrix_rank(gram, hermitian=True) < 3
+            scale = 1.0 / np.sqrt(np.diag(gram))
+            vals = np.linalg.eigvalsh(scale[:, None] * gram * scale)
+            short = (np.linalg.matrix_rank(gram, hermitian=True) < 3
+                     and vals[0] <= vals[-1] * 3 * np.finfo(float).eps)
             try:
-                fit_weighted_linear(x, u, np.ones(n))
+                fit = fit_weighted_linear(x, u, np.ones(n))
                 raised = False
             except ArithmeticError:
                 raised = True
             assert raised == short, eps
+            assert raised or fit.dropped == ()
+
+    @pytest.mark.parametrize("zeros", [0, 40])
+    def test_columns_of_very_different_scale_fit_on_the_equilibrated_gram(self, zeros):
+        # one column about 1e8 times the others, as the hierarchy's
+        # symmetric statistic is beside its group means: the raw Gram's
+        # eigenvalue rank is short, the design is not, and the fit agrees
+        # with least squares on sqrt(w) x
+        rng = np.random.default_rng(9)
+        n = 500
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, 2)),
+                             1e8 * (1.0 + 0.1 * rng.normal(size=n))])
+        y = x @ np.array([0.5, -1.0, 2.0, 3e-8]) + 0.1 * rng.normal(size=n)
+        w = rng.uniform(0.5, 1.5, size=n)
+        w[:zeros] = 0.0
+        wn = w / w.sum()
+        gram = x.T @ (x * wn[:, None])
+        assert np.linalg.matrix_rank(gram, hermitian=True) < 4
+        fit = fit_weighted_linear(x, y, w)
+        assert fit.rescaled and fit.dropped == ()
+        root = np.sqrt(wn)
+        want = np.linalg.lstsq(x * root[:, None], y * root, rcond=None)[0]
+        np.testing.assert_allclose(fit.beta, want, rtol=1e-7)
+        np.testing.assert_array_equal(fit.fitted, x @ fit.beta)
+        assert fit.sigma2 == pytest.approx(float(wn @ (y - x @ want) ** 2), rel=1e-9)
+        # a well-scaled design keeps the plain solve
+        assert not fit_weighted_linear(x[:, :3], y, w).rescaled
 
     def test_zero_weights_rejected(self):
         x = np.ones((5, 1))

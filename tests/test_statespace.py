@@ -922,6 +922,25 @@ class TestSampleLambda:
                                       np.random.default_rng(9))
         assert np.array_equal(a, b)
 
+    def test_observed_summaries_enter_as_four_values(self):
+        # a list or an integer array gives the float array's draw; a
+        # shape other than (4,) is refused before the table is localized
+        rng = np.random.default_rng(26)
+        f = rng.normal(size=(200, 4))
+        z = 0.01 * rng.normal(size=(200, 8))
+        ts = TrainingSet(phi_means=f, phi_variances=np.full((200, 4), 1e-6),
+                         phi_n=np.full(200, 400), predictors=f + z[:, :4],
+                         summaries=f + z[:, 4:])
+        phi = PhiContext(np.zeros(4), np.full(4, 1e-6), 400)
+        kern = KernelSpec("epanechnikov")
+        want = sample_lambda_conditional(phi, np.array([1.0, 0.0, -1.0, 2.0]), ts, kern,
+                                         50, np.random.default_rng(3))
+        for s_obs in ([1, 0, -1, 2], np.array([1, 0, -1, 2])):
+            got = sample_lambda_conditional(phi, s_obs, ts, kern, 50, np.random.default_rng(3))
+            assert got.tobytes() == want.tobytes()
+        for s_obs in (np.ones(3), np.ones((1, 4)), np.ones((4, 1)), np.ones(8)):
+            with pytest.raises(ValueError):
+                sample_lambda_conditional(phi, s_obs, ts, kern, 50, rng)
 
     def test_choice_index_replays_generator_choice(self):
         # the same index as Generator.choice from the same one double, so
@@ -1102,6 +1121,32 @@ class TestSamplerValidation:
                                   ChainConfig(2), np.random.default_rng(0),
                                   summaries=self.s, n_obs=self.n,
                                   lambda_sampler=self.stub, fix_tau=0.0)
+
+    @pytest.mark.parametrize("path", ["training", "lambda_sampler"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf])
+    def test_forced_bad_predictor_variance_raises(self, bad, path, monkeypatch):
+        # the sweep checks q once per season and sweep, where it takes it
+        # from the operator; a bad q from the second sweep on still raises
+        original = SweepOperator.predictor_moments
+        calls = []
+
+        def moments(op, a, season):
+            f_mean, q_diag = original(op, a, season)
+            calls.append(season)
+            if len(calls) > self.cal.n_days:
+                q_diag = q_diag.copy()
+                q_diag[2] = bad
+            return f_mean, q_diag
+
+        monkeypatch.setattr(SweepOperator, "predictor_moments", moments)
+        kwargs = (dict(lambda_sampler=self.stub, fix_tau=100.0) if path == "lambda_sampler"
+                  else {})
+        with pytest.raises(ValueError, match="prior variances must be positive and finite"):
+            run_state_space_gibbs(self.spec, self.cal,
+                                  TrainingConfig(n_pairs=60, m_neighbours=30),
+                                  ChainConfig(3), np.random.default_rng(0),
+                                  summaries=self.s, n_obs=self.n, **kwargs)
+        assert len(calls) == self.cal.n_days + 1
 
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 0])
     def test_n_obs_must_be_positive_whole_sizes(self, bad):
@@ -1326,6 +1371,35 @@ class TestSamplerTrainingPath:
             live = scaled_distance(ts.live_embedded, phi.embed()[:9], ts.live_scaling)
             full = scaled_distance(ts.embedded, phi.embed(), ts.scaling)
             assert live.tobytes() == full.tobytes()
+
+    def test_live_coordinates_are_the_public_embedding(self, monkeypatch):
+        # the sweep builds each context from coordinates it caches per
+        # sweep and per run; each day's distance query, and each context
+        # after the chain has ended, are bit for bit the 9 live
+        # coordinates the public constructor embeds
+        seen, queries = [], []
+
+        def spy(phi, *args):
+            seen.append(phi)
+            return sample_lambda_conditional(phi, *args)
+
+        def spy_distance(a, b, scaling):
+            queries.append(b.copy())
+            return scaled_distance(a, b, scaling)
+
+        monkeypatch.setattr("lfgibbs.statespace.sampler.sample_lambda_conditional", spy)
+        monkeypatch.setattr(training, "scaled_distance", spy_distance)
+        assert digest(self._short_chain().states) == "79fbdaf1cac84bae"
+        assert len(seen) == len(queries) == 6 * 20
+
+        def bits(a):
+            return np.asarray(a, dtype=float).view(np.uint64)
+
+        for phi, query in zip(seen, queries):
+            public = PhiContext(phi.mean, phi.variance, phi.n_obs)
+            np.testing.assert_array_equal(bits(query), bits(public.embed()[:9]))
+            np.testing.assert_array_equal(bits(phi.embed()), bits(public.embed()))
+            assert type(phi) is PhiContext and type(phi.n_obs) is int
 
     def test_outside_share_by_part_counts_each_context(self, monkeypatch):
         # the shares against a count of the visited contexts, one at a time
