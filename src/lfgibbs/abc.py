@@ -182,8 +182,8 @@ class ReferenceTable:
         n = self.theta.shape[0]
         if self.summaries.shape[0] != n or self.weights.shape != (n,):
             raise ValueError("inconsistent table row counts")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ValueError("weights must be finite and non-negative")
         if not self.theta_names:
             self.theta_names = _default_names(self.theta.shape[1])
 

@@ -161,6 +161,14 @@ class GibbsConfig(ChainConfig):
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float).copy()
         super().__post_init__()
+        # the table length bounds both counts only when an engine runs
+        self.m_neighbours = _whole_number(self.m_neighbours, "m_neighbours")
+        if self.m_neighbours < 1:
+            raise ValueError("m_neighbours must be at least 1")
+        if self.global_m is not None:
+            self.global_m = _whole_number(self.global_m, "global_m")
+            if self.global_m < 1:
+                raise ValueError("global_m must be None or at least 1")
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Smoothing kernels, scaled distances and the one table localizer.
 
 Conventions used throughout the package:
-  - distances are non-negative scalars produced by ``scaled_distance``,
+  - the engines localize on non-negative squared distances through
+    ``localize``, which takes roots only on the Epanechnikov kernel's kept
+    rows, as the uniform kernel weights every kept row 1;
+    ``scaled_distance`` now serves only the phi localization of the
+    state-space sampler and the one-row kernel of ABC-PaSS, the ABC-MCMC
+    comparator,
   - kernels are unnormalized (only weight ratios matter downstream),
-  - an infinite bandwidth is legal and makes every sample weight equal,
-  - ``localize`` weights a table from squared distances; it takes roots
-    only on the Epanechnikov kernel's kept rows, as the uniform kernel
-    weights every kept row 1.
+  - an infinite bandwidth is legal and makes every sample weight equal.
 
 The kNN bandwidth of m rows needs the m-th smallest squared distance.  On
 a table of at least 16 m rows ``localize`` brackets it from a sample, as
@@ -159,8 +161,8 @@ class DistanceScaling:
             w = np.asarray(weights, dtype=float)
             if w.shape != (x.shape[0],):
                 raise ValueError("weights must match the number of rows")
-            if np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("weights must be non-negative with positive sum")
+            if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
+                raise ValueError("weights must be finite and non-negative with positive sum")
             w = w / w.sum()
         mean = w @ x
         var = w @ (x - mean) ** 2

@@ -421,8 +421,8 @@ class FlexibleFit:
 
 def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
                                  weights: np.ndarray,
-                                 positive_response: bool = False,
-                                 rng: Optional[np.random.Generator] = None) -> FlexibleFit:
+                                 positive_response: bool = False, *,
+                                 rng: np.random.Generator) -> FlexibleFit:
     """Two-stage flexible fit: mean network, then variance network.
 
     Stage one regresses the response on the features with a 16-unit tanh
@@ -430,7 +430,8 @@ def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
     the squared stage-one residuals with the same architecture and an exp
     output link; the predicted variance is floored at 1e-8 before taking
     square roots.  Each network trains for 2 000 full-batch epochs.  Needs
-    at least 50 positive-weight rows.
+    at least 50 positive-weight rows.  ``rng`` draws both networks' starting
+    weights; the caller passes it, so no fit hides a fixed seed.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -442,8 +443,6 @@ def fit_flexible_heteroscedastic(x: np.ndarray, y: np.ndarray,
     if int(active.sum()) < _MIN_FLEX_ROWS:
         raise ValueError(f"need at least {_MIN_FLEX_ROWS} positive-weight rows, "
                          f"got {int(active.sum())}")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     xa, ya = x[active], y[active]
     wa = w[active] / w[active].sum()

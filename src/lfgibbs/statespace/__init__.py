@@ -3,13 +3,14 @@
 One public path per step: ``system`` builds the 36-dim layout (the day-t
 maps are ``observation_matrix(calendar.is_summer(t))`` and
 ``transition_matrix()``), ``SweepOperator`` makes every state draw of a
-sweep, ``sample_lambda_conditional`` draws the predictor from the
+sweep (the pre-sample one by ``SweepOperator.draw_initial`` from the
+prior terms ``conditionals.initial_prior_terms`` builds once per run),
+``sample_lambda_conditional`` draws the predictor from the
 localized phi-training set, ``kalman_smoother_init`` gives the starting
 path and ``run_state_space_gibbs`` runs the sweeps.
 """
 
-from .conditionals import (SweepOperator, initial_state_conditional,
-                           innovation_precision_conditional)
+from .conditionals import SweepOperator, innovation_precision_conditional
 from .kalman import block_kalman_smoother, kalman_smoother_init
 from .sampler import (ChainConfig, TrainingConfig, run_state_space_gibbs,
                       summarize_observations)
@@ -34,7 +35,6 @@ __all__ = [
     "block_kalman_smoother",
     "block_transition",
     "generate_phi_training_set",
-    "initial_state_conditional",
     "innovation_precision_conditional",
     "kalman_smoother_init",
     "observation_block",

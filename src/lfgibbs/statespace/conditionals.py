@@ -6,99 +6,49 @@ sweep operator also exposes the one-step moments (f, q) of the linear
 predictor, which the likelihood-free update conditions on.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 
-def _cov_dense(w, p: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 0:
-        return np.eye(p) * float(w)
-    if w.ndim == 1:
-        if w.shape != (p,):
-            raise ValueError(f"variance vector must have length {p}")
-        return np.diag(w)
-    if w.shape != (p, p):
-        raise ValueError(f"covariance must be {p}x{p}")
-    return w
+def _inverse_variances(w: np.ndarray) -> np.ndarray:
+    """The inverse of a diagonal covariance, given as its variances.
 
-
-def _inverse_cov(w, p: int) -> np.ndarray:
-    """Inverse of ``_cov_dense(w, p)``.
-
-    A scalar or vector w is a diagonal covariance and is inverted entry
-    by entry: for positive variances that is bit for bit the LU inverse
-    ``np.linalg.inv`` computes, which divides only on the diagonal.  A
-    zero variance raises, as the LU inverse does.
+    Entry by entry: for positive variances that is bit for bit the
+    diagonal of the LU inverse ``np.linalg.inv`` computes, which divides
+    only on the diagonal.  A zero variance raises, as the LU inverse does.
     """
-    if np.ndim(w) > 1:
-        return np.linalg.inv(_cov_dense(w, p))
-    return np.diag(_inverse_variances(w, p))
-
-
-def _inverse_variances(w, p: int) -> np.ndarray:
-    """The diagonal of ``_inverse_cov(w, p)`` for a scalar or vector w."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1 and w.shape != (p,):
-        raise ValueError(f"variance vector must have length {p}")
     if (w == 0).any():
         raise np.linalg.LinAlgError("Singular matrix")
-    return np.broadcast_to(1.0 / w, (p,))
+    return 1.0 / w
 
 
-def initial_prior_terms(m0: Optional[np.ndarray], c0, p: int
+def initial_prior_terms(m0: np.ndarray, c0_diag: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """The N(m0, C0) initial-state prior as information: C0^-1 and
-    C0^-1 m0 (m0=None is the zero mean).
+    """The N(m0, diag(c0_diag)) initial-state prior as information:
+    C0^-1 and C0^-1 m0.
 
     They do not change over a run, so a sampler builds them once and
     hands them to every :meth:`SweepOperator.draw_initial`.
     """
-    c0_inv = _inverse_cov(c0, p)
-    return c0_inv, c0_inv @ (np.zeros(p) if m0 is None
-                             else np.asarray(m0, dtype=float))
+    c0_inv = np.diag(_inverse_variances(c0_diag))
+    return c0_inv, c0_inv @ m0
 
 
-def initial_state_conditional(theta_next: np.ndarray, w,
-                              g_mat: np.ndarray,
-                              m0: Optional[np.ndarray] = None,
-                              c0=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditional of the pre-sample state given theta_1.
-
-    Combines the N(m0, C0) prior with the backward information from the
-    first transition.  c0=None takes the diffuse limit (the prior term
-    drops out entirely and m0 is ignored).
-    """
-    theta_next = np.asarray(theta_next, dtype=float)
-    prior = (None if c0 is None
-             else initial_prior_terms(m0, c0, theta_next.size))
-    return _initial_moments(theta_next, w, g_mat, prior)
-
-
-def _initial_moments(theta_next: np.ndarray, w, g_mat: np.ndarray,
-                     prior: Optional[Tuple[np.ndarray, np.ndarray]]
+def _initial_moments(theta_next: np.ndarray, w: np.ndarray, g_mat: np.ndarray,
+                     prior: Tuple[np.ndarray, np.ndarray]
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """initial_state_conditional with the prior given by
-    :func:`initial_prior_terms`, or None for the diffuse limit."""
-    theta_next = np.asarray(theta_next, dtype=float)
-    p = theta_next.size
-    g = np.asarray(g_mat, dtype=float).reshape(p, p)
-    if np.ndim(w) > 1:
-        w_inv = _inverse_cov(w, p)
-        info = g.T @ w_inv @ g
-        shift = g.T @ (w_inv @ theta_next)
-    else:
-        # g.T @ diag(w_inv) has one nonzero product per entry, so scaling
-        # the columns of g.T gives its bits without the dense diagonal; it
-        # is built C-ordered like the product, as BLAS sums a transposed
-        # operand in another order
-        w_inv = _inverse_variances(w, p)
-        info = np.multiply(g.T, w_inv, order="C") @ g
-        shift = g.T @ (w_inv * theta_next)
-    if prior is not None:
-        info = info + prior[0]
-        shift = shift + prior[1]
+    """Gaussian conditional of the pre-sample state given theta_1: the
+    prior of :func:`initial_prior_terms` plus the backward information
+    of the first transition, whose innovation variances are the vector w.
+    """
+    # g.T @ diag(w_inv) has one nonzero product per entry, so scaling the
+    # columns of g.T gives its bits without the dense diagonal; it is
+    # built C-ordered like the product, as BLAS sums a transposed operand
+    # in another order
+    w_inv = _inverse_variances(w)
+    info = np.multiply(g_mat.T, w_inv, order="C") @ g_mat + prior[0]
+    shift = g_mat.T @ (w_inv * theta_next) + prior[1]
     cov = np.linalg.inv(info)
     cov = 0.5 * (cov + cov.T)
     return cov @ shift, cov

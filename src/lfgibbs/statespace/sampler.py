@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ..abc import _whole_number
 from ..gibbs import ChainConfig, ChainOutput, TimingBreakdown, _run_sweeps
 # summarize_observations looks estimate_gk up here, once per day, so
 # that the benchmark trace (perfbench/tracing.py) can wrap this module's
@@ -45,6 +46,8 @@ class TrainingConfig:
     hypercube: Optional[PhiHypercube] = None
 
     def __post_init__(self):
+        for name in ("n_pairs", "m_neighbours"):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name))
         if not 1 <= self.m_neighbours <= self.n_pairs:
             raise ValueError("m_neighbours must be in [1, n_pairs]")
 
@@ -74,9 +77,7 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
                           summaries: Optional[np.ndarray] = None,
                           n_obs: Optional[np.ndarray] = None,
                           lambda_sampler: Optional[LambdaSampler] = None,
-                          fix_tau=None,
-                          initial: Optional[np.ndarray] = None
-                          ) -> ChainOutput:
+                          fix_tau=None) -> ChainOutput:
     """Run the sampler and return the retained chain.
 
     Data enter either as raw per-day observation arrays or as
@@ -85,8 +86,8 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
     coordinates each) followed by the p innovation precisions.
     lambda_sampler overrides the training-table predictor draw (the
     exact-conditional special cases use this); fix_tau pins the
-    precisions and skips their updates.  Without ``initial``, the path
-    starts at the Kalman smoother run with block variance 1e-4 and, as
+    precisions and skips their updates.  The path starts at
+    :func:`kalman_smoother_init`, run with block variance 1e-4 and, as
     observation variance, the midpoint of the hypercube's range (the
     diagnostics ``init_block_w`` and ``init_obs_variance``).  A
     non-finite draw aborts with the offending day and sweep.  With the
@@ -141,27 +142,16 @@ def run_state_space_gibbs(spec: DlmSpec, calendar: SeasonCalendar,
         timings.pre_fit_count = training_config.n_pairs + training.redraw_count
         timings.pre_fit_seconds = training.estimate_seconds
 
-    init_obs_variance = 0.5 * (cube.q_low + cube.q_high)
-    if initial is None:
-        path0 = kalman_smoother_init(summaries, calendar, spec,
-                                     obs_variance=init_obs_variance)
-    else:
-        path0 = np.asarray(initial, dtype=float)
-        if path0.shape == (n_days + 1, p):
-            pass
-        elif path0.shape == (n_days + 2, p):
-            path0 = path0[:n_days + 1]
-        else:
-            raise ValueError(f"initial path must be ({n_days + 1}, {p})")
-
     f_by_season = {flag: observation_matrix(flag) for flag in (False, True)}
     g_mat = transition_matrix()
     summer = [calendar.is_summer(t) for t in range(1, n_days + 1)]
     day_sizes = [int(n) for n in n_obs]
-    prior = initial_prior_terms(spec.m0, spec.c0_diag, p)
+    prior = initial_prior_terms(spec.m0, spec.c0_diag)
 
+    init_obs_variance = 0.5 * (cube.q_low + cube.q_high)
     theta = np.empty((n_days + 2, p))
-    theta[:n_days + 1] = path0
+    theta[:n_days + 1] = kalman_smoother_init(summaries, calendar, spec,
+                                              obs_variance=init_obs_variance)
     theta[n_days + 1] = g_mat @ theta[n_days]
 
     if fix_tau is not None:

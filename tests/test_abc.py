@@ -99,6 +99,18 @@ class TestReferenceTable:
             ReferenceTable.from_npz(path,
                                     expected_fingerprint=identity_model().fingerprint())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_weights_must_be_finite_and_non_negative(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            ReferenceTable(np.zeros((3, 1)), np.zeros((3, 1)), [1.0, bad, 1.0])
+        # a file is checked as it is read
+        table = simulate_reference_table(identity_model(), 3, seed=9)
+        table.weights[1] = bad
+        path = str(tmp_path / "table.npz")
+        table.to_npz(path)
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            ReferenceTable.from_npz(path)
+
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             simulate_reference_table(identity_model(), 0, seed=1)

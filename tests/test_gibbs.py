@@ -73,18 +73,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GibbsConfig(n_iterations=10, initial=np.zeros(1), thinning=0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5])
-    @pytest.mark.parametrize("name", ["n_iterations", "burn_in", "thinning"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.5, True])
+    @pytest.mark.parametrize("name", ["n_iterations", "burn_in", "thinning",
+                                      "m_neighbours", "global_m"])
     def test_schedule_must_be_whole(self, name, bad):
         sizes = dict(n_iterations=10, burn_in=1, thinning=1)
         sizes[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             GibbsConfig(initial=np.zeros(1), **sizes)
 
+    @pytest.mark.parametrize("name", ["m_neighbours", "global_m"])
+    def test_counts_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            GibbsConfig(n_iterations=10, initial=np.zeros(1), **{name: 0})
+
     def test_schedule_takes_numpy_integers(self):
         config = GibbsConfig(n_iterations=np.int64(10), burn_in=np.int32(2),
-                             thinning=np.uint8(2), initial=np.zeros(1))
+                             thinning=np.uint8(2), initial=np.zeros(1),
+                             m_neighbours=np.int64(3), global_m=np.uint16(4))
         assert (config.n_iterations, config.burn_in, config.thinning) == (10, 2, 2)
+        assert (config.m_neighbours, config.global_m) == (3, 4)
+        assert (type(config.m_neighbours), type(config.global_m)) == (int, int)
         specs = [ConditionalSpec(name="a", members=(0,), exact=lambda t, m, r: 1.0)]
         out = run_exact_gibbs(specs, config, np.random.default_rng(0))
         assert out.states.shape == (4, 1)

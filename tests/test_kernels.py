@@ -190,6 +190,14 @@ class TestDistanceScaling:
         s = DistanceScaling.from_samples(x)
         assert s.scales[0] == pytest.approx(1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_weights_must_be_finite_and_non_negative(self, bad):
+        x = np.arange(6.0).reshape(3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+                DistanceScaling.from_samples(x, np.array([1.0, bad, 1.0]))
+
     def test_weighted_std(self):
         x = np.array([[0.0], [1.0]])
         w = np.array([0.5, 0.5])

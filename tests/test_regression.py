@@ -445,7 +445,8 @@ class TestFlexibleHeteroscedastic:
     def test_too_few_rows(self):
         x = np.ones((30, 1))
         with pytest.raises(ValueError):
-            fit_flexible_heteroscedastic(x, np.ones(30), np.ones(30))
+            fit_flexible_heteroscedastic(x, np.ones(30), np.ones(30),
+                                         rng=np.random.default_rng(0))
 
     def test_positive_response_link(self):
         rng = np.random.default_rng(22)

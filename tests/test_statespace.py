@@ -30,7 +30,6 @@ from lfgibbs.statespace import (
     block_kalman_smoother,
     block_transition,
     generate_phi_training_set,
-    initial_state_conditional,
     innovation_precision_conditional,
     kalman_smoother_init,
     observation_block,
@@ -210,50 +209,45 @@ class TestSystemMatrices:
 
 
 class TestInitialStateConditional:
-    def test_diffuse_identity_transition(self):
-        theta1 = np.array([3.0, -1.0])
-        w = np.array([2.0, 5.0])
-        mean, cov = initial_state_conditional(theta1, w, np.eye(2))
-        np.testing.assert_allclose(mean, theta1, atol=1e-12)
-        np.testing.assert_allclose(cov, np.diag(w), atol=1e-12)
-
     def test_unit_everything_halves(self):
-        theta1 = np.ones(3)
-        mean, cov = initial_state_conditional(theta1, 1.0, np.eye(3),
-                                              np.zeros(3), 1.0)
+        prior = conditionals.initial_prior_terms(np.zeros(3), np.ones(3))
+        mean, cov = conditionals._initial_moments(np.ones(3), np.ones(3), np.eye(3), prior)
         np.testing.assert_allclose(mean, 0.5 * np.ones(3), atol=1e-12)
         np.testing.assert_allclose(cov, 0.5 * np.eye(3), atol=1e-12)
 
     def test_scalar_hand_case(self):
         # g=2, w=1, c0=4, m0=1, theta1=3: precision 4 + 1/4, shift 1/4 + 6
-        mean, cov = initial_state_conditional(
-            np.array([3.0]), np.array([1.0]), np.array([[2.0]]),
-            np.array([1.0]), np.array([4.0]))
+        prior = conditionals.initial_prior_terms(np.array([1.0]), np.array([4.0]))
+        mean, cov = conditionals._initial_moments(
+            np.array([3.0]), np.array([1.0]), np.array([[2.0]]), prior)
         assert cov[0, 0] == pytest.approx(4.0 / 17.0, rel=1e-12)
         assert mean[0] == pytest.approx(25.0 / 17.0, rel=1e-12)
 
     def test_diagonal_inverse_is_the_lu_inverse(self):
-        # a diagonal covariance is inverted entry by entry, bit for bit
-        # what np.linalg.inv gives for positive variances of any size
+        # variances are inverted entry by entry, bit for bit what
+        # np.linalg.inv gives for positive variances of any size
         gen = np.random.default_rng(12)
         for case in range(2000):
             p = int(gen.integers(1, 40))
             w = 10.0 ** gen.uniform(-300, 300, size=p) if case % 2 \
                 else gen.uniform(1e-9, 10.0, size=p)
-            for cov in (w, w[0]):
-                got = conditionals._inverse_cov(cov, p)
-                want = np.linalg.inv(conditionals._cov_dense(cov, p))
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-        full = np.array([[2.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_array_equal(conditionals._inverse_cov(full, 2),
-                                      np.linalg.inv(full))
-        for singular in (np.array([1.0, 0.0, 2.0]), 0.0):
-            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-                conditionals._inverse_cov(singular, 3)
+            m0 = gen.normal(size=p)
+            want = np.linalg.inv(np.diag(w))
+            got = np.diag(conditionals._inverse_variances(w))
+            c0_inv, c0_inv_m0 = conditionals.initial_prior_terms(m0, w)
+            for inverse in (got, c0_inv):
+                assert np.array_equal(inverse, want)
+                assert np.array_equal(np.signbit(inverse), np.signbit(want))
+            assert np.array_equal(c0_inv_m0, want @ m0)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            conditionals._inverse_variances(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            conditionals._initial_moments(np.ones(3), np.array([1.0, 0.0, 2.0]), np.eye(3),
+                                          conditionals.initial_prior_terms(np.zeros(3),
+                                                                           np.ones(3)))
 
     def test_diagonal_variances_scale_the_columns_bit_for_bit(self):
-        # a scalar or vector w gives the moments of the dense product
+        # vector variances w give the moments of the dense product
         # g.T @ diag(1/w) @ g, bit for bit, on dense and block-sparse g
         gen = np.random.default_rng(13)
         for case in range(200):
@@ -263,20 +257,17 @@ class TestInitialStateConditional:
                 g = np.kron(gen.normal(size=(9, 9)), np.eye(4))
             w = gen.uniform(1e-3, 10.0, size=p)
             theta = gen.normal(size=p)
-            prior = conditionals.initial_prior_terms(gen.normal(size=p),
-                                                     gen.uniform(1.0, 5.0, size=p), p)
-            for cov in (w, w[0]):
-                for pri in (prior, None):
-                    w_inv = conditionals._inverse_cov(cov, p)
-                    info, shift = g.T @ w_inv @ g, g.T @ (w_inv @ theta)
-                    if pri is not None:
-                        info, shift = info + pri[0], shift + pri[1]
-                    want = np.linalg.inv(info)
-                    want = 0.5 * (want + want.T)
-                    mean, got = conditionals._initial_moments(theta, cov, g, pri)
-                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-                    np.testing.assert_array_equal(mean.view(np.uint64),
-                                                  (want @ shift).view(np.uint64))
+            m0, c0 = gen.normal(size=p), gen.uniform(1.0, 5.0, size=p)
+            w_inv, c0_inv = np.diag(1.0 / w), np.diag(1.0 / c0)
+            info = g.T @ w_inv @ g + c0_inv
+            shift = g.T @ (w_inv @ theta) + c0_inv @ m0
+            want = np.linalg.inv(info)
+            want = 0.5 * (want + want.T)
+            mean, got = conditionals._initial_moments(
+                theta, w, g, conditionals.initial_prior_terms(m0, c0))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(mean.view(np.uint64),
+                                          (want @ shift).view(np.uint64))
 
 
 def terminal_mean(g, w, theta, seed):
@@ -493,9 +484,9 @@ class TestSweepOperator:
                            {False: np.array([[1.0], [0.0]])})
         theta1 = np.array([1.0, -0.5])
         m0, c0 = np.array([0.2, 0.1]), np.array([2.0, 3.0])
-        mean, cov = initial_state_conditional(theta1, np.array([0.5, 0.8]),
-                                              trend_block(), m0, c0)
-        prior = conditionals.initial_prior_terms(m0, c0, 2)
+        prior = conditionals.initial_prior_terms(m0, c0)
+        mean, cov = conditionals._initial_moments(theta1, np.array([0.5, 0.8]),
+                                                  trend_block(), prior)
         draws = np.array([op.draw_initial(theta1, prior, rng)
                           for _ in range(20000)])
         se = np.sqrt(np.diag(cov) / draws.shape[0])
@@ -1069,6 +1060,13 @@ class TestSamplerValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainingConfig(n_pairs=100, m_neighbours=200)
+        for name, bad in (("n_pairs", 300.5), ("n_pairs", True), ("m_neighbours", 2.5),
+                          ("m_neighbours", True), ("m_neighbours", np.inf)):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                TrainingConfig(**{"n_pairs": 300, "m_neighbours": 30, name: bad})
+        config = TrainingConfig(n_pairs=np.int64(300), m_neighbours=30.0)
+        assert (config.n_pairs, config.m_neighbours) == (300, 30)
+        assert type(config.n_pairs) is int and type(config.m_neighbours) is int
         with pytest.raises(ValueError):
             ChainConfig(0)
         with pytest.raises(ValueError):
@@ -1100,20 +1098,6 @@ class TestSamplerValidation:
                                   ChainConfig(2), np.random.default_rng(0),
                                   summaries=self.s, n_obs=self.n,
                                   lambda_sampler=bad, fix_tau=100.0)
-
-    def test_initial_path_shapes(self):
-        for rows in (4, 5):
-            run_state_space_gibbs(self.spec, self.cal, TrainingConfig(),
-                                  ChainConfig(2), np.random.default_rng(0),
-                                  summaries=self.s, n_obs=self.n,
-                                  lambda_sampler=self.stub, fix_tau=100.0,
-                                  initial=np.zeros((rows, 36)))
-        with pytest.raises(ValueError):
-            run_state_space_gibbs(self.spec, self.cal, TrainingConfig(),
-                                  ChainConfig(2), np.random.default_rng(0),
-                                  summaries=self.s, n_obs=self.n,
-                                  lambda_sampler=self.stub, fix_tau=100.0,
-                                  initial=np.zeros((7, 36)))
 
     def test_fix_tau_must_be_positive(self):
         with pytest.raises(ValueError):

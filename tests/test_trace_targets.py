@@ -4,9 +4,11 @@ benchmark's count check expects.
 
 ``perfbench/tracing.py`` wraps each ``TARGETS`` entry at the module or
 class attribute the engines look it up through.  Renaming or inlining one
-of them would silently drop a layer from the trace, so it fails here.
+of them would silently drop a layer from the trace, so it fails here.  An
+import its module never reads fails too, unless the trace wraps it there.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -68,3 +70,41 @@ def test_state_space_sweep_calls_each_traced_step_once_per_day(monkeypatch):
     for name in ("knn_bandwidth", "kernel_weight", "sample_lambda_conditional",
                  "draw_state"):
         assert len(calls[name]) == n_days, name
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _imported_but_unused(path):
+    """The names a module binds by import and never reads.
+
+    A name listed in the module's ``__all__`` is read: the package
+    modules import to re-export.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(set(imported) - read)
+
+
+def test_every_import_is_used_or_traced():
+    # an import kept only for the trace is excused while TARGETS wraps it
+    # through that module; once the trace stops, the import must go
+    traced = {(module, attr) for _, module, attr, _ in tracing.TARGETS}
+    unused = []
+    for path in sorted((SRC / "lfgibbs").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        unused += [f"{module}.{name}" for name in _imported_but_unused(path)
+                   if (module, name) not in traced]
+    assert unused == []
